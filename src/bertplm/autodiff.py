@@ -31,16 +31,13 @@ class ContractError(RuntimeError):
     """An operation was invoked outside its contract."""
 
 
-#: Reject NaN/Inf at tensor creation. Ops skip the check on their own outputs;
-#: gradient sanity is enforced separately by the trainer.
-CHECK_FINITE = True
-
-
 class Tensor:
     """Immutable dense float64 value, optionally bound to a tape node.
 
     Extended-precision (longdouble) arrays are passed through unchanged;
     the finite-difference checker uses them for its reference evaluations.
+    Creation rejects NaN/Inf unless ``check=False``, which ops pass for their
+    own outputs; gradient sanity is enforced separately by the trainer.
     """
 
     __slots__ = ("data", "tape", "node_id")
@@ -52,7 +49,7 @@ class Tensor:
             data = data.astype(np.float64)
         if not data.flags["C_CONTIGUOUS"]:
             data = np.ascontiguousarray(data)
-        if check and CHECK_FINITE and not np.all(np.isfinite(data)):
+        if check and not np.all(np.isfinite(data)):
             raise ContractError("tensor creation rejected: non-finite values")
         self.data = data
         self.tape = tape

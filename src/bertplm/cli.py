@@ -3,7 +3,8 @@
 Subcommands: gen-data, pretrain, finetune, evaluate, verify-theorem,
 grad-check, ablate-mask, ablate-fraction. Exit codes: 0 success, 1 usage
 error, 2 data/format error, 3 verification failure (theorem or gradient
-check beyond tolerance). All randomness flows from --seed.
+check beyond tolerance). All randomness flows from --seed. Every corpus is
+validated once at load against the config that will run it.
 """
 
 from __future__ import annotations
@@ -60,6 +61,15 @@ def _resolve_config(args) -> Config:
     return cfg
 
 
+def _add_ablation_inputs(sub):
+    _add_common(sub)
+    sub.add_argument("--data", required=True,
+                     help="unlabeled pre-training corpus")
+    for flag in ("--train-data", "--train-manifest", "--test-data",
+                 "--test-manifest", "--vocab"):
+        sub.add_argument(flag, required=True)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="bertplm", description=__doc__)
     subs = parser.add_subparsers(dest="command")
@@ -111,34 +121,48 @@ def build_parser() -> _Parser:
                    help="small widths instead of the full tiny profile")
 
     p = subs.add_parser("ablate-mask", help="mask-ratio grid experiment")
-    _add_common(p)
-    p.add_argument("--data", required=True, help="unlabeled pre-training corpus")
-    p.add_argument("--train-data", required=True)
-    p.add_argument("--train-manifest", required=True)
-    p.add_argument("--test-data", required=True)
-    p.add_argument("--test-manifest", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_ablation_inputs(p)
     p.add_argument("--ratios", default="0.05,0.10,0.15,0.20",
                    help="comma-separated mask ratio bounds")
 
     p = subs.add_parser("ablate-fraction",
                         help="label-fraction experiment, pretrained vs fresh")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--train-data", required=True)
-    p.add_argument("--train-manifest", required=True)
-    p.add_argument("--test-data", required=True)
-    p.add_argument("--test-manifest", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_ablation_inputs(p)
     p.add_argument("--fractions", default="0.2,0.5,0.7,1.0")
 
     return parser
 
 
-def _load_labeled(data_path, manifest_path, vocab) -> list[cp.LabeledUtterance]:
-    sequences = cp.read_corpus(data_path, expected_vocab_size=vocab.size)
-    labels = cp.read_manifest(manifest_path)
-    return cp.join_labels(sequences, labels)
+def _checked(sequences, cfg: Config, source: str):
+    """The sequences, once none breaks an invariant under ``cfg``; else a
+    DataError naming the first offending utterance."""
+    for seq in sequences:
+        violations = cp.validate_sequence(seq, cfg.max_seq_len)
+        if violations:
+            raise tr.DataError(f"{source}: utterance {seq.utterance_id!r}: "
+                               f"{violations[0]}")
+    return sequences
+
+
+def _read_corpus(path, vocab, cfg: Config):
+    """A corpus file, validated at load for the config that will run it."""
+    return _checked(cp.read_corpus(path, expected_vocab_size=vocab.size),
+                    cfg, path)
+
+
+def _load_labeled(data_path, manifest_path, vocab, cfg: Config):
+    sequences = _read_corpus(data_path, vocab, cfg)
+    return cp.join_labels(sequences, cp.read_manifest(manifest_path))
+
+
+def _ablation_inputs(args, cfg: Config):
+    """Vocabulary, unlabeled corpus, train and test splits, class count."""
+    vocab = cp.read_vocab(args.vocab)
+    unlabeled = _read_corpus(args.data, vocab, cfg)
+    train = _load_labeled(args.train_data, args.train_manifest, vocab, cfg)
+    test = _load_labeled(args.test_data, args.test_manifest, vocab, cfg)
+    classes = max((u.label for u in train + test), default=-1) + 1
+    return vocab, unlabeled, train, test, classes
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -154,13 +178,8 @@ def cmd_gen_data(args) -> int:
         raise UsageError(f"unknown grammar {args.grammar!r} (only: default)")
     grammar = cp.default_grammar()
     utterances = cp.generate_corpus(grammar, args.utterances, seed=args.seed,
-                                    max_seq_len=cfg.max_seq_len,
-                                    frame_ms=cfg.frame_ms)
-    for utt in utterances:
-        violations = cp.validate_sequence(utt.sequence, cfg.max_seq_len)
-        if violations:
-            raise cp.GenerationError(
-                f"{utt.sequence.utterance_id}: {violations[0]}")
+                                    max_seq_len=cfg.max_seq_len)
+    _checked([u.sequence for u in utterances], cfg, "generated corpus")
     cp.write_corpus([u.sequence for u in utterances], args.out,
                     grammar.vocab.size)
     if args.manifest:
@@ -177,15 +196,14 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
     vocab = cp.read_vocab(args.vocab)
-    sequences = cp.read_corpus(args.data, expected_vocab_size=vocab.size)
+    sequences = _read_corpus(args.data, vocab, cfg)
     log = tr.ProgressLog(args.log, echo=True)
-    try:
+    try:  # pretrain rewrites the checkpoint after every epoch
         ckpt = tr.pretrain(sequences, cfg, seed=args.seed,
                            sil_index=vocab.sil_index, log=log,
                            checkpoint_path=args.out)
     finally:
         log.close()
-    tr.save_checkpoint(args.out, ckpt.arrays, cfg, ckpt.step, ckpt.optim)
     print(f"checkpoint ({ckpt.step} steps) written to {args.out}")
     return EXIT_OK
 
@@ -193,13 +211,13 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = _resolve_config(args)
     vocab = cp.read_vocab(args.vocab)
-    train = _load_labeled(args.data, args.manifest, vocab)
+    train = _load_labeled(args.data, args.manifest, vocab, cfg)
     test = []
     if args.test_data:
         if not args.test_manifest:
             raise UsageError("--test-data requires --test-manifest")
-        test = _load_labeled(args.test_data, args.test_manifest, vocab)
-    classes = max(u.label for u in train + test) + 1
+        test = _load_labeled(args.test_data, args.test_manifest, vocab, cfg)
+    classes = max((u.label for u in train + test), default=-1) + 1
     init = tr.load_checkpoint(args.ckpt) if args.ckpt else None
     log = tr.ProgressLog(args.log, echo=True)
     try:
@@ -210,7 +228,7 @@ def cmd_finetune(args) -> int:
         log.close()
     tr.save_checkpoint(args.out, ckpt.arrays, cfg, ckpt.step)
     print(f"checkpoint written to {args.out}")
-    if test:
+    if metrics is not None:
         print(f"test error_rate={metrics.error_rate:.4f} "
               f"macro_f1={metrics.macro_f1:.4f} micro_f1={metrics.micro_f1:.4f}")
     return EXIT_OK
@@ -219,8 +237,8 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     _resolve_config(args)
     vocab = cp.read_vocab(args.vocab)
-    utterances = _load_labeled(args.data, args.manifest, vocab)
     ckpt = tr.load_checkpoint(args.ckpt)
+    utterances = _load_labeled(args.data, args.manifest, vocab, ckpt.config)
     enc_cfg = encoder_config(ckpt.config, vocab.size)
     metrics = tr.evaluate(ckpt.arrays, enc_cfg, utterances)
     print(f"error_rate\t{metrics.error_rate:.6f}")
@@ -305,11 +323,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_ablate_mask(args) -> int:
     cfg = _resolve_config(args)
-    vocab = cp.read_vocab(args.vocab)
-    unlabeled = cp.read_corpus(args.data, expected_vocab_size=vocab.size)
-    train = _load_labeled(args.train_data, args.train_manifest, vocab)
-    test = _load_labeled(args.test_data, args.test_manifest, vocab)
-    classes = max(u.label for u in train + test) + 1
+    vocab, unlabeled, train, test, classes = _ablation_inputs(args, cfg)
     ratios = _csv_floats(args.ratios)
     rows = tr.ablate_mask_ratio(unlabeled, train, test, ratios, cfg,
                                 seed=args.seed, sil_index=vocab.sil_index,
@@ -323,11 +337,7 @@ def cmd_ablate_mask(args) -> int:
 
 def cmd_ablate_fraction(args) -> int:
     cfg = _resolve_config(args)
-    vocab = cp.read_vocab(args.vocab)
-    unlabeled = cp.read_corpus(args.data, expected_vocab_size=vocab.size)
-    train = _load_labeled(args.train_data, args.train_manifest, vocab)
-    test = _load_labeled(args.test_data, args.test_manifest, vocab)
-    classes = max(u.label for u in train + test) + 1
+    vocab, unlabeled, train, test, classes = _ablation_inputs(args, cfg)
     fractions = _csv_floats(args.fractions)
     rows = tr.ablate_fraction(unlabeled, train, test, fractions, cfg,
                               seed=args.seed, sil_index=vocab.sil_index,

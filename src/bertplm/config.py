@@ -33,7 +33,6 @@ class Config:
     beta2: float = 0.999
     eps_adam: float = 1e-8
     max_seq_len: int = 320
-    frame_ms: float = 30.0
     mask_ratio_max: float = 0.15
     sil_threshold: float = 0.5
     plm_weighting: str = "mean"
@@ -82,7 +81,8 @@ def _check_key(key: str, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {key!r}; valid keys: {valid}")
 
 
-def _parse_pairs(text: str, source: str) -> dict[str, tuple[str, str]]:
+def _parse_pairs(text: str, source: str,
+                 ignored: tuple[str, ...] = ()) -> dict[str, tuple[str, str]]:
     pairs: dict[str, tuple[str, str]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -92,6 +92,8 @@ def _parse_pairs(text: str, source: str) -> dict[str, tuple[str, str]]:
             raise ConfigError(f"{source} line {lineno}: expected key = value")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
+        if key in ignored:
+            continue
         where = f"{source} line {lineno}"
         _check_key(key, where)
         pairs[key] = (raw, where)
@@ -128,8 +130,9 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> Config:
 
 
 def parse_config_text(text: str) -> Config:
-    """Config from an in-memory dump (checkpoint snapshots)."""
-    return _build(_parse_pairs(text, "<config>"), {})
+    """Config from an in-memory dump (checkpoint snapshots). Older dumps
+    carry the retired ``frame_ms`` key, which is ignored."""
+    return _build(_parse_pairs(text, "<config>", ignored=("frame_ms",)), {})
 
 
 def config_text(cfg: Config) -> str:

@@ -11,7 +11,8 @@ the outright majority of the mass.
 File formats (shared with the CLI):
   corpus (.pps)  magic "PPSQ", u16 version=1, u16 reserved, u32 V, u32 N,
                  then per utterance: u16 id length, id bytes (UTF-8), u32 T,
-                 T*V little-endian f32 frames, row-major.
+                 T*V little-endian f32 frames, row-major. Nothing may
+                 follow the last utterance.
   manifest       TSV lines "utterance_id<TAB>class_id<TAB>class_name".
   vocabulary     UTF-8, one phoneme per line; the line "SIL" is sil_index.
 """
@@ -27,7 +28,6 @@ import numpy as np
 from .rng import stream
 
 MAX_SEQ_LEN_DEFAULT = 320
-FRAME_MS_DEFAULT = 30.0
 SIL_SYMBOL = "SIL"
 
 CORPUS_MAGIC = b"PPSQ"
@@ -79,7 +79,6 @@ class PhonemePosteriorSequence:
     """T x V matrix of per-frame distributions over the phoneme vocabulary."""
 
     frames: np.ndarray
-    frame_ms: float = FRAME_MS_DEFAULT
     utterance_id: str = ""
 
     def __post_init__(self):
@@ -237,8 +236,7 @@ def emit_frames(grammar: SynthGrammar, true_ids: list[int],
 def generate_utterance(grammar: SynthGrammar, class_id: int,
                        rng: np.random.Generator,
                        max_seq_len: int = MAX_SEQ_LEN_DEFAULT,
-                       utterance_id: str = "",
-                       frame_ms: float = FRAME_MS_DEFAULT) -> LabeledUtterance:
+                       utterance_id: str = "") -> LabeledUtterance:
     """Sample one labeled utterance from the mock acoustic channel.
 
     Retries (up to 10 times, shrinking durations) when the draw exceeds
@@ -259,8 +257,7 @@ def generate_utterance(grammar: SynthGrammar, class_id: int,
         if not any(not is_major_sil(f, sil) for f in frames):
             continue  # pre-training needs at least one eligible frame
         return LabeledUtterance(
-            PhonemePosteriorSequence(frames, frame_ms=frame_ms,
-                                     utterance_id=utterance_id),
+            PhonemePosteriorSequence(frames, utterance_id=utterance_id),
             label=class_id,
         )
     raise GenerationError(
@@ -269,7 +266,6 @@ def generate_utterance(grammar: SynthGrammar, class_id: int,
 
 def generate_corpus(grammar: SynthGrammar, count: int, seed: int,
                     max_seq_len: int = MAX_SEQ_LEN_DEFAULT,
-                    frame_ms: float = FRAME_MS_DEFAULT,
                     id_prefix: str = "utt") -> list[LabeledUtterance]:
     """Generate ``count`` utterances cycling through the grammar's classes."""
     utterances = []
@@ -277,8 +273,7 @@ def generate_corpus(grammar: SynthGrammar, count: int, seed: int,
         class_id = i % grammar.num_classes
         utterances.append(generate_utterance(
             grammar, class_id, stream(seed, "gen", i),
-            max_seq_len=max_seq_len, frame_ms=frame_ms,
-            utterance_id=f"{id_prefix}-{i:06d}"))
+            max_seq_len=max_seq_len, utterance_id=f"{id_prefix}-{i:06d}"))
     return utterances
 
 
@@ -286,18 +281,21 @@ def validate_sequence(seq: PhonemePosteriorSequence,
                       max_seq_len: int = MAX_SEQ_LEN_DEFAULT) -> list[str]:
     """Diagnostic check; returns one message per violated invariant."""
     violations = []
-    t_len = seq.frames.shape[0]
+    frames = seq.frames
+    t_len = frames.shape[0]
     if not 1 <= t_len <= max_seq_len:
         violations.append(f"length: T={t_len} outside [1, {max_seq_len}]")
-    for t in range(t_len):
-        row = seq.frames[t]
-        if not np.all(np.isfinite(row)):
+    finite = np.isfinite(frames).all(axis=1)
+    sums = np.where(finite[:, None], frames, 0.0).sum(axis=1)
+    negative = (frames < 0).any(axis=1)
+    for t in np.flatnonzero(~finite | negative | (np.abs(sums - 1.0) > 1e-6)):
+        if not finite[t]:
             violations.append(f"frame {t}: non-finite entry")
             continue
-        if np.any(row < 0):
+        if negative[t]:
             violations.append(f"frame {t}: negativity")
-        if abs(row.sum() - 1.0) > 1e-6:
-            violations.append(f"frame {t}: row-sum {row.sum():.8f}")
+        if abs(sums[t] - 1.0) > 1e-6:
+            violations.append(f"frame {t}: row-sum {sums[t]:.8f}")
     return violations
 
 
@@ -321,22 +319,37 @@ def write_corpus(sequences: list[PhonemePosteriorSequence], path,
     Path(path).write_bytes(bytes(payload))
 
 
+class ByteReader:
+    """Bounds-checked cursor over a binary file held in memory; errors are
+    CorpusFormatErrors carrying the byte offset where reading stopped."""
+
+    def __init__(self, raw: bytes, offset: int = 0):
+        self.raw = raw
+        self.offset = offset
+
+    def take(self, count: int) -> bytes:
+        if self.offset + count > len(self.raw):
+            raise CorpusFormatError("truncated file", self.offset)
+        chunk = self.raw[self.offset:self.offset + count]
+        self.offset += count
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def end(self) -> None:
+        extra = len(self.raw) - self.offset
+        if extra:
+            raise CorpusFormatError(f"{extra} trailing bytes", self.offset)
+
+
 def read_corpus(path, expected_vocab_size: int | None = None
                 ) -> list[PhonemePosteriorSequence]:
     raw = Path(path).read_bytes()
     if raw[:4] != CORPUS_MAGIC:
         raise CorpusFormatError(f"bad magic {raw[:4]!r}", 0)
-    offset = 4
-
-    def take(count: int) -> bytes:
-        nonlocal offset
-        if offset + count > len(raw):
-            raise CorpusFormatError("truncated file", offset)
-        chunk = raw[offset:offset + count]
-        offset += count
-        return chunk
-
-    version, _, vocab_size, count = struct.unpack("<HHII", take(12))
+    reader = ByteReader(raw, 4)
+    version, _, vocab_size, count = reader.unpack("<HHII")
     if version != CORPUS_VERSION:
         raise CorpusFormatError(f"unsupported version {version}", 4)
     if expected_vocab_size is not None and vocab_size != expected_vocab_size:
@@ -345,12 +358,14 @@ def read_corpus(path, expected_vocab_size: int | None = None
             f"expected {expected_vocab_size}", 8)
     sequences = []
     for _ in range(count):
-        (id_len,) = struct.unpack("<H", take(2))
-        ident = take(id_len).decode("utf-8")
-        (t_len,) = struct.unpack("<I", take(4))
-        frames = np.frombuffer(take(4 * t_len * vocab_size), dtype="<f4")
-        frames = frames.reshape(t_len, vocab_size).astype(np.float64)
+        (id_len,) = reader.unpack("<H")
+        ident = reader.take(id_len).decode("utf-8")
+        (t_len,) = reader.unpack("<I")
+        frames = np.frombuffer(reader.take(4 * t_len * vocab_size),
+                               dtype="<f4").reshape(t_len, vocab_size)
+        frames = frames.astype(np.float64)
         sequences.append(PhonemePosteriorSequence(frames, utterance_id=ident))
+    reader.end()
     return sequences
 
 
@@ -371,8 +386,10 @@ def read_manifest(path) -> dict[str, int]:
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) < 2:
-            raise CorpusFormatError(f"manifest line {lineno} malformed", 0)
+        if len(parts) < 2 or not parts[1].strip().isdecimal():
+            raise CorpusFormatError(
+                f"manifest line {lineno} malformed: expected utterance_id"
+                "<TAB>class_id with a non-negative integer class_id", 0)
         labels[parts[0]] = int(parts[1])
     return labels
 

@@ -113,6 +113,16 @@ def soft_cross_entropy(logits: Tensor, target_dists: np.ndarray) -> Tensor:
     return ad.scale(per_row_sum, 1.0 / k)
 
 
+def _masked_regression(hidden: Tensor, embed: Tensor,
+                       seq: PhonemePosteriorSequence, plan: MaskPlan,
+                       weighting: str) -> Tensor:
+    """Soft cross entropy of the predictions at the targets against their
+    original posterior rows: averaged over targets, or summed for "sum"."""
+    logits = predict_phonemes(ad.gather_rows(hidden, plan.target_idx), embed)
+    loss = soft_cross_entropy(logits, seq.frames[list(plan.target_idx)])
+    return ad.scale(loss, float(plan.k)) if weighting == "sum" else loss
+
+
 def _plm_term(bound: dict[str, Tensor], config: EncoderConfig,
               seq: PhonemePosteriorSequence, plan: MaskPlan,
               weighting: str, train: bool,
@@ -122,10 +132,25 @@ def _plm_term(bound: dict[str, Tensor], config: EncoderConfig,
     if plan.k < 1:
         raise ad.ContractError("pre-training loss needs at least one target")
     hidden = encode(bound, config, seq, plan, train=train, drop_rng=drop_rng)
-    logits = predict_phonemes(ad.gather_rows(hidden, plan.target_idx),
-                              bound["embed"])
-    loss = soft_cross_entropy(logits, seq.frames[list(plan.target_idx)])
-    return loss if weighting == "mean" else ad.scale(loss, float(plan.k))
+    return _masked_regression(hidden, bound["embed"], seq, plan, weighting)
+
+
+def _loss_and_grads(params: dict[str, np.ndarray], plan: MaskPlan,
+                    want_grads: bool, build):
+    """Evaluate ``build(bound) -> (cls or None, plm, total)`` on a fresh
+    tape; backpropagate the total to a name->gradient dict when requested."""
+    tape = ad.Tape()
+    bound = bind_params(tape, params)
+    cls, plm, total = build(bound)
+    breakdown = LossBreakdown(plm_loss=plm.item(),
+                              cls_loss=None if cls is None else cls.item(),
+                              total=total.item(), k=plan.k)
+    if not want_grads:
+        return breakdown
+    grads = ad.backward(tape, total)
+    by_name = {name: grads[tensor.node_id].data
+               for name, tensor in bound.items() if tensor.node_id in grads}
+    return breakdown, by_name
 
 
 def bert_plm_loss(params: dict[str, np.ndarray], config: EncoderConfig,
@@ -139,17 +164,12 @@ def bert_plm_loss(params: dict[str, np.ndarray], config: EncoderConfig,
     Returns a LossBreakdown, plus a name->gradient dict when requested.
     """
     plan.check_partition(seq.length)
-    tape = ad.Tape()
-    bound = bind_params(tape, params)
-    loss = _plm_term(bound, config, seq, plan, weighting, train, drop_rng)
-    breakdown = LossBreakdown(plm_loss=loss.item(), cls_loss=None,
-                              total=loss.item(), k=plan.k)
-    if not want_grads:
-        return breakdown
-    grads = ad.backward(tape, loss)
-    by_name = {name: grads[tensor.node_id].data
-               for name, tensor in bound.items() if tensor.node_id in grads}
-    return breakdown, by_name
+
+    def build(bound):
+        loss = _plm_term(bound, config, seq, plan, weighting, train, drop_rng)
+        return None, loss, loss
+
+    return _loss_and_grads(params, plan, want_grads, build)
 
 
 def _finetune_term(bound: dict[str, Tensor], config: EncoderConfig,
@@ -171,11 +191,7 @@ def _finetune_term(bound: dict[str, Tensor], config: EncoderConfig,
                                    ad.log_softmax(logits))))
 
     if plan.k >= 1:
-        logits_t = predict_phonemes(ad.gather_rows(hidden, plan.target_idx),
-                                    bound["embed"])
-        plm = soft_cross_entropy(logits_t, seq.frames[list(plan.target_idx)])
-        if weighting == "sum":
-            plm = ad.scale(plm, float(plan.k))
+        plm = _masked_regression(hidden, bound["embed"], seq, plan, weighting)
     else:
         plm = ad.constant(0.0)
     return cls, plm, ad.add(cls, ad.scale(plm, lam))
@@ -200,15 +216,8 @@ def finetune_loss(params: dict[str, np.ndarray], config: EncoderConfig,
             f"label {utterance.label} out of range for {classes} classes")
     plan.check_partition(utterance.sequence.length)
 
-    tape = ad.Tape()
-    bound = bind_params(tape, params)
-    cls, plm, total = _finetune_term(bound, config, utterance, plan, lam,
-                                     weighting, train, drop_rng)
-    breakdown = LossBreakdown(plm_loss=plm.item(), cls_loss=cls.item(),
-                              total=total.item(), k=plan.k)
-    if not want_grads:
-        return breakdown
-    grads = ad.backward(tape, total)
-    by_name = {name: grads[tensor.node_id].data
-               for name, tensor in bound.items() if tensor.node_id in grads}
-    return breakdown, by_name
+    def build(bound):
+        return _finetune_term(bound, config, utterance, plan, lam, weighting,
+                              train, drop_rng)
+
+    return _loss_and_grads(params, plan, want_grads, build)

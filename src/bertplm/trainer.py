@@ -3,14 +3,18 @@
 Pre-training touches sequences only; the code path has no label accessor, so
 labels cannot leak into it. Fine-tuning resamples a fresh mask plan per step
 (the masked frames act as input dropout) and early-stops on validation error.
-All shuffling, plan sampling, dropout and init draw from named substreams of
-one seed, which makes checkpoints bitwise reproducible.
+Both stages run the same minibatch loop (shuffle, accumulate, average, Adam);
+they differ only in the per-utterance loss and in what happens to an
+utterance without an eligible target: pre-training skips it, fine-tuning
+trains it with nothing masked. All shuffling, plan sampling, dropout and init
+draw from named substreams of one seed, which makes checkpoints bitwise
+reproducible.
 
 Checkpoint format (.ckpt): magic "CKP1"; u32 entry count; per entry u16 name
 length, name bytes (UTF-8), u8 rank, rank u32 dims, then little-endian f32
-payload; finally a u32-length-prefixed UTF-8 dump of the resolved config.
-Optimizer moments are stored under "adam.m." / "adam.v." name prefixes and
-the step counter as the scalar entry "step".
+payload; finally a u32-length-prefixed UTF-8 dump of the resolved config,
+after which nothing may follow. Optimizer moments are stored under "adam.m."
+/ "adam.v." name prefixes and the step counter as the scalar entry "step".
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, config_text, encoder_config, parse_config_text
-from .corpus import (LabeledUtterance, PhonemePosteriorSequence, read_corpus)
+from .config import (Config, ConfigError, config_text, encoder_config,
+                     parse_config_text)
+from .corpus import (ByteReader, CorpusFormatError, LabeledUtterance,
+                     PhonemePosteriorSequence, read_corpus)
 from .encoder import (EncoderConfig, attentive_pool, bind_params, encode,
                       init_params)
 from .objective import (MaskPlan, SamplingError, bert_plm_loss,
@@ -132,28 +138,23 @@ def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"bad checkpoint magic {raw[:4]!r}")
-    offset = 4
-
-    def take(count: int) -> bytes:
-        nonlocal offset
-        if offset + count > len(raw):
-            raise DataError(f"truncated checkpoint at byte {offset}")
-        chunk = raw[offset:offset + count]
-        offset += count
-        return chunk
-
-    (count,) = struct.unpack("<I", take(4))
-    entries: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
-        (rank,) = struct.unpack("<B", take(1))
-        dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
-        size = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(take(4 * size), dtype="<f4").astype(np.float64)
-        entries[name] = data.reshape(dims)
-    (text_len,) = struct.unpack("<I", take(4))
-    config = parse_config_text(take(text_len).decode("utf-8"))
+    reader = ByteReader(raw, 4)
+    try:
+        (count,) = reader.unpack("<I")
+        entries: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = reader.unpack("<H")
+            name = reader.take(name_len).decode("utf-8")
+            (rank,) = reader.unpack("<B")
+            dims = reader.unpack(f"<{rank}I")
+            size = int(np.prod(dims)) if dims else 1
+            data = np.frombuffer(reader.take(4 * size), dtype="<f4")
+            entries[name] = data.astype(np.float64).reshape(dims)
+        (text_len,) = reader.unpack("<I")
+        config = parse_config_text(reader.take(text_len).decode("utf-8"))
+        reader.end()
+    except (CorpusFormatError, ConfigError) as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from None
 
     step = int(entries.pop("step").reshape(()))
     params = {k: v for k, v in entries.items() if not k.startswith("adam.")}
@@ -250,6 +251,33 @@ def _as_sequences(corpus) -> list[PhonemePosteriorSequence]:
     return list(corpus)
 
 
+def _train_steps(params, optim: OptimState, order, batch_size: int,
+                 utterance_grads):
+    """One epoch of minibatch Adam over ``order``, yielding each step's
+    losses right after the step. ``utterance_grads(idx)`` gives (loss, grads)
+    or None to skip; a minibatch with nothing kept takes no step."""
+    for start in range(0, len(order), batch_size):
+        grads_acc: dict[str, np.ndarray] = {}
+        losses = []
+        for idx in order[start:start + batch_size]:
+            result = utterance_grads(int(idx))
+            if result is None:
+                continue
+            loss, grads = result
+            losses.append(loss)
+            for name, grad in grads.items():
+                if name in grads_acc:
+                    grads_acc[name] += grad
+                else:
+                    grads_acc[name] = grad.copy()
+        if not losses:
+            continue
+        for grad in grads_acc.values():
+            grad /= len(losses)
+        adam_step(params, grads_acc, optim)
+        yield losses
+
+
 def _mean_plm_loss(params, enc_config, cfg, pairs) -> float:
     values = [bert_plm_loss(params, enc_config, seq, plan,
                             weighting=cfg.plm_weighting).plm_loss
@@ -298,45 +326,30 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
         log.log(0, "heldout", "plm_loss",
                 _mean_plm_loss(params, enc_config, cfg, held_pairs))
 
-    trained_any = False
     for epoch in range(cfg.epochs):
-        perm = stream(seed, "shuffle", epoch).permutation(len(train))
-        for start in range(0, len(perm), cfg.batch_size):
-            batch = perm[start:start + cfg.batch_size]
-            grads_acc: dict[str, np.ndarray] = {}
-            losses = []
-            for idx in batch:
-                seq = train[idx]
-                try:
-                    plan = sample_mask_plan(
-                        seq, sil_index, cfg.mask_ratio_max, cfg.sil_threshold,
-                        stream(seed, "plan", epoch, int(idx)))
-                except SamplingError:
-                    continue
-                breakdown, grads = bert_plm_loss(
-                    params, enc_config, seq, plan,
-                    weighting=cfg.plm_weighting, train=True,
-                    drop_rng=stream(seed, "drop", epoch, int(idx)),
-                    want_grads=True)
-                losses.append(breakdown.plm_loss)
-                for name, grad in grads.items():
-                    if name in grads_acc:
-                        grads_acc[name] += grad
-                    else:
-                        grads_acc[name] = grad.copy()
-            if not losses:
-                continue
-            for grad in grads_acc.values():
-                grad /= len(losses)
-            adam_step(params, grads_acc, optim)
-            trained_any = True
+        def utterance_grads(idx):
+            try:
+                plan = sample_mask_plan(
+                    train[idx], sil_index, cfg.mask_ratio_max,
+                    cfg.sil_threshold, stream(seed, "plan", epoch, idx))
+            except SamplingError:
+                return None
+            breakdown, grads = bert_plm_loss(
+                params, enc_config, train[idx], plan,
+                weighting=cfg.plm_weighting, train=True,
+                drop_rng=stream(seed, "drop", epoch, idx), want_grads=True)
+            return breakdown.plm_loss, grads
+
+        order = stream(seed, "shuffle", epoch).permutation(len(train))
+        for losses in _train_steps(params, optim, order, cfg.batch_size,
+                                   utterance_grads):
             log.log(optim.step, "train", "plm_loss", float(np.mean(losses)))
         if held_pairs:
             log.log(optim.step, "heldout", "plm_loss",
                     _mean_plm_loss(params, enc_config, cfg, held_pairs))
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, params, cfg, optim.step, optim)
-    if not trained_any:
+    if optim.step == 0:
         raise TrainingError("every utterance was skipped: no eligible frames")
     return Checkpoint(arrays=params, config=cfg, step=optim.step, optim=optim)
 
@@ -370,12 +383,13 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
              test_utts: list[LabeledUtterance], cfg: Config, seed: int,
              sil_index: int, classes: int, vocab_size: int | None = None,
              log: ProgressLog | None = None
-             ) -> tuple[Checkpoint, EvalMetrics]:
+             ) -> tuple[Checkpoint, EvalMetrics | None]:
     """Multi-task fine-tuning with early stopping on validation error.
 
     Starts from a pre-trained checkpoint when given, otherwise from fresh
     random weights; a classifier head is added either way. Returns the best
-    (by validation error) parameters and their metrics on the test split.
+    (by validation error) parameters and their metrics on the test split,
+    or None for the metrics when there is no test split.
     """
     if not train_utts:
         raise DataError("fine-tuning needs labeled training data")
@@ -407,37 +421,25 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     patience_left = cfg.patience
 
     for epoch in range(cfg.finetune_epochs):
-        perm = stream(seed, "ft-shuffle", epoch).permutation(len(train))
+        def utterance_grads(idx):
+            seq = train[idx].sequence
+            try:
+                plan = sample_mask_plan(
+                    seq, sil_index, cfg.mask_ratio_max, cfg.sil_threshold,
+                    stream(seed, "ft-plan", epoch, idx))
+            except SamplingError:
+                plan = MaskPlan.full_context(seq.length)
+            breakdown, grads = finetune_loss(
+                params, enc_config, train[idx], plan, lam=cfg.finetune_lambda,
+                weighting=cfg.plm_weighting, train=True,
+                drop_rng=stream(seed, "ft-drop", epoch, idx), want_grads=True)
+            return breakdown.total, grads
+
+        order = stream(seed, "ft-shuffle", epoch).permutation(len(train))
         epoch_losses = []
-        for start in range(0, len(perm), cfg.batch_size):
-            batch = perm[start:start + cfg.batch_size]
-            grads_acc: dict[str, np.ndarray] = {}
-            losses = []
-            for idx in batch:
-                utt = train[idx]
-                try:
-                    plan = sample_mask_plan(
-                        utt.sequence, sil_index, cfg.mask_ratio_max,
-                        cfg.sil_threshold, stream(seed, "ft-plan", epoch, int(idx)))
-                except SamplingError:
-                    plan = MaskPlan.full_context(utt.sequence.length)
-                breakdown, grads = finetune_loss(
-                    params, enc_config, utt, plan, lam=cfg.finetune_lambda,
-                    weighting=cfg.plm_weighting, train=True,
-                    drop_rng=stream(seed, "ft-drop", epoch, int(idx)),
-                    want_grads=True)
-                losses.append(breakdown.total)
-                for name, grad in grads.items():
-                    if name in grads_acc:
-                        grads_acc[name] += grad
-                    else:
-                        grads_acc[name] = grad.copy()
-            if not losses:
-                continue
-            for grad in grads_acc.values():
-                grad /= len(losses)
-            adam_step(params, grads_acc, optim)
-            epoch_losses.extend(losses)
+        for losses in _train_steps(params, optim, order, cfg.batch_size,
+                                   utterance_grads):
+            epoch_losses += losses
         if epoch_losses:
             log.log(optim.step, "train", "total_loss", float(np.mean(epoch_losses)))
         if val:
@@ -455,10 +457,10 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
             best_params = {k: v.copy() for k, v in params.items()}
 
     checkpoint = Checkpoint(arrays=best_params, config=cfg, step=optim.step)
-    metrics = evaluate(best_params, enc_config, test_utts) if test_utts else \
-        metrics_from_confusion(np.zeros((classes, classes), dtype=np.int64))
-    if test_utts:
-        log.log(optim.step, "test", "error_rate", metrics.error_rate)
+    if not test_utts:
+        return checkpoint, None
+    metrics = evaluate(best_params, enc_config, test_utts)
+    log.log(optim.step, "test", "error_rate", metrics.error_rate)
     return checkpoint, metrics
 
 
@@ -481,6 +483,8 @@ def ablate_mask_ratio(unlabeled, train_utts, test_utts, ratios, cfg: Config,
     """Pre-train + fine-tune once per mask-ratio bound, fixed seeds."""
     if any(not 0.0 < r <= 1.0 for r in ratios):
         raise ValueError("mask ratios must lie in (0, 1]")
+    if not test_utts:
+        raise DataError("empty evaluation set: error rate undefined")
     rows = []
     for ratio in ratios:
         run_cfg = replace(cfg, mask_ratio_max=float(ratio))
@@ -513,6 +517,8 @@ def ablate_fraction(unlabeled, train_utts, test_utts, fractions, cfg: Config,
     """Fine-tune pretrained vs fresh on nested fractions of the labels."""
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
+    if not test_utts:
+        raise DataError("empty evaluation set: error rate undefined")
     ckpt = pretrain(unlabeled, cfg, seed=seed, sil_index=sil_index, log=log)
     order = stream(seed, "fraction").permutation(len(train_utts))
     rows = []

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from bertplm import cli
 from bertplm import corpus as cp
+from bertplm import trainer as tr
 from bertplm.config import ConfigError, parse_config
 
 
@@ -28,6 +32,13 @@ class TestParseConfig:
         path = tmp_path / "c.cfg"
         path.write_text("epochs = 5\nlayers = abc\n")
         with pytest.raises(ConfigError, match="line 2.*layers"):
+            parse_config(path)
+
+    def test_retired_frame_ms_key_rejected_in_user_config(self, tmp_path):
+        # only checkpoint config text may still carry it
+        path = tmp_path / "c.cfg"
+        path.write_text("frame_ms = 30.0\n")
+        with pytest.raises(ConfigError, match="unknown key 'frame_ms'"):
             parse_config(path)
 
     def test_unknown_key_lists_valid_keys(self, tmp_path):
@@ -120,6 +131,110 @@ class TestExitCodes:
         assert code == cli.EXIT_VERIFY
 
 
+SMALL = ["--set", "profile=tiny", "--set", "d=16", "--set", "d_ff=24",
+         "--set", "heads=2", "--set", "layers=1",
+         "--set", "epochs=1", "--set", "finetune_epochs=1",
+         "--set", "batch_size=8", "--set", "dropout=0.0"]
+
+
+@pytest.fixture
+def small_corpus(tmp_path):
+    paths = {name: tmp_path / name for name in ("c.pps", "c.tsv", "v.txt")}
+    assert cli.main(["gen-data", "--utterances", "12", "--seed", "1",
+                     "--out", str(paths["c.pps"]),
+                     "--manifest", str(paths["c.tsv"]),
+                     "--vocab", str(paths["v.txt"])]) == cli.EXIT_OK
+    return {name: str(path) for name, path in paths.items()}
+
+
+class TestInputValidation:
+    def test_finetune_without_test_data_writes_checkpoint(
+            self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "ft.ckpt"
+        code = cli.main(["finetune", "--data", small_corpus["c.pps"],
+                         "--manifest", small_corpus["c.tsv"],
+                         "--vocab", small_corpus["v.txt"],
+                         "--out", str(out)] + SMALL)
+        assert code == cli.EXIT_OK
+        assert "test error_rate" not in capsys.readouterr().out
+        assert "classifier" in tr.load_checkpoint(out).arrays
+
+    def test_non_integer_class_id_is_data_error(self, small_corpus, tmp_path,
+                                                capsys):
+        manifest = tmp_path / "bad.tsv"
+        manifest.write_text("utt-000000\tzero\tclass0\n")
+        code = cli.main(["finetune", "--data", small_corpus["c.pps"],
+                         "--manifest", str(manifest),
+                         "--vocab", small_corpus["v.txt"],
+                         "--out", str(tmp_path / "ft.ckpt")] + SMALL)
+        assert code == cli.EXIT_DATA
+        assert "line 1" in capsys.readouterr().err
+
+    def test_sequence_longer_than_max_seq_len_names_utterance(
+            self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "pre.ckpt"
+        code = cli.main(["pretrain", "--data", small_corpus["c.pps"],
+                         "--vocab", small_corpus["v.txt"], "--out", str(out),
+                         "--set", "max_seq_len=8"] + SMALL)
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "utt-000000" in err and "outside [1, 8]" in err
+        assert not out.exists()
+
+    def test_non_finite_frame_names_utterance(self, small_corpus, tmp_path,
+                                              capsys):
+        sequences = cp.read_corpus(small_corpus["c.pps"])
+        sequences[3].frames[2, 1] = np.nan
+        bad = tmp_path / "nan.pps"
+        cp.write_corpus(sequences, bad, sequences[0].vocab_size)
+        code = cli.main(["pretrain", "--data", str(bad),
+                         "--vocab", small_corpus["v.txt"],
+                         "--out", str(tmp_path / "pre.ckpt")] + SMALL)
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "'utt-000003': frame 2: non-finite entry" in err
+
+    def test_evaluate_validates_against_checkpoint_config(
+            self, small_corpus, tmp_path, capsys):
+        ckpt = tmp_path / "ft.ckpt"
+        assert cli.main(["finetune", "--data", small_corpus["c.pps"],
+                         "--manifest", small_corpus["c.tsv"],
+                         "--vocab", small_corpus["v.txt"], "--out", str(ckpt),
+                         "--set", "max_seq_len=64"] + SMALL) == cli.EXIT_OK
+        longest = max(s.length for s in cp.read_corpus(small_corpus["c.pps"]))
+        args = ["evaluate", "--ckpt", str(ckpt), "--data", small_corpus["c.pps"],
+                "--manifest", small_corpus["c.tsv"],
+                "--vocab", small_corpus["v.txt"]]
+        # the command's own --set does not apply; the checkpoint's config does
+        assert cli.main(args + ["--set", f"max_seq_len={longest - 1}"]) \
+            == cli.EXIT_OK
+        short = tr.load_checkpoint(ckpt)
+        tr.save_checkpoint(ckpt, short.arrays,
+                           replace(short.config, max_seq_len=longest - 1),
+                           short.step)
+        assert cli.main(args) == cli.EXIT_DATA
+
+    def test_trailing_bytes_in_corpus_is_data_error(self, small_corpus, capsys):
+        path = small_corpus["c.pps"]
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        code = cli.main(["pretrain", "--data", path,
+                         "--vocab", small_corpus["v.txt"],
+                         "--out", path + ".ckpt"] + SMALL)
+        assert code == cli.EXIT_DATA
+        assert "trailing bytes" in capsys.readouterr().err
+
+    def test_empty_training_corpus_is_data_error(self, small_corpus, tmp_path,
+                                                 capsys):
+        empty = tmp_path / "empty.pps"
+        cp.write_corpus([], empty, cp.default_grammar().vocab.size)
+        code = cli.main(["finetune", "--data", str(empty),
+                         "--manifest", small_corpus["c.tsv"],
+                         "--vocab", small_corpus["v.txt"],
+                         "--out", str(tmp_path / "ft.ckpt")] + SMALL)
+        assert code == cli.EXIT_DATA
+
+
 class TestGenData:
     def test_files_created_and_clean(self, tmp_path, capsys):
         out = tmp_path / "corpus.pps"
@@ -175,13 +290,9 @@ class TestPipeline:
                          "--out", str(corpus), "--manifest", str(manifest),
                          "--vocab", str(vocab)]) == cli.EXIT_OK
 
-        small = ["--set", "profile=tiny", "--set", "d=16", "--set", "d_ff=24",
-                 "--set", "heads=2", "--set", "layers=1",
-                 "--set", "epochs=1", "--set", "finetune_epochs=1",
-                 "--set", "batch_size=8", "--set", "dropout=0.0"]
         ckpt = tmp_path / "pre.ckpt"
         assert cli.main(["pretrain", "--data", str(corpus), "--vocab", str(vocab),
-                         "--out", str(ckpt), "--seed", "2"] + small) == cli.EXIT_OK
+                         "--out", str(ckpt), "--seed", "2"] + SMALL) == cli.EXIT_OK
 
         final = tmp_path / "final.ckpt"
         assert cli.main(["finetune", "--data", str(corpus),
@@ -189,7 +300,7 @@ class TestPipeline:
                          "--ckpt", str(ckpt),
                          "--test-data", str(corpus),
                          "--test-manifest", str(manifest),
-                         "--out", str(final), "--seed", "3"] + small) == cli.EXIT_OK
+                         "--out", str(final), "--seed", "3"] + SMALL) == cli.EXIT_OK
 
         assert cli.main(["evaluate", "--ckpt", str(final), "--data", str(corpus),
                          "--manifest", str(manifest),

@@ -125,6 +125,43 @@ class TestValidate:
         assert len(violations) == 1
         assert "negativity" in violations[0]
 
+    @staticmethod
+    def _per_frame_reference(frames, max_seq_len):
+        # the frame-by-frame form of the check, kept as the reference
+        violations = []
+        if not 1 <= len(frames) <= max_seq_len:
+            violations.append(
+                f"length: T={len(frames)} outside [1, {max_seq_len}]")
+        for t, row in enumerate(frames):
+            if not np.all(np.isfinite(row)):
+                violations.append(f"frame {t}: non-finite entry")
+                continue
+            if np.any(row < 0):
+                violations.append(f"frame {t}: negativity")
+            if abs(row.sum() - 1.0) > 1e-6:
+                violations.append(f"frame {t}: row-sum {row.sum():.8f}")
+        return violations
+
+    @settings(max_examples=60, deadline=None)
+    @given(t_len=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+           max_seq_len=st.integers(1, 10))
+    def test_matches_per_frame_reference(self, t_len, seed, max_seq_len):
+        rng = stream(seed, "validate")
+        frames = rng.dirichlet(np.ones(5), size=t_len)
+        for t in range(t_len):
+            defect = rng.integers(6)
+            if defect == 1:
+                frames[t, rng.integers(5)] = rng.choice([np.nan, np.inf, -np.inf])
+            elif defect == 2:
+                frames[t, rng.integers(5)] -= rng.uniform(0.0, 1.0)
+            elif defect == 3:
+                frames[t] *= rng.uniform(0.5, 1.5)
+            elif defect == 4:
+                frames[t, 0] += 1e-6 * rng.choice([-1.5, -0.5, 0.5, 1.5])
+        seq = cp.PhonemePosteriorSequence(frames.reshape(t_len, 5))
+        assert cp.validate_sequence(seq, max_seq_len) == \
+            self._per_frame_reference(seq.frames, max_seq_len)
+
 
 class TestCorpusFile:
     def test_empty_corpus_round_trips(self, tmp_path):
@@ -164,6 +201,16 @@ class TestCorpusFile:
             cp.read_corpus(path)
         assert excinfo.value.offset > 0
 
+    def test_trailing_bytes_report_offset(self, grammar, tmp_path):
+        utt = cp.generate_utterance(grammar, 0, stream(10, "tr"), utterance_id="u")
+        path = tmp_path / "t.pps"
+        cp.write_corpus([utt.sequence], path, grammar.vocab.size)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(cp.CorpusFormatError, match="3 trailing bytes") as excinfo:
+            cp.read_corpus(path)
+        assert excinfo.value.offset == size
+
     def test_vocab_size_mismatch(self, tmp_path):
         path = tmp_path / "v.pps"
         cp.write_corpus([], path, vocab_size=4)
@@ -201,6 +248,12 @@ class TestManifest:
         assert labels == {f"u{i}": i % 5 for i in range(6)}
         joined = cp.join_labels([u.sequence for u in utts], labels)
         assert [u.label for u in joined] == [u.label for u in utts]
+
+    def test_non_integer_class_id_names_line(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("u0\t1\tclass1\nu1\tone\tclass1\n")
+        with pytest.raises(cp.CorpusFormatError, match="line 2"):
+            cp.read_manifest(path)
 
     def test_missing_label(self, grammar, tmp_path):
         seq = cp.generate_utterance(grammar, 0, stream(12, "x"),

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,51 @@ class TestCheckpoint:
         with pytest.raises(tr.DataError):
             tr.load_checkpoint(path)
 
+    def _saved(self, tmp_path):
+        cfg = small_config()
+        params = {"embed": stream(3, "ck").normal(size=(4, 16))}
+        path = tmp_path / "m.ckpt"
+        tr.save_checkpoint(path, params, cfg, step=2)
+        return path, cfg
+
+    def test_truncated_checkpoint_reports_offset(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(tr.DataError, match="truncated file.*byte offset"):
+            tr.load_checkpoint(path)
+
+    def test_trailing_bytes_after_config_rejected(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\n")
+        with pytest.raises(tr.DataError,
+                           match=f"1 trailing bytes .at byte offset {size}."):
+            tr.load_checkpoint(path)
+
+    def _with_config_line(self, tmp_path, line):
+        """A saved checkpoint whose config text gains ``line``."""
+        from bertplm.config import config_text
+        path, cfg = self._saved(tmp_path)
+        text = config_text(cfg).encode("utf-8")
+        raw = path.read_bytes()
+        assert raw.endswith(struct.pack("<I", len(text)) + text)
+        new_text = config_text(cfg).replace(
+            "mask_ratio_max", line + "\nmask_ratio_max").encode("utf-8")
+        path.write_bytes(raw[:-len(text) - 4]
+                         + struct.pack("<I", len(new_text)) + new_text)
+        return path, cfg
+
+    def test_config_with_retired_frame_ms_still_loads(self, tmp_path):
+        # checkpoints written before frame_ms was removed carry the key
+        path, cfg = self._with_config_line(tmp_path, "frame_ms = 30.0")
+        loaded = tr.load_checkpoint(path)
+        assert loaded.config == cfg and loaded.step == 2
+
+    def test_unknown_config_key_is_data_error(self, tmp_path):
+        path, _ = self._with_config_line(tmp_path, "banana = 1")
+        with pytest.raises(tr.DataError, match="banana"):
+            tr.load_checkpoint(path)
+
 
 class TestMetrics:
     def test_all_correct(self):
@@ -175,6 +222,31 @@ class TestPretrain:
         with pytest.raises(tr.TrainingError, match="eligible"):
             tr.pretrain(corpus, cfg, seed=1, sil_index=0)
 
+    def test_mixed_corpus_skips_only_all_sil_utterances(self, monkeypatch):
+        grammar = default_grammar()
+        sil = grammar.vocab.sil_index
+        normal = [u.sequence for u in generate_corpus(grammar, 6, seed=16)]
+        frames = np.zeros((5, grammar.vocab.size))
+        frames[:, sil] = 1.0
+        silent = [PhonemePosteriorSequence(frames.copy(), utterance_id=f"sil{i}")
+                  for i in range(3)]
+        trained = []
+        original = tr.bert_plm_loss
+
+        def spy(params, config, seq, plan, **kwargs):
+            if kwargs.get("want_grads"):
+                trained.append(seq.utterance_id)
+            return original(params, config, seq, plan, **kwargs)
+
+        monkeypatch.setattr(tr, "bert_plm_loss", spy)
+        cfg = small_config(epochs=2, batch_size=1, heldout_fraction=0.0)
+        log = tr.ProgressLog()
+        ckpt = tr.pretrain(normal + silent, cfg, seed=16, sil_index=sil, log=log)
+        assert sorted(trained) == sorted(2 * [s.utterance_id for s in normal])
+        # a minibatch left empty by skips takes no step and logs no row
+        assert ckpt.step == 2 * len(normal)
+        assert sum(1 for r in log.records if r[1] == "train") == ckpt.step
+
     def test_progress_log_format(self, tmp_path):
         grammar = default_grammar()
         corpus = [u.sequence for u in generate_corpus(grammar, 4, seed=6)]
@@ -217,6 +289,30 @@ class TestFinetuneEvaluate:
             results.append(metrics)
         assert results[0].error_rate == results[1].error_rate
         np.testing.assert_array_equal(results[0].confusion, results[1].confusion)
+
+    def test_all_sil_utterances_train_through_full_context(self, monkeypatch):
+        # no frame is eligible as a target, so every step falls back to a
+        # plan with nothing masked and still updates the parameters
+        train = [one_hot_utterance(0, i % 2, utt_id=f"s{i}") for i in range(5)]
+        plans = []
+        original = tr.finetune_loss
+
+        def spy(params, config, utterance, plan, **kwargs):
+            plans.append(plan)
+            return original(params, config, utterance, plan, **kwargs)
+
+        monkeypatch.setattr(tr, "finetune_loss", spy)
+        cfg = small_config(finetune_epochs=1, batch_size=2, val_fraction=0.0)
+        ckpt, metrics = tr.finetune(None, train, [], cfg, seed=4, sil_index=0,
+                                    classes=2)
+        assert metrics is None
+        assert ckpt.step == 2  # 4 training utterances after 1 for validation
+        assert len(plans) == 4
+        assert all(p.k == 0 and p.context_idx == (0, 1, 2) for p in plans)
+        from bertplm.config import encoder_config
+        fresh = init_params(encoder_config(cfg, 4), stream(4, "ft-init"),
+                            classes=2)
+        assert not np.array_equal(ckpt.arrays["classifier"], fresh["classifier"])
 
     def test_label_out_of_range(self):
         bad = [one_hot_utterance(1, 5, utt_id="x")]

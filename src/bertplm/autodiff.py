@@ -84,7 +84,6 @@ class Node:
     op: str
     inputs: tuple[int, ...]
     vjps: tuple[Callable[[Array], Array], ...]
-    shape: tuple[int, ...]
 
 
 class Tape:
@@ -95,17 +94,16 @@ class Tape:
 
     def leaf(self, values, check: bool = True) -> Tensor:
         """Register a differentiable input (parameter) on the tape."""
-        node_id = self._record("leaf", (), (), np.shape(values))
+        node_id = self._record("leaf", (), ())
         return Tensor(values, tape=self, node_id=node_id, check=check)
 
     def _record(self, op: str, inputs: tuple[int, ...],
-                vjps: tuple[Callable[[Array], Array], ...],
-                shape: tuple[int, ...]) -> int:
+                vjps: tuple[Callable[[Array], Array], ...]) -> int:
         next_id = len(self.nodes)
         for i in inputs:
             if i >= next_id:
                 raise ContractError("tape order violated: input after output")
-        self.nodes.append(Node(op, inputs, vjps, tuple(shape)))
+        self.nodes.append(Node(op, inputs, vjps))
         return next_id
 
 
@@ -155,7 +153,7 @@ def _apply(op: str, data: Array,
     taped = [(t.node_id, vjp) for t, vjp in parents if t.tape is not None]
     ids = tuple(i for i, _ in taped)
     vjps = tuple(v for _, v in taped)
-    node_id = tape._record(op, ids, vjps, data.shape)
+    node_id = tape._record(op, ids, vjps)
     return Tensor(data, tape=tape, node_id=node_id, check=False)
 
 
@@ -294,10 +292,9 @@ def gelu(a) -> Tensor:
     return _apply("gelu", y, [(a, vjp)])
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ContractError("layer_norm requires eps > 0")
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Per-row normalization to zero mean / unit variance, then affine;
+    1e-5 is added to the variance before the square root."""
     x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm expects a (rows, d) input, got {x.dims}")
@@ -309,7 +306,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     mu = xd.sum(axis=-1, keepdims=True) * inv_d
     xc = xd - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) * inv_d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     y = gd * xhat + beta.data
 
@@ -423,7 +420,8 @@ def rel_position_gather(x) -> Tensor:
     """Map per-offset scores (..., T, 2T-1) to pairwise scores (..., T, T).
 
     Column o of the input holds the score for relative offset o - (T-1), so
-    out[..., i, j] = x[..., i, i - j + T - 1].
+    out[..., i, j] = x[..., i, i - j + T - 1]. Each output reads its own
+    input entry, so the backward pass scatters without accumulating.
     """
     x = _lift(x)
     if x.data.ndim not in (2, 3):
@@ -436,11 +434,7 @@ def rel_position_gather(x) -> Tensor:
 
     def vjp(g: Array) -> Array:
         out = np.zeros_like(xd)
-        if out.ndim == 2:
-            np.add.at(out, (rows, cols), g)
-        else:
-            stack = np.arange(out.shape[0])[:, None, None]
-            np.add.at(out, (stack, rows[None], cols[None]), g)
+        out[..., rows, cols] = g
         return out
 
     return _apply("rel_position_gather", xd[..., rows, cols], [(x, vjp)])
@@ -514,15 +508,12 @@ def _fd_slope(build_loss, frozen: dict[str, Tensor], buffer: Array,
 
 def finite_diff_check(build_loss: Callable[[dict[str, Tensor]], Tensor],
                       params: dict[str, Array],
-                      eps: float = 1e-5,
-                      entries: dict[str, "np.ndarray | list[int]"] | None = None,
-                      ) -> float:
+                      eps: float = 1e-5) -> float:
     """Max relative error between tape gradients and central differences.
 
     ``build_loss`` must map a name->Tensor dict to a scalar Tensor and be
     deterministic (dropout disabled). Every parameter entry is perturbed by
     +/- eps; the relative error is |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
-    ``entries`` optionally restricts the sweep to {name: flat indices}.
 
     Entries whose float64 central difference is too noisy to decide (those
     with near-zero gradients, where the difference quotient sits at rounding
@@ -552,9 +543,7 @@ def finite_diff_check(build_loss: Callable[[dict[str, Tensor]], Tensor],
     worst = 0.0
     undecided: list[tuple[str, int]] = []
     for name, buf in buffers.items():
-        index_list = (range(buf.size) if entries is None
-                      else np.asarray(entries.get(name, []), dtype=np.intp))
-        for i in index_list:
+        for i in range(buf.size):
             g_fd = _fd_slope(build_loss, frozen, buf, i, eps)
             err = rel_err(grad_flat[name][i], g_fd)
             if err > 1e-5:

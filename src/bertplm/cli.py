@@ -76,7 +76,6 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("gen-data", help="generate a synthetic corpus")
     _add_common(p)
-    p.add_argument("--grammar", default="default")
     p.add_argument("--utterances", type=int, required=True)
     p.add_argument("--out", required=True, help="corpus (.pps) path")
     p.add_argument("--manifest", default=None, help="labels TSV path")
@@ -174,8 +173,6 @@ def _csv_floats(text: str) -> list[float]:
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
-    if args.grammar != "default":
-        raise UsageError(f"unknown grammar {args.grammar!r} (only: default)")
     grammar = cp.default_grammar()
     utterances = cp.generate_corpus(grammar, args.utterances, seed=args.seed,
                                     max_seq_len=cfg.max_seq_len)
@@ -189,7 +186,7 @@ def cmd_gen_data(args) -> int:
     # the channel is frozen once written; record how it was produced
     print(f"wrote {len(utterances)} utterances "
           f"({sum(u.sequence.length for u in utterances)} frames) to {args.out} "
-          f"[grammar={args.grammar} seed={args.seed}]")
+          f"[seed={args.seed}]")
     return EXIT_OK
 
 

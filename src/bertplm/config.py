@@ -29,12 +29,8 @@ class Config:
     heads: int = 8
     dropout: float = 0.1
     lr: float = 3e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     max_seq_len: int = 320
     mask_ratio_max: float = 0.15
-    sil_threshold: float = 0.5
     plm_weighting: str = "mean"
     finetune_lambda: float = 1.0
     batch_size: int = 16
@@ -52,8 +48,6 @@ class Config:
                 f"plm_weighting must be mean|sum, got {self.plm_weighting!r}")
         if not 0.0 < self.mask_ratio_max <= 1.0:
             raise ConfigError("mask_ratio_max must lie in (0, 1]")
-        if not 0.0 < self.sil_threshold < 1.0:
-            raise ConfigError("sil_threshold must lie in (0, 1)")
 
 
 #: desk-scale model; the larger learning rate makes ten epochs meaningful
@@ -120,8 +114,12 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> Config:
     """Config from an optional file plus override strings; overrides win."""
     file_pairs = {}
     if path is not None:
-        file_pairs = _parse_pairs(Path(path).read_text(encoding="utf-8"),
-                                  str(path))
+        try:
+            text = Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8 "
+                              f"(at byte offset {exc.start})") from None
+        file_pairs = _parse_pairs(text, str(path))
     override_pairs = {}
     for key, raw in (overrides or {}).items():
         _check_key(key, "override")
@@ -131,8 +129,9 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> Config:
 
 def parse_config_text(text: str) -> Config:
     """Config from an in-memory dump (checkpoint snapshots). Older dumps
-    carry the retired ``frame_ms`` key, which is ignored."""
-    return _build(_parse_pairs(text, "<config>", ignored=("frame_ms",)), {})
+    carry keys for values that are now fixed, which are ignored."""
+    retired = ("frame_ms", "beta1", "beta2", "eps_adam", "sil_threshold")
+    return _build(_parse_pairs(text, "<config>", ignored=retired), {})
 
 
 def config_text(cfg: Config) -> str:

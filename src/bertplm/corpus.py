@@ -6,15 +6,16 @@ scope; ``generate_utterance`` stands in for one by expanding intent templates
 into phoneme runs, padding them with silence, and pushing every frame through
 a Dirichlet confusion channel. The special phoneme "SIL" carries volume as
 well as silence, so frames are only excluded from prediction when SIL holds
-the outright majority of the mass.
+the outright majority of the mass (more than ``SIL_THRESHOLD`` = 0.5).
 
 File formats (shared with the CLI):
   corpus (.pps)  magic "PPSQ", u16 version=1, u16 reserved, u32 V, u32 N,
                  then per utterance: u16 id length, id bytes (UTF-8), u32 T,
                  T*V little-endian f32 frames, row-major. Nothing may
                  follow the last utterance.
-  manifest       TSV lines "utterance_id<TAB>class_id<TAB>class_name".
+  manifest       UTF-8 TSV lines "utterance_id<TAB>class_id<TAB>class_name".
   vocabulary     UTF-8, one phoneme per line; the line "SIL" is sil_index.
+Lines of both text files end at LF, CRLF or CR.
 """
 
 from __future__ import annotations
@@ -29,16 +30,20 @@ from .rng import stream
 
 MAX_SEQ_LEN_DEFAULT = 320
 SIL_SYMBOL = "SIL"
+#: SIL mass above which a frame is major silence and never a target
+SIL_THRESHOLD = 0.5
 
 CORPUS_MAGIC = b"PPSQ"
 CORPUS_VERSION = 1
 
 
 class CorpusFormatError(ValueError):
-    """Malformed corpus/manifest/vocabulary file; carries a byte offset."""
+    """Malformed corpus/manifest/vocabulary file; carries the byte offset
+    at fault, or None for an error with no position in the file."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte offset {offset})")
+    def __init__(self, message: str, offset: int | None):
+        super().__init__(message if offset is None
+                         else f"{message} (at byte offset {offset})")
         self.offset = offset
 
 
@@ -152,11 +157,12 @@ class SynthGrammar:
 DEFAULT_SYMBOLS = ("SIL", "AA", "EH", "IY", "UW", "B", "D", "K", "M", "N", "S", "T")
 
 
-def default_grammar(sharpness: float = 0.4, diag: float = 0.85) -> SynthGrammar:
+def default_grammar() -> SynthGrammar:
     """Five-intent grammar over a 12-phoneme vocabulary.
 
     Classes 0/1 and 2/3 use the same phoneme inventory in reversed order, so
     telling them apart requires positional information, not just presence.
+    Content phonemes keep 0.85 of their confusion row, SIL keeps 0.95.
     """
     vocab = PhonemeVocab.from_symbols(DEFAULT_SYMBOLS)
     templates = (
@@ -170,13 +176,13 @@ def default_grammar(sharpness: float = 0.4, diag: float = 0.85) -> SynthGrammar:
         (4, ("K", "EH", "D")),
     )
     v = vocab.size
-    confusion = np.full((v, v), (1.0 - diag) / (v - 1))
-    np.fill_diagonal(confusion, diag)
+    confusion = np.full((v, v), (1.0 - 0.85) / (v - 1))
+    np.fill_diagonal(confusion, 0.85)
     # silence is easier to recognize than content phonemes
     confusion[vocab.sil_index] = (1.0 - 0.95) / (v - 1)
     confusion[vocab.sil_index, vocab.sil_index] = 0.95
     return SynthGrammar(vocab=vocab, templates=templates,
-                        confusion=confusion, sharpness=sharpness)
+                        confusion=confusion, sharpness=0.4)
 
 
 def _dirichlet_rows(alphas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -193,7 +199,8 @@ def _dirichlet_rows(alphas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     raise GenerationError("Dirichlet sampler kept underflowing to zero")
 
 
-def is_major_sil(frame: np.ndarray, sil_index: int, tau: float = 0.5) -> bool:
+def is_major_sil(frame: np.ndarray, sil_index: int,
+                 tau: float = SIL_THRESHOLD) -> bool:
     """True iff SIL holds strictly more than tau of the frame's mass.
 
     Strict inequality keeps a half-volume frame (0.5 SIL / 0.5 phoneme) a
@@ -337,6 +344,20 @@ class ByteReader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, count: int, what: str) -> str:
+        """The next ``count`` bytes decoded as UTF-8."""
+        start = self.offset
+        try:
+            return self.take(count).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{what} is not valid UTF-8",
+                                    start + exc.start) from None
+
+    def lines(self, what: str) -> list[tuple[int, str]]:
+        """(offset, UTF-8 text) of each remaining line, without its ending."""
+        return [(self.offset, self.text(len(chunk), what).rstrip("\r\n"))
+                for chunk in self.raw[self.offset:].splitlines(keepends=True)]
+
     def end(self) -> None:
         extra = len(self.raw) - self.offset
         if extra:
@@ -359,7 +380,7 @@ def read_corpus(path, expected_vocab_size: int | None = None
     sequences = []
     for _ in range(count):
         (id_len,) = reader.unpack("<H")
-        ident = reader.take(id_len).decode("utf-8")
+        ident = reader.text(id_len, "utterance id")
         (t_len,) = reader.unpack("<I")
         frames = np.frombuffer(reader.take(4 * t_len * vocab_size),
                                dtype="<f4").reshape(t_len, vocab_size)
@@ -382,14 +403,15 @@ def write_manifest(utterances: list[LabeledUtterance], path,
 
 def read_manifest(path) -> dict[str, int]:
     labels: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    lines = ByteReader(Path(path).read_bytes()).lines("manifest")
+    for lineno, (offset, line) in enumerate(lines, 1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) < 2 or not parts[1].strip().isdecimal():
             raise CorpusFormatError(
                 f"manifest line {lineno} malformed: expected utterance_id"
-                "<TAB>class_id with a non-negative integer class_id", 0)
+                "<TAB>class_id with a non-negative integer class_id", offset)
         labels[parts[0]] = int(parts[1])
     return labels
 
@@ -399,7 +421,7 @@ def join_labels(sequences: list[PhonemePosteriorSequence],
     joined = []
     for seq in sequences:
         if seq.utterance_id not in labels:
-            raise CorpusFormatError(f"no label for {seq.utterance_id!r}", 0)
+            raise CorpusFormatError(f"no label for {seq.utterance_id!r}", None)
         joined.append(LabeledUtterance(seq, labels[seq.utterance_id]))
     return joined
 
@@ -409,12 +431,14 @@ def write_vocab(vocab: PhonemeVocab, path) -> None:
 
 
 def read_vocab(path) -> PhonemeVocab:
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    while lines and lines[-1] == "":
+    lines = ByteReader(Path(path).read_bytes()).lines("vocabulary")
+    while lines and lines[-1][1] == "":
         lines.pop()
-    if "" in lines:
-        # line index is the phoneme id; a blank line would shift every id
-        raise CorpusFormatError("blank line inside vocabulary file", 0)
-    if SIL_SYMBOL not in lines:
-        raise CorpusFormatError(f"vocabulary lacks a {SIL_SYMBOL} line", 0)
-    return PhonemeVocab.from_symbols(lines)
+    for offset, symbol in lines:
+        if not symbol:
+            # line index is the phoneme id; a blank line would shift every id
+            raise CorpusFormatError("blank line inside vocabulary file", offset)
+    symbols = [symbol for _, symbol in lines]
+    if SIL_SYMBOL not in symbols:
+        raise CorpusFormatError(f"vocabulary lacks a {SIL_SYMBOL} line", None)
+    return PhonemeVocab.from_symbols(symbols)

@@ -191,7 +191,6 @@ class AttentionCapture:
 
 def rel_attention_block(x: Tensor, mask: AttentionMask,
                         layer_params: dict[str, Tensor], config: EncoderConfig,
-                        train: bool = False,
                         drop_rng: np.random.Generator | None = None,
                         capture: AttentionCapture | None = None) -> Tensor:
     """One encoder block: relative-position attention, then feed-forward.
@@ -199,7 +198,8 @@ def rel_attention_block(x: Tensor, mask: AttentionMask,
     Per head: score(i,j) = ((q_i + u) . k_j + (q_i + v) . r(i-j)) / sqrt(dh)
     where r is a learned projection of the sinusoidal offset table. Blocked
     pairs are set to -inf before the softmax. Post-norm residual wiring.
-    All heads run as one stacked computation.
+    All heads run as one stacked computation. Dropout runs exactly when
+    ``drop_rng`` is given.
     """
     t_len = x.dims[0]
     rel_table = ad.constant(
@@ -220,11 +220,11 @@ def rel_attention_block(x: Tensor, mask: AttentionMask,
     weights = ad.softmax(ad.masked_fill(scores, blocked, NEG_INF))
     if capture is not None:
         capture.weights.append(weights.data.copy())
-    if train and drop_rng is not None:
+    if drop_rng is not None:
         weights = ad.dropout(weights, config.dropout, drop_rng)
     attn = ad.matmul(ad.merge_heads(ad.matmul(weights, v)),
                      layer_params["wo"])
-    if train and drop_rng is not None:
+    if drop_rng is not None:
         attn = ad.dropout(attn, config.dropout, drop_rng)
     x = ad.layer_norm(ad.add(x, attn),
                       layer_params["ln1.gamma"], layer_params["ln1.beta"])
@@ -233,7 +233,7 @@ def rel_attention_block(x: Tensor, mask: AttentionMask,
                             layer_params["ffn.b1"]))
     hidden = ad.add(ad.matmul(hidden, layer_params["ffn.w2"]),
                     layer_params["ffn.b2"])
-    if train and drop_rng is not None:
+    if drop_rng is not None:
         hidden = ad.dropout(hidden, config.dropout, drop_rng)
     return ad.layer_norm(ad.add(x, hidden),
                          layer_params["ln2.gamma"], layer_params["ln2.beta"])
@@ -260,12 +260,13 @@ def _layer_view(bound: dict[str, Tensor], index: int) -> dict[str, Tensor]:
 
 def encode(bound: dict[str, Tensor], config: EncoderConfig,
            seq: PhonemePosteriorSequence, plan: "MaskPlan",
-           train: bool = False, drop_rng: np.random.Generator | None = None,
+           drop_rng: np.random.Generator | None = None,
            capture: AttentionCapture | None = None) -> Tensor:
     """Full forward pass; row t of the result is the hidden state at frame t.
 
     Target rows carry the prediction representations: their inputs were
     replaced by the mask vector, so they can never see their own content.
+    Dropout (train mode) runs exactly when ``drop_rng`` is given.
     """
     t_len = seq.length
     if t_len > config.max_seq_len:
@@ -273,12 +274,12 @@ def encode(bound: dict[str, Tensor], config: EncoderConfig,
     plan.check_partition(t_len)
     x = embed_posteriors(bound["embed"], seq)
     x = apply_mask_plan(x, plan, bound["mask_vec"])
-    if train and drop_rng is not None:
+    if drop_rng is not None:
         x = ad.dropout(x, config.dropout, drop_rng)
     mask = _mask_for_plan(plan)
     for i in range(config.layers):
         x = rel_attention_block(x, mask, _layer_view(bound, i), config,
-                                train=train, drop_rng=drop_rng, capture=capture)
+                                drop_rng=drop_rng, capture=capture)
     return x
 
 

@@ -94,7 +94,6 @@ class LossBreakdown:
     plm_loss: float
     cls_loss: float | None
     total: float
-    k: int
 
 
 def soft_cross_entropy(logits: Tensor, target_dists: np.ndarray) -> Tensor:
@@ -131,12 +130,12 @@ def _plm_term(bound: dict[str, Tensor], config: EncoderConfig,
         raise ValueError(f"unknown weighting {weighting!r}")
     if plan.k < 1:
         raise ad.ContractError("pre-training loss needs at least one target")
-    hidden = encode(bound, config, seq, plan, train=train, drop_rng=drop_rng)
+    hidden = encode(bound, config, seq, plan,
+                    drop_rng=drop_rng if train else None)
     return _masked_regression(hidden, bound["embed"], seq, plan, weighting)
 
 
-def _loss_and_grads(params: dict[str, np.ndarray], plan: MaskPlan,
-                    want_grads: bool, build):
+def _loss_and_grads(params: dict[str, np.ndarray], want_grads: bool, build):
     """Evaluate ``build(bound) -> (cls or None, plm, total)`` on a fresh
     tape; backpropagate the total to a name->gradient dict when requested."""
     tape = ad.Tape()
@@ -144,7 +143,7 @@ def _loss_and_grads(params: dict[str, np.ndarray], plan: MaskPlan,
     cls, plm, total = build(bound)
     breakdown = LossBreakdown(plm_loss=plm.item(),
                               cls_loss=None if cls is None else cls.item(),
-                              total=total.item(), k=plan.k)
+                              total=total.item())
     if not want_grads:
         return breakdown
     grads = ad.backward(tape, total)
@@ -169,7 +168,7 @@ def bert_plm_loss(params: dict[str, np.ndarray], config: EncoderConfig,
         loss = _plm_term(bound, config, seq, plan, weighting, train, drop_rng)
         return None, loss, loss
 
-    return _loss_and_grads(params, plan, want_grads, build)
+    return _loss_and_grads(params, want_grads, build)
 
 
 def _finetune_term(bound: dict[str, Tensor], config: EncoderConfig,
@@ -180,7 +179,8 @@ def _finetune_term(bound: dict[str, Tensor], config: EncoderConfig,
     """(cls, plm, total) on one shared forward pass."""
     classes = bound["classifier"].dims[0]
     seq = utterance.sequence
-    hidden = encode(bound, config, seq, plan, train=train, drop_rng=drop_rng)
+    hidden = encode(bound, config, seq, plan,
+                    drop_rng=drop_rng if train else None)
 
     pooled = attentive_pool(hidden, bound["pool_query"], plan.context_idx)
     logits = ad.matmul(ad.reshape(pooled, (1, config.d_model)),
@@ -220,4 +220,4 @@ def finetune_loss(params: dict[str, np.ndarray], config: EncoderConfig,
         return _finetune_term(bound, config, utterance, plan, lam, weighting,
                               train, drop_rng)
 
-    return _loss_and_grads(params, plan, want_grads, build)
+    return _loss_and_grads(params, want_grads, build)

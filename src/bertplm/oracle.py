@@ -60,14 +60,14 @@ def _guard(t_len: int, c: int) -> None:
 
 
 def perm_plm_expectation(p: SetPredictor, seq: PhonemePosteriorSequence,
-                         c: int, check_counts: bool = True) -> float:
+                         c: int) -> float:
     """(1/T!) sum over orders z of sum_{t>c} log p(x_{z_t} | x_{z_<t}).
 
     Enumerates every factorization order; conditionals are memoized on the
     (context set, target) pair, which is exactly the invariance the check
-    exploits. With ``check_counts`` the enumeration asserts that each
-    (t, S, j) triple appears (t-1)! (T-t)! times: the prefix and suffix
-    orderings around a fixed conditional.
+    exploits. The enumeration asserts that each (t, S, j) triple appears
+    (t-1)! (T-t)! times: the prefix and suffix orderings around a fixed
+    conditional.
     """
     t_len = seq.length
     _guard(t_len, c)
@@ -83,41 +83,36 @@ def perm_plm_expectation(p: SetPredictor, seq: PhonemePosteriorSequence,
             if value is None:
                 value = memo[key] = p(seq, context, target)
             terms.append(value)
-            if check_counts:
-                triple = (t, context, target)
-                counts[triple] = counts.get(triple, 0) + 1
-    if check_counts:
-        for (t, _, _), count in counts.items():
-            expected = math.factorial(t - 1) * math.factorial(t_len - t)
-            assert count == expected, f"multiplicity {count} != {expected}"
+            triple = (t, context, target)
+            counts[triple] = counts.get(triple, 0) + 1
+    for (t, _, _), count in counts.items():
+        expected = math.factorial(t - 1) * math.factorial(t_len - t)
+        assert count == expected, f"multiplicity {count} != {expected}"
     return math.fsum(terms) / math.factorial(t_len)
 
 
 def subset_regression_expectation(p: SetPredictor,
-                                  seq: PhonemePosteriorSequence, c: int,
-                                  weighting: str = "exact") -> float:
-    """Masked-regression expectation over context subsets.
+                                  seq: PhonemePosteriorSequence,
+                                  c: int) -> tuple[float, float]:
+    """Masked-regression expectation over context subsets, as (exact, paper)
+    from one enumeration.
 
     exact:  sum_{k=1..T-c} E_{|S|=T-k} [ (1/k) sum_{j not in S} p(j|S) ]
     paper:  (1/(T-c)) sum_{k=1..T-c} E_{|S|=T-k} [ sum_{j not in S} p(j|S) ]
     """
-    if weighting not in ("exact", "paper"):
-        raise ValueError(f"unknown weighting {weighting!r}")
     t_len = seq.length
     _guard(t_len, c)
     positions = set(range(t_len))
-    per_k = []
+    exact_k, paper_k = [], []
     for k in range(1, t_len - c + 1):
-        subset_means = []
+        totals = []
         for context in combinations(range(t_len), t_len - k):
             context_set = frozenset(context)
-            total = math.fsum(p(seq, context_set, j)
-                              for j in positions - context_set)
-            subset_means.append(total / k if weighting == "exact" else total)
-        per_k.append(math.fsum(subset_means) / len(subset_means))
-    if weighting == "exact":
-        return math.fsum(per_k)
-    return math.fsum(per_k) / (t_len - c)
+            totals.append(math.fsum(p(seq, context_set, j)
+                                    for j in positions - context_set))
+        exact_k.append(math.fsum(total / k for total in totals) / len(totals))
+        paper_k.append(math.fsum(totals) / len(totals))
+    return math.fsum(exact_k), math.fsum(paper_k) / (t_len - c)
 
 
 def count_subsets(t_len: int, c: int) -> int:
@@ -131,12 +126,13 @@ def random_sequence(t_len: int, vocab_size: int,
     return PhonemePosteriorSequence(rows, utterance_id=utterance_id)
 
 
-def random_set_predictor(seed: int, low: float = -5.0,
-                         high: float = -0.05) -> SetPredictor:
-    """Deterministic pseudo-random log-probabilities keyed by (id, S, j).
+def random_set_predictor(seed: int) -> SetPredictor:
+    """Deterministic pseudo-random log-probabilities in [-5, -0.05) keyed by
+    (id, S, j).
 
     Order-invariant by construction: the key hashes the sorted context set.
     """
+    low, high = -5.0, -0.05
 
     def predictor(seq: PhonemePosteriorSequence, context: frozenset,
                   target: int) -> float:
@@ -192,8 +188,8 @@ def make_frozen_predictor(params: dict[str, np.ndarray],
 
 
 def verify_theorem(p: SetPredictor, t_len: int, c: int, trials: int,
-                   rng: np.random.Generator, vocab_size: int = 4,
-                   check_counts: bool = True) -> list[TheoremReport]:
+                   rng: np.random.Generator,
+                   vocab_size: int = 4) -> list[TheoremReport]:
     """Fresh random sequence per trial; report both deviations."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -202,9 +198,8 @@ def verify_theorem(p: SetPredictor, t_len: int, c: int, trials: int,
     for trial in range(trials):
         seq = random_sequence(t_len, vocab_size, rng,
                               utterance_id=f"trial-{t_len}-{c}-{trial}")
-        lhs = perm_plm_expectation(p, seq, c, check_counts=check_counts)
-        rhs_exact = subset_regression_expectation(p, seq, c, "exact")
-        rhs_paper = subset_regression_expectation(p, seq, c, "paper")
+        lhs = perm_plm_expectation(p, seq, c)
+        rhs_exact, rhs_paper = subset_regression_expectation(p, seq, c)
         reports.append(TheoremReport(
             T=t_len, c=c, lhs=lhs, rhs_exact=rhs_exact, rhs_paper=rhs_paper,
             dev_exact=abs(lhs - rhs_exact), dev_paper=abs(lhs - rhs_paper),

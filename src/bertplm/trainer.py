@@ -27,8 +27,8 @@ import numpy as np
 
 from .config import (Config, ConfigError, config_text, encoder_config,
                      parse_config_text)
-from .corpus import (ByteReader, CorpusFormatError, LabeledUtterance,
-                     PhonemePosteriorSequence, read_corpus)
+from .corpus import (SIL_THRESHOLD, ByteReader, CorpusFormatError,
+                     LabeledUtterance, PhonemePosteriorSequence, read_corpus)
 from .encoder import (EncoderConfig, attentive_pool, bind_params, encode,
                       init_params)
 from .objective import (MaskPlan, SamplingError, bert_plm_loss,
@@ -37,6 +37,8 @@ from .rng import stream
 from . import autodiff as ad
 
 CHECKPOINT_MAGIC = b"CKP1"
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -49,23 +51,18 @@ class DataError(ValueError):
 
 @dataclass
 class OptimState:
-    """Adam first/second moments per parameter plus hyper-parameters."""
+    """Adam first/second moments per parameter, step count and rate."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   eps_adam: float = 1e-8) -> "OptimState":
+    def for_params(cls, params: dict[str, np.ndarray], lr: float) -> "OptimState":
         return cls(m={k: np.zeros_like(p) for k, p in params.items()},
                    v={k: np.zeros_like(p) for k, p in params.items()},
-                   step=0, lr=lr, beta1=beta1, beta2=beta2, eps_adam=eps_adam)
+                   step=0, lr=lr)
 
 
 def adam_step(params: dict[str, np.ndarray],
@@ -73,8 +70,8 @@ def adam_step(params: dict[str, np.ndarray],
               state: OptimState) -> None:
     """Bias-corrected Adam update, in place; missing gradients count as 0."""
     state.step += 1
-    correction1 = 1.0 - state.beta1 ** state.step
-    correction2 = 1.0 - state.beta2 ** state.step
+    correction1 = 1.0 - ADAM_BETA1 ** state.step
+    correction2 = 1.0 - ADAM_BETA2 ** state.step
     for name in sorted(params):
         grad = grads.get(name)
         if grad is None:
@@ -83,12 +80,12 @@ def adam_step(params: dict[str, np.ndarray],
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
         params[name] -= state.lr * (m / correction1) / (
-            np.sqrt(v / correction2) + state.eps_adam)
+            np.sqrt(v / correction2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +141,20 @@ def load_checkpoint(path) -> Checkpoint:
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = reader.unpack("<H")
-            name = reader.take(name_len).decode("utf-8")
+            name = reader.text(name_len, "entry name")
             (rank,) = reader.unpack("<B")
             dims = reader.unpack(f"<{rank}I")
             size = int(np.prod(dims)) if dims else 1
             data = np.frombuffer(reader.take(4 * size), dtype="<f4")
             entries[name] = data.astype(np.float64).reshape(dims)
         (text_len,) = reader.unpack("<I")
-        config = parse_config_text(reader.take(text_len).decode("utf-8"))
+        config = parse_config_text(reader.text(text_len, "config text"))
         reader.end()
     except (CorpusFormatError, ConfigError) as exc:
         raise DataError(f"checkpoint {path}: {exc}") from None
 
+    if "step" not in entries:
+        raise DataError(f"checkpoint {path}: no 'step' entry")
     step = int(entries.pop("step").reshape(()))
     params = {k: v for k, v in entries.items() if not k.startswith("adam.")}
     optim = None
@@ -164,9 +163,7 @@ def load_checkpoint(path) -> Checkpoint:
     v2 = {k[len("adam.v."):]: v for k, v in entries.items()
           if k.startswith("adam.v.")}
     if m:
-        optim = OptimState(m=m, v=v2, step=step, lr=config.lr,
-                           beta1=config.beta1, beta2=config.beta2,
-                           eps_adam=config.eps_adam)
+        optim = OptimState(m=m, v=v2, step=step, lr=config.lr)
     return Checkpoint(arrays=params, config=config, step=step, optim=optim)
 
 
@@ -286,7 +283,6 @@ def _mean_plm_loss(params, enc_config, cfg, pairs) -> float:
 
 
 def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
-             vocab_size: int | None = None,
              log: ProgressLog | None = None,
              checkpoint_path=None) -> Checkpoint:
     """Masked pre-training over an unlabeled corpus; labels are never read.
@@ -299,8 +295,7 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
     sequences = _as_sequences(corpus)
     if not sequences:
         raise TrainingError("pre-training corpus is empty")
-    vocab_size = vocab_size or sequences[0].vocab_size
-    enc_config = encoder_config(cfg, vocab_size)
+    enc_config = encoder_config(cfg, sequences[0].vocab_size)
     log = log or ProgressLog()
 
     order = stream(seed, "split").permutation(len(sequences))
@@ -314,14 +309,13 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
     for i, seq in enumerate(held):
         try:
             held_pairs.append((seq, sample_mask_plan(
-                seq, sil_index, cfg.mask_ratio_max, cfg.sil_threshold,
+                seq, sil_index, cfg.mask_ratio_max, SIL_THRESHOLD,
                 stream(seed, "heldout-plan", i))))
         except SamplingError:
             continue
 
     params = init_params(enc_config, stream(seed, "init"))
-    optim = OptimState.for_params(params, lr=cfg.lr, beta1=cfg.beta1,
-                                  beta2=cfg.beta2, eps_adam=cfg.eps_adam)
+    optim = OptimState.for_params(params, lr=cfg.lr)
     if held_pairs:
         log.log(0, "heldout", "plm_loss",
                 _mean_plm_loss(params, enc_config, cfg, held_pairs))
@@ -331,7 +325,7 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
             try:
                 plan = sample_mask_plan(
                     train[idx], sil_index, cfg.mask_ratio_max,
-                    cfg.sil_threshold, stream(seed, "plan", epoch, idx))
+                    SIL_THRESHOLD, stream(seed, "plan", epoch, idx))
             except SamplingError:
                 return None
             breakdown, grads = bert_plm_loss(
@@ -381,8 +375,7 @@ def evaluate(params: dict[str, np.ndarray], enc_config: EncoderConfig,
 
 def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
              test_utts: list[LabeledUtterance], cfg: Config, seed: int,
-             sil_index: int, classes: int, vocab_size: int | None = None,
-             log: ProgressLog | None = None
+             sil_index: int, classes: int, log: ProgressLog | None = None
              ) -> tuple[Checkpoint, EvalMetrics | None]:
     """Multi-task fine-tuning with early stopping on validation error.
 
@@ -396,8 +389,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     for utt in train_utts + test_utts:
         if not 0 <= utt.label < classes:
             raise DataError(f"label {utt.label} out of range ({classes} classes)")
-    vocab_size = vocab_size or train_utts[0].sequence.vocab_size
-    enc_config = encoder_config(cfg, vocab_size)
+    enc_config = encoder_config(cfg, train_utts[0].sequence.vocab_size)
     log = log or ProgressLog()
 
     params = init_params(enc_config, stream(seed, "ft-init"), classes=classes)
@@ -407,8 +399,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
                 if params[name].shape != arr.shape:
                     raise DataError(f"checkpoint shape mismatch for {name!r}")
                 params[name] = arr.copy()
-    optim = OptimState.for_params(params, lr=cfg.lr, beta1=cfg.beta1,
-                                  beta2=cfg.beta2, eps_adam=cfg.eps_adam)
+    optim = OptimState.for_params(params, lr=cfg.lr)
 
     order = stream(seed, "ft-split").permutation(len(train_utts))
     n_val = max(1, int(len(train_utts) * cfg.val_fraction)) \
@@ -425,7 +416,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
             seq = train[idx].sequence
             try:
                 plan = sample_mask_plan(
-                    seq, sil_index, cfg.mask_ratio_max, cfg.sil_threshold,
+                    seq, sil_index, cfg.mask_ratio_max, SIL_THRESHOLD,
                     stream(seed, "ft-plan", epoch, idx))
             except SamplingError:
                 plan = MaskPlan.full_context(seq.length)

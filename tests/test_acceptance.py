@@ -60,7 +60,7 @@ def test_criterion_1_theorem_oracle():
     uniform = oracle.uniform_predictor(4)
     seq = oracle.random_sequence(3, 4, stream(7, "acc1-closed"))
     lhs = oracle.perm_plm_expectation(uniform, seq, c=1)
-    rhs_paper = oracle.subset_regression_expectation(uniform, seq, 1, "paper")
+    rhs_paper = oracle.subset_regression_expectation(uniform, seq, 1)[1]
     assert abs(lhs - (-2 * LOG4)) <= 1e-12
     assert abs(rhs_paper - (-1.5 * LOG4)) <= 1e-12
 

@@ -229,6 +229,21 @@ class TestPrimitives:
         err = ad.finite_diff_check(build, {"x": rng.normal(size=(4, 7))}, eps=1e-5)
         assert err <= 1e-8
 
+    def test_rel_position_gather_stack_backward_matches_add_at(self):
+        rng = stream(10, "rel")
+        heads, t_len = 3, 5
+        x = rng.normal(size=(heads, t_len, 2 * t_len - 1))
+        g = rng.normal(size=(heads, t_len, t_len))
+        tape = ad.Tape()
+        leaf = tape.leaf(x)
+        out = ad.rel_position_gather(leaf)
+        grad = ad.backward(tape, ad.dot(out, g))[leaf.node_id].data
+        rows = np.arange(t_len)[:, None]
+        cols = rows - np.arange(t_len)[None, :] + t_len - 1
+        expected = np.zeros_like(x)
+        np.add.at(expected, (np.arange(heads)[:, None, None], rows, cols), g)
+        assert grad.tobytes() == expected.tobytes()
+
     def test_dropout_reproducible_and_inverted(self):
         x = ad.constant(np.ones((50, 20)))
         a = ad.dropout(x, 0.3, stream(11, "drop")).data

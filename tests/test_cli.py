@@ -19,7 +19,6 @@ class TestParseConfig:
         assert cfg.lr == 3e-5
         assert cfg.max_seq_len == 320
         assert cfg.mask_ratio_max == 0.15
-        assert cfg.sil_threshold == 0.5
         assert cfg.plm_weighting == "mean"
         assert cfg.finetune_lambda == 1.0
 
@@ -34,12 +33,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2.*layers"):
             parse_config(path)
 
-    def test_retired_frame_ms_key_rejected_in_user_config(self, tmp_path):
-        # only checkpoint config text may still carry it
+    @pytest.mark.parametrize("key", ["frame_ms", "beta1", "beta2", "eps_adam",
+                                     "sil_threshold"])
+    def test_retired_key_rejected_in_user_config(self, tmp_path, key):
+        # only checkpoint config text may still carry these keys
         path = tmp_path / "c.cfg"
-        path.write_text("frame_ms = 30.0\n")
-        with pytest.raises(ConfigError, match="unknown key 'frame_ms'"):
+        path.write_text(f"{key} = 0.5\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(path)
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(None, {key: "0.5"})
+
+    def test_config_file_not_utf8_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"epochs = 2\n\xff = 1\n")
+        with pytest.raises(ConfigError, match="not valid UTF-8.*offset 11"):
+            parse_config(path)
+        code = cli.main(["gen-data", "--config", str(path), "--utterances", "1",
+                         "--out", str(tmp_path / "x.pps")])
+        assert code == cli.EXIT_USAGE
 
     def test_unknown_key_lists_valid_keys(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -213,6 +225,30 @@ class TestInputValidation:
                            replace(short.config, max_seq_len=longest - 1),
                            short.step)
         assert cli.main(args) == cli.EXIT_DATA
+
+    def test_corpus_id_not_utf8_is_data_error(self, small_corpus, capsys):
+        path = small_corpus["c.pps"]
+        raw = bytearray(open(path, "rb").read())
+        raw[18] = 0xff  # first byte of the first utterance id
+        open(path, "wb").write(bytes(raw))
+        code = cli.main(["pretrain", "--data", path,
+                         "--vocab", small_corpus["v.txt"],
+                         "--out", path + ".ckpt"] + SMALL)
+        assert code == cli.EXIT_DATA
+        assert "utterance id is not valid UTF-8 (at byte offset 18)" \
+            in capsys.readouterr().err
+
+    def test_manifest_not_utf8_is_data_error(self, small_corpus, tmp_path,
+                                             capsys):
+        manifest = tmp_path / "bad.tsv"
+        manifest.write_bytes(b"\xffutt-000000\t0\tclass0\n")
+        code = cli.main(["finetune", "--data", small_corpus["c.pps"],
+                         "--manifest", str(manifest),
+                         "--vocab", small_corpus["v.txt"],
+                         "--out", str(tmp_path / "ft.ckpt")] + SMALL)
+        assert code == cli.EXIT_DATA
+        assert "manifest is not valid UTF-8 (at byte offset 0)" \
+            in capsys.readouterr().err
 
     def test_trailing_bytes_in_corpus_is_data_error(self, small_corpus, capsys):
         path = small_corpus["c.pps"]

@@ -23,6 +23,33 @@ class TestVocab:
         loaded = cp.read_vocab(path)
         assert loaded == grammar.vocab
 
+    def test_crlf_lines_read_like_lf(self, grammar, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes("\r\n".join(grammar.vocab.symbols).encode() + b"\r\n")
+        assert cp.read_vocab(path) == grammar.vocab
+
+    def test_blank_line_reports_its_offset(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"SIL\nAA\n\nEH\n")
+        with pytest.raises(cp.CorpusFormatError, match="blank line") as excinfo:
+            cp.read_vocab(path)
+        assert excinfo.value.offset == 7
+
+    def test_missing_sil_names_no_offset(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"AA\nEH\n")
+        with pytest.raises(cp.CorpusFormatError) as excinfo:
+            cp.read_vocab(path)
+        assert excinfo.value.offset is None
+        assert "offset" not in str(excinfo.value)
+
+    def test_not_utf8_reports_offset(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"SIL\nA\xffA\n")
+        with pytest.raises(cp.CorpusFormatError,
+                           match="vocabulary is not valid UTF-8 .at byte offset 5."):
+            cp.read_vocab(path)
+
 
 class TestIsMajorSil:
     def test_one_hot_sil(self):
@@ -211,6 +238,18 @@ class TestCorpusFile:
             cp.read_corpus(path)
         assert excinfo.value.offset == size
 
+    def test_id_not_utf8_reports_offset(self, tmp_path):
+        seq = cp.PhonemePosteriorSequence(np.eye(3), utterance_id="u")
+        path = tmp_path / "id.pps"
+        cp.write_corpus([seq], path, vocab_size=3)
+        raw = bytearray(path.read_bytes())
+        raw[18] = 0xff  # the id byte, after the header and the id length
+        path.write_bytes(bytes(raw))
+        with pytest.raises(cp.CorpusFormatError,
+                           match="utterance id is not valid UTF-8") as excinfo:
+            cp.read_corpus(path)
+        assert excinfo.value.offset == 18
+
     def test_vocab_size_mismatch(self, tmp_path):
         path = tmp_path / "v.pps"
         cp.write_corpus([], path, vocab_size=4)
@@ -252,11 +291,14 @@ class TestManifest:
     def test_non_integer_class_id_names_line(self, tmp_path):
         path = tmp_path / "labels.tsv"
         path.write_text("u0\t1\tclass1\nu1\tone\tclass1\n")
-        with pytest.raises(cp.CorpusFormatError, match="line 2"):
+        with pytest.raises(cp.CorpusFormatError, match="line 2") as excinfo:
             cp.read_manifest(path)
+        assert excinfo.value.offset == len("u0\t1\tclass1\n")
+        assert str(excinfo.value).endswith("(at byte offset 12)")
 
     def test_missing_label(self, grammar, tmp_path):
         seq = cp.generate_utterance(grammar, 0, stream(12, "x"),
                                     utterance_id="lonely").sequence
-        with pytest.raises(cp.CorpusFormatError):
+        with pytest.raises(cp.CorpusFormatError) as excinfo:
             cp.join_labels([seq], {})
+        assert str(excinfo.value) == "no label for 'lonely'"

@@ -51,8 +51,7 @@ class TestClosedForms:
     def test_uniform_predictor_exact_matches_and_paper_gap(self):
         p = oracle.uniform_predictor(4)
         seq = oracle.random_sequence(3, 4, stream(1, "u"))
-        exact = oracle.subset_regression_expectation(p, seq, c=1, weighting="exact")
-        paper = oracle.subset_regression_expectation(p, seq, c=1, weighting="paper")
+        exact, paper = oracle.subset_regression_expectation(p, seq, c=1)
         assert abs(exact - (-2 * LOG4)) <= 1e-12
         assert abs(paper - (-1.5 * LOG4)) <= 1e-12
         # the sum-form deviates by exactly 0.5 log V here
@@ -76,8 +75,7 @@ class TestClosedForms:
     def test_single_target_degenerate_case_modes_coincide(self):
         p = oracle.random_set_predictor(8)
         seq = oracle.random_sequence(4, 4, stream(3, "u"))
-        exact = oracle.subset_regression_expectation(p, seq, c=3, weighting="exact")
-        paper = oracle.subset_regression_expectation(p, seq, c=3, weighting="paper")
+        exact, paper = oracle.subset_regression_expectation(p, seq, c=3)
         assert abs(exact - paper) <= 1e-12
 
 
@@ -93,7 +91,7 @@ class TestEnumeration:
         p = oracle.random_set_predictor(12)
         seq = oracle.random_sequence(5, 4, stream(12, "eq"), "eq-seq")
         lhs = oracle.perm_plm_expectation(p, seq, c=2)
-        rhs = oracle.subset_regression_expectation(p, seq, c=2, weighting="exact")
+        rhs = oracle.subset_regression_expectation(p, seq, c=2)[0]
         assert abs(lhs - rhs) <= 1e-10
 
     def test_factorial_guard(self):
@@ -118,7 +116,7 @@ class TestEnumeration:
         seq = oracle.random_sequence(t_len, 4, stream(seed, "prop"),
                                      f"prop-{seed}")
         lhs = oracle.perm_plm_expectation(p, seq, c)
-        rhs = oracle.subset_regression_expectation(p, seq, c, "exact")
+        rhs = oracle.subset_regression_expectation(p, seq, c)[0]
         assert abs(lhs - rhs) <= 1e-10
 
 

@@ -106,6 +106,23 @@ class TestCheckpoint:
         with pytest.raises(tr.DataError, match="truncated file.*byte offset"):
             tr.load_checkpoint(path)
 
+    def test_checkpoint_without_step_is_data_error(self, tmp_path):
+        path = tmp_path / "nostep.ckpt"
+        text = b"profile = tiny\n"
+        path.write_bytes(tr.CHECKPOINT_MAGIC + struct.pack("<I", 0)
+                         + struct.pack("<I", len(text)) + text)
+        with pytest.raises(tr.DataError, match=f"{path}: no 'step' entry"):
+            tr.load_checkpoint(path)
+
+    def test_entry_name_not_utf8_reports_offset(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[10] = 0xff  # first byte of the first entry name
+        path.write_bytes(bytes(raw))
+        with pytest.raises(tr.DataError,
+                           match="entry name is not valid UTF-8 .at byte offset 10."):
+            tr.load_checkpoint(path)
+
     def test_trailing_bytes_after_config_rejected(self, tmp_path):
         path, _ = self._saved(tmp_path)
         size = path.stat().st_size
@@ -127,9 +144,12 @@ class TestCheckpoint:
                          + struct.pack("<I", len(new_text)) + new_text)
         return path, cfg
 
-    def test_config_with_retired_frame_ms_still_loads(self, tmp_path):
-        # checkpoints written before frame_ms was removed carry the key
-        path, cfg = self._with_config_line(tmp_path, "frame_ms = 30.0")
+    @pytest.mark.parametrize("key, value", [
+        ("frame_ms", "30.0"), ("beta1", "0.9"), ("beta2", "0.999"),
+        ("eps_adam", "1e-08"), ("sil_threshold", "0.5")])
+    def test_config_with_retired_key_still_loads(self, tmp_path, key, value):
+        # checkpoints written before these keys were removed carry them
+        path, cfg = self._with_config_line(tmp_path, f"{key} = {value}")
         loaded = tr.load_checkpoint(path)
         assert loaded.config == cfg and loaded.step == 2
 

@@ -237,17 +237,6 @@ def scale(a, s: float) -> Tensor:
     return _apply("scale", a.data * s, [(a, lambda g: g * s)])
 
 
-def neg(a) -> Tensor:
-    return scale(a, -1.0)
-
-
-def log(a) -> Tensor:
-    """Natural log; the caller guarantees positive inputs."""
-    a = _lift(a)
-    ad = a.data
-    return _apply("log", np.log(ad), [(a, lambda g: g / ad)])
-
-
 def softmax(a) -> Tensor:
     """Softmax along the last axis, computed with max subtraction."""
     a = _lift(a)
@@ -461,19 +450,6 @@ def sum_all(a) -> Tensor:
                   [(a, lambda g: np.broadcast_to(g, shape).copy())])
 
 
-def mean_all(a) -> Tensor:
-    a = _lift(a)
-    shape = a.dims
-    n = a.data.size
-    return _apply("mean_all", np.asarray(a.data.mean()),
-                  [(a, lambda g: np.broadcast_to(g / n, shape).copy())])
-
-
-def dot(a, b) -> Tensor:
-    """Sum of the elementwise product (inner product of flattened tensors)."""
-    return sum_all(mul(a, b))
-
-
 def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout with a mask drawn from the supplied generator.
 
@@ -491,6 +467,10 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 # gradient verification
 # ---------------------------------------------------------------------------
+
+#: step sizes finite_diff_check accepts: below them rounding swamps the
+#: central difference, above them curvature does
+FD_EPS_MIN, FD_EPS_MAX = 1e-7, 1e-3
 
 
 def _fd_slope(build_loss, frozen: dict[str, Tensor], buffer: Array,
@@ -520,8 +500,9 @@ def finite_diff_check(build_loss: Callable[[dict[str, Tensor]], Tensor],
     level) are re-evaluated with an extended-precision forward pass, which
     sharpens the reference slope without touching the gradients under test.
     """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ContractError("finite_diff_check eps must lie in [1e-7, 1e-3]")
+    if not FD_EPS_MIN <= eps <= FD_EPS_MAX:
+        raise ContractError(f"finite_diff_check eps must lie in "
+                            f"[{FD_EPS_MIN:g}, {FD_EPS_MAX:g}]")
 
     tape = Tape()
     leaves = {name: tape.leaf(np.asarray(value, dtype=np.float64))

@@ -108,13 +108,13 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("verify-theorem",
                         help="brute-force permutation/subset equivalence check")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-T", type=int, default=5, dest="max_t")
     p.add_argument("--trials", type=int, default=20)
 
     p = subs.add_parser("grad-check",
                         help="finite-difference check of the full encoder")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--quick", action="store_true",
                    help="small widths instead of the full tiny profile")
@@ -164,11 +164,15 @@ def _ablation_inputs(args, cfg: Config):
     return vocab, unlabeled, train, test, classes
 
 
-def _csv_floats(text: str) -> list[float]:
+def _unit_fractions(text: str, flag: str) -> list[float]:
+    """Comma-separated floats, at least one, each in (0, 1]."""
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise UsageError(f"expected comma-separated floats, got {text!r}")
+        raise UsageError(f"{flag} expects comma-separated floats, got {text!r}")
+    if not values or not all(0.0 < v <= 1.0 for v in values):
+        raise UsageError(f"{flag} expects values in (0, 1], got {text!r}")
+    return values
 
 
 def cmd_gen_data(args) -> int:
@@ -206,13 +210,13 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    if bool(args.test_data) != bool(args.test_manifest):
+        raise UsageError("--test-data and --test-manifest go together")
     cfg = _resolve_config(args)
     vocab = cp.read_vocab(args.vocab)
     train = _load_labeled(args.data, args.manifest, vocab, cfg)
     test = []
     if args.test_data:
-        if not args.test_manifest:
-            raise UsageError("--test-data requires --test-manifest")
         test = _load_labeled(args.test_data, args.test_manifest, vocab, cfg)
     classes = max((u.label for u in train + test), default=-1) + 1
     init = tr.load_checkpoint(args.ckpt) if args.ckpt else None
@@ -247,9 +251,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    _resolve_config(args)
-    if args.max_t < 2:
-        raise UsageError("--max-T must be at least 2")
+    if not 2 <= args.max_t <= oracle.PERM_LIMIT:
+        raise UsageError(f"--max-T must lie in [2, {oracle.PERM_LIMIT}]")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     frozen_cfg = oracle.EncoderConfig(vocab_size=4, layers=2, d_model=8,
                                       d_ff=12, heads=2, max_seq_len=16,
                                       dropout=0.0)
@@ -278,7 +283,9 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    _resolve_config(args)
+    if not ad.FD_EPS_MIN <= args.eps <= ad.FD_EPS_MAX:
+        raise UsageError(
+            f"--eps must lie in [{ad.FD_EPS_MIN:g}, {ad.FD_EPS_MAX:g}]")
     if args.quick:
         enc_cfg = oracle.EncoderConfig(vocab_size=6, layers=1, d_model=16,
                                        d_ff=24, heads=2, max_seq_len=16,
@@ -320,8 +327,8 @@ def cmd_grad_check(args) -> int:
 
 def cmd_ablate_mask(args) -> int:
     cfg = _resolve_config(args)
+    ratios = _unit_fractions(args.ratios, "--ratios")
     vocab, unlabeled, train, test, classes = _ablation_inputs(args, cfg)
-    ratios = _csv_floats(args.ratios)
     rows = tr.ablate_mask_ratio(unlabeled, train, test, ratios, cfg,
                                 seed=args.seed, sil_index=vocab.sil_index,
                                 classes=classes)
@@ -334,8 +341,8 @@ def cmd_ablate_mask(args) -> int:
 
 def cmd_ablate_fraction(args) -> int:
     cfg = _resolve_config(args)
+    fractions = _unit_fractions(args.fractions, "--fractions")
     vocab, unlabeled, train, test, classes = _ablation_inputs(args, cfg)
-    fractions = _csv_floats(args.fractions)
     rows = tr.ablate_fraction(unlabeled, train, test, fractions, cfg,
                               seed=args.seed, sil_index=vocab.sil_index,
                               classes=classes)

@@ -48,6 +48,12 @@ class Config:
                 f"plm_weighting must be mean|sum, got {self.plm_weighting!r}")
         if not 0.0 < self.mask_ratio_max <= 1.0:
             raise ConfigError("mask_ratio_max must lie in (0, 1]")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be at least 1")
+        try:  # the model-shape rules live in EncoderConfig
+            encoder_config(self, vocab_size=2)
+        except ValueError as exc:
+            raise ConfigError(f"model shape: {exc}") from None
 
 
 #: desk-scale model; the larger learning rate makes ten epochs meaningful

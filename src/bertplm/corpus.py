@@ -390,13 +390,9 @@ def read_corpus(path, expected_vocab_size: int | None = None
     return sequences
 
 
-def write_manifest(utterances: list[LabeledUtterance], path,
-                   class_names: list[str] | None = None) -> None:
-    lines = []
-    for utt in utterances:
-        name = (class_names[utt.label] if class_names
-                else f"class{utt.label}")
-        lines.append(f"{utt.sequence.utterance_id}\t{utt.label}\t{name}")
+def write_manifest(utterances: list[LabeledUtterance], path) -> None:
+    lines = [f"{utt.sequence.utterance_id}\t{utt.label}\tclass{utt.label}"
+             for utt in utterances]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
                           encoding="utf-8")
 
@@ -431,14 +427,21 @@ def write_vocab(vocab: PhonemeVocab, path) -> None:
 
 
 def read_vocab(path) -> PhonemeVocab:
-    lines = ByteReader(Path(path).read_bytes()).lines("vocabulary")
+    raw = Path(path).read_bytes()
+    lines = ByteReader(raw).lines("vocabulary")
     while lines and lines[-1][1] == "":
         lines.pop()
+    symbols: dict[str, None] = {}  # insertion-ordered, O(1) membership
     for offset, symbol in lines:
         if not symbol:
             # line index is the phoneme id; a blank line would shift every id
             raise CorpusFormatError("blank line inside vocabulary file", offset)
-    symbols = [symbol for _, symbol in lines]
+        if symbol in symbols:
+            raise CorpusFormatError(f"repeated phoneme {symbol!r}", offset)
+        symbols[symbol] = None
     if SIL_SYMBOL not in symbols:
         raise CorpusFormatError(f"vocabulary lacks a {SIL_SYMBOL} line", None)
+    if len(symbols) < 2:
+        raise CorpusFormatError("vocabulary needs at least 2 phonemes",
+                                len(raw))
     return PhonemeVocab.from_symbols(symbols)

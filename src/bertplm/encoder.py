@@ -36,12 +36,12 @@ class SequenceLengthError(ValueError):
 @dataclass(frozen=True)
 class EncoderConfig:
     vocab_size: int
-    layers: int = 4
-    d_model: int = 576
-    d_ff: int = 1600
-    heads: int = 8
-    max_seq_len: int = 320
-    dropout: float = 0.1
+    layers: int
+    d_model: int
+    d_ff: int
+    heads: int
+    max_seq_len: int
+    dropout: float
 
     def __post_init__(self):
         if min(self.vocab_size, self.layers, self.d_model, self.d_ff,

@@ -39,7 +39,6 @@ class MaskPlan:
 
     context_idx: tuple[int, ...]
     target_idx: tuple[int, ...]
-    n_eligible: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "context_idx", tuple(sorted(self.context_idx)))
@@ -86,7 +85,7 @@ def sample_mask_plan(seq: PhonemePosteriorSequence, sil_index: int,
     target_idx = tuple(eligible[i] for i in targets)
     context_idx = tuple(t for t in range(seq.length)
                         if t not in set(target_idx))
-    return MaskPlan(context_idx, target_idx, n_eligible=len(eligible))
+    return MaskPlan(context_idx, target_idx)
 
 
 @dataclass
@@ -107,8 +106,8 @@ def soft_cross_entropy(logits: Tensor, target_dists: np.ndarray) -> Tensor:
         raise ad.ShapeError(
             f"targets {targets.shape} do not match logits {logits.dims}")
     k = targets.shape[0]
-    per_row_sum = ad.neg(ad.sum_all(ad.mul(ad.constant(targets, check=False),
-                                           ad.log_softmax(logits))))
+    per_row_sum = ad.scale(ad.sum_all(ad.mul(ad.constant(targets, check=False),
+                                             ad.log_softmax(logits))), -1.0)
     return ad.scale(per_row_sum, 1.0 / k)
 
 
@@ -154,18 +153,19 @@ def _loss_and_grads(params: dict[str, np.ndarray], want_grads: bool, build):
 
 def bert_plm_loss(params: dict[str, np.ndarray], config: EncoderConfig,
                   seq: PhonemePosteriorSequence, plan: MaskPlan,
-                  weighting: str = "mean", train: bool = False,
+                  weighting: str = "mean",
                   drop_rng: np.random.Generator | None = None,
                   want_grads: bool = False):
     """Masked-regression loss against the original posterior rows.
 
     Gradient flows to every encoder parameter, including the mask vector.
-    Returns a LossBreakdown, plus a name->gradient dict when requested.
+    Dropout runs exactly when ``drop_rng`` is given. Returns a LossBreakdown,
+    plus a name->gradient dict when requested.
     """
     plan.check_partition(seq.length)
 
     def build(bound):
-        loss = _plm_term(bound, config, seq, plan, weighting, train, drop_rng)
+        loss = _plm_term(bound, config, seq, plan, weighting, True, drop_rng)
         return None, loss, loss
 
     return _loss_and_grads(params, want_grads, build)
@@ -187,8 +187,8 @@ def _finetune_term(bound: dict[str, Tensor], config: EncoderConfig,
                        ad.transpose(bound["classifier"]))
     one_hot = np.zeros((1, classes))
     one_hot[0, utterance.label] = 1.0
-    cls = ad.neg(ad.sum_all(ad.mul(ad.constant(one_hot, check=False),
-                                   ad.log_softmax(logits))))
+    cls = ad.scale(ad.sum_all(ad.mul(ad.constant(one_hot, check=False),
+                                     ad.log_softmax(logits))), -1.0)
 
     if plan.k >= 1:
         plm = _masked_regression(hidden, bound["embed"], seq, plan, weighting)
@@ -200,13 +200,13 @@ def _finetune_term(bound: dict[str, Tensor], config: EncoderConfig,
 def finetune_loss(params: dict[str, np.ndarray], config: EncoderConfig,
                   utterance: LabeledUtterance, plan: MaskPlan,
                   lam: float = 1.0, weighting: str = "mean",
-                  train: bool = False,
                   drop_rng: np.random.Generator | None = None,
                   want_grads: bool = False):
     """Classification loss plus lam times the masked loss, one forward pass.
 
     The classifier pools over context positions only (target rows carry the
     mask vector, not content), so the masked frames act as input dropout.
+    Dropout runs exactly when ``drop_rng`` is given.
     """
     if "classifier" not in params:
         raise ad.ContractError("fine-tuning requires a classifier head")
@@ -218,6 +218,6 @@ def finetune_loss(params: dict[str, np.ndarray], config: EncoderConfig,
 
     def build(bound):
         return _finetune_term(bound, config, utterance, plan, lam, weighting,
-                              train, drop_rng)
+                              True, drop_rng)
 
     return _loss_and_grads(params, want_grads, build)

@@ -19,6 +19,7 @@ after which nothing may follow. Optimizer moments are stored under "adam.m."
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -37,6 +38,7 @@ from .rng import stream
 from . import autodiff as ad
 
 CHECKPOINT_MAGIC = b"CKP1"
+MAX_RANK = 64  # numpy arrays have at most 64 dimensions
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -143,9 +145,11 @@ def load_checkpoint(path) -> Checkpoint:
             (name_len,) = reader.unpack("<H")
             name = reader.text(name_len, "entry name")
             (rank,) = reader.unpack("<B")
+            if rank > MAX_RANK:
+                raise CorpusFormatError(f"entry {name!r} has rank {rank} > "
+                                        f"{MAX_RANK}", reader.offset - 1)
             dims = reader.unpack(f"<{rank}I")
-            size = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(reader.take(4 * size), dtype="<f4")
+            data = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4")
             entries[name] = data.astype(np.float64).reshape(dims)
         (text_len,) = reader.unpack("<I")
         config = parse_config_text(reader.text(text_len, "config text"))
@@ -155,7 +159,10 @@ def load_checkpoint(path) -> Checkpoint:
 
     if "step" not in entries:
         raise DataError(f"checkpoint {path}: no 'step' entry")
-    step = int(entries.pop("step").reshape(()))
+    step = entries.pop("step")
+    if step.size != 1 or not np.isfinite(step).all():
+        raise DataError(f"checkpoint {path}: 'step' is not one finite number")
+    step = int(step.reshape(()))
     params = {k: v for k, v in entries.items() if not k.startswith("adam.")}
     optim = None
     m = {k[len("adam.m."):]: v for k, v in entries.items()
@@ -330,7 +337,7 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
                 return None
             breakdown, grads = bert_plm_loss(
                 params, enc_config, train[idx], plan,
-                weighting=cfg.plm_weighting, train=True,
+                weighting=cfg.plm_weighting,
                 drop_rng=stream(seed, "drop", epoch, idx), want_grads=True)
             return breakdown.plm_loss, grads
 
@@ -380,7 +387,8 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     """Multi-task fine-tuning with early stopping on validation error.
 
     Starts from a pre-trained checkpoint when given, otherwise from fresh
-    random weights; a classifier head is added either way. Returns the best
+    random weights; a classifier head is added either way. The checkpoint's
+    layers, d, d_ff and heads must equal ``cfg``'s. Returns the best
     (by validation error) parameters and their metrics on the test split,
     or None for the metrics when there is no test split.
     """
@@ -389,6 +397,13 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     for utt in train_utts + test_utts:
         if not 0 <= utt.label < classes:
             raise DataError(f"label {utt.label} out of range ({classes} classes)")
+    if init is not None:
+        differing = [f"{key} {getattr(init.config, key)} in the checkpoint, "
+                     f"{getattr(cfg, key)} in this run"
+                     for key in ("layers", "d", "d_ff", "heads")
+                     if getattr(init.config, key) != getattr(cfg, key)]
+        if differing:
+            raise DataError("checkpoint model differs: " + "; ".join(differing))
     enc_config = encoder_config(cfg, train_utts[0].sequence.vocab_size)
     log = log or ProgressLog()
 
@@ -422,7 +437,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
                 plan = MaskPlan.full_context(seq.length)
             breakdown, grads = finetune_loss(
                 params, enc_config, train[idx], plan, lam=cfg.finetune_lambda,
-                weighting=cfg.plm_weighting, train=True,
+                weighting=cfg.plm_weighting,
                 drop_rng=stream(seed, "ft-drop", epoch, idx), want_grads=True)
             return breakdown.total, grads
 

@@ -53,6 +53,20 @@ class TestParseConfig:
                          "--out", str(tmp_path / "x.pps")])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("key, value", [
+        ("heads", "7"), ("d", "0"), ("dropout", "1.5"), ("batch_size", "0")])
+    def test_invalid_model_or_batch_is_usage_error(self, tmp_path, capsys,
+                                                    key, value):
+        with pytest.raises(ConfigError):
+            parse_config(None, {key: value})
+        # rejected before any file is read
+        code = cli.main(["pretrain", "--data", str(tmp_path / "nope.pps"),
+                         "--vocab", str(tmp_path / "nope.txt"),
+                         "--out", str(tmp_path / "m.ckpt"),
+                         "--set", f"{key}={value}"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_unknown_key_lists_valid_keys(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("banana = 1\n")
@@ -76,6 +90,10 @@ class TestParseConfig:
         from bertplm.config import config_text, parse_config_text
         cfg = parse_config(None, {"profile": "tiny", "epochs": "3"})
         assert parse_config_text(config_text(cfg)) == cfg
+
+
+ABLATION_INPUTS = (" --data X --train-data X --train-manifest X"
+                   " --test-data X --test-manifest X --vocab X")
 
 
 class TestExitCodes:
@@ -128,15 +146,30 @@ class TestExitCodes:
                          "--vocab", str(vocab_path)])
         assert code == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("argv", [
+        "verify-theorem --max-T 9",
+        "verify-theorem --trials 0",
+        "grad-check --quick --eps 1",
+        "ablate-mask --ratios 0.1,0" + ABLATION_INPUTS,
+        "ablate-fraction --fractions 1.5" + ABLATION_INPUTS,
+        "finetune --test-manifest X --data X --manifest X --vocab X --out X",
+        # these commands read no config
+        "grad-check --quick --set d=128",
+        "verify-theorem --print-config",
+    ])
+    def test_bad_flag_is_one_line_usage_error(self, tmp_path, capsys, argv):
+        # X names no file: the flag is rejected before any input is read
+        args = [str(tmp_path / "X") if a == "X" else a for a in argv.split()]
+        assert cli.main(args) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len([l for l in err.splitlines() if l.startswith("error:")]) == 1
+
     def test_verification_failure_exits_three(self, capsys, monkeypatch):
         import bertplm.cli as cli_mod
 
         def fake_verify(p, t_len, c, trials, rng, vocab_size=4, **kw):
             from bertplm.oracle import TheoremReport
-            return [TheoremReport(T=t_len, c=c, lhs=0.0, rhs_exact=1.0,
-                                  rhs_paper=1.0, dev_exact=1.0, dev_paper=1.0,
-                                  permutations_enumerated=2,
-                                  subsets_enumerated=1)]
+            return [TheoremReport(dev_exact=1.0, dev_paper=1.0)]
 
         monkeypatch.setattr(cli_mod.oracle, "verify_theorem", fake_verify)
         code = cli.main(["verify-theorem", "--max-T", "2", "--trials", "1"])
@@ -260,6 +293,26 @@ class TestInputValidation:
         assert code == cli.EXIT_DATA
         assert "trailing bytes" in capsys.readouterr().err
 
+    def test_finetune_checkpoint_model_must_match(self, small_corpus, tmp_path,
+                                                  capsys):
+        pre = tmp_path / "pre.ckpt"
+        assert cli.main(["pretrain", "--data", small_corpus["c.pps"],
+                         "--vocab", small_corpus["v.txt"],
+                         "--out", str(pre)] + SMALL) == cli.EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "ft.ckpt"
+        code = cli.main(["finetune", "--data", small_corpus["c.pps"],
+                         "--manifest", small_corpus["c.tsv"],
+                         "--vocab", small_corpus["v.txt"], "--ckpt", str(pre),
+                         "--out", str(out)] + SMALL
+                        + ["--set", "layers=3", "--set", "d_ff=32"])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "layers 1 in the checkpoint, 3 in this run" in err
+        assert "d_ff 24 in the checkpoint, 32 in this run" in err
+        assert "heads" not in err
+        assert not out.exists()
+
     def test_empty_training_corpus_is_data_error(self, small_corpus, tmp_path,
                                                  capsys):
         empty = tmp_path / "empty.pps"
@@ -344,8 +397,9 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "error_rate" in out and "macro_f1" in out
 
-    def test_print_config(self, capsys):
-        code = cli.main(["verify-theorem", "--max-T", "2", "--trials", "1",
+    def test_print_config(self, tmp_path, capsys):
+        code = cli.main(["gen-data", "--utterances", "1",
+                         "--out", str(tmp_path / "x.pps"),
                          "--print-config", "--set", "epochs=2"])
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bertplm import corpus as cp
+from bertplm import trainer as tr
+from bertplm.config import parse_config
 from bertplm.rng import stream
 
 
@@ -302,3 +304,74 @@ class TestManifest:
         with pytest.raises(cp.CorpusFormatError) as excinfo:
             cp.join_labels([seq], {})
         assert str(excinfo.value) == "no label for 'lonely'"
+
+
+# overwrite 1-4 bytes (positions wrap around the file), then maybe truncate
+EDITS = st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                 min_size=1, max_size=4)
+CUTS = st.none() | st.integers(0, 2**16)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Bytes of a small valid file per reader, and a scratch path."""
+    root = tmp_path_factory.mktemp("valid")
+    vocab = cp.PhonemeVocab.from_symbols(("SIL", "AA", "EH"))
+    rng = stream(30, "fuzz")
+    utts = [cp.LabeledUtterance(cp.PhonemePosteriorSequence(
+        rng.dirichlet(np.ones(3), size=2), utterance_id=f"u{i}"), i)
+        for i in range(2)]
+    cp.write_corpus([u.sequence for u in utts], root / "corpus", vocab.size)
+    cp.write_manifest(utts, root / "manifest")
+    cp.write_vocab(vocab, root / "vocabulary")
+    tr.save_checkpoint(root / "checkpoint", {"embed": rng.normal(size=(3, 2))},
+                       parse_config(None, {"profile": "tiny"}), step=1)
+    files = {name: (root / name).read_bytes()
+             for name in ("corpus", "manifest", "vocabulary", "checkpoint")}
+    return files, root / "mutated"
+
+
+def _loads_or_raises(valid_files, kind, read, error, edits, cut):
+    files, path = valid_files
+    raw = bytearray(files[kind])
+    for pos, value in edits:
+        raw[pos % len(raw)] = value
+    path.write_bytes(bytes(raw if cut is None else raw[:cut % (len(raw) + 1)]))
+    try:
+        read(path)
+    except error:
+        pass
+
+
+class TestMutatedFiles:
+    """A mutated file loads or raises its reader's format error (exit code 2
+    in the CLI), never another exception."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edits=EDITS, cut=CUTS)
+    def test_corpus(self, valid_files, edits, cut):
+        _loads_or_raises(valid_files, "corpus", cp.read_corpus,
+                         cp.CorpusFormatError, edits, cut)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edits=EDITS, cut=CUTS)
+    def test_manifest(self, valid_files, edits, cut):
+        _loads_or_raises(valid_files, "manifest", cp.read_manifest,
+                         cp.CorpusFormatError, edits, cut)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edits=EDITS, cut=CUTS)
+    @example(edits=[(7, ord("A")), (8, ord("A"))], cut=None)  # SIL AA AA
+    @example(edits=[(0, ord("S"))], cut=4)  # SIL alone
+    def test_vocabulary(self, valid_files, edits, cut):
+        _loads_or_raises(valid_files, "vocabulary", cp.read_vocab,
+                         cp.CorpusFormatError, edits, cut)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edits=EDITS, cut=CUTS)
+    @example(edits=[(15, 65)], cut=None)  # "embed" of rank 65
+    @example(edits=[(19, 0xff), (23, 0xff)], cut=None)  # dims past int64
+    @example(edits=[(57, 0xc0), (58, 0x7f)], cut=None)  # step is NaN
+    def test_checkpoint(self, valid_files, edits, cut):
+        _loads_or_raises(valid_files, "checkpoint", tr.load_checkpoint,
+                         tr.DataError, edits, cut)

@@ -37,7 +37,6 @@ class TestSampleMaskPlan:
             plan = obj.sample_mask_plan(seq, sil_index=0, rho_max=0.15,
                                         tau=0.5, rng=stream(1, "floor", i))
             assert plan.k == 1
-            assert plan.n_eligible == 8
 
     def test_major_sil_frames_are_always_context(self):
         seq = sequence_with_sil(sil_rows=3, content_rows=5)
@@ -212,7 +211,8 @@ class TestFinetuneLoss:
                                ad.transpose(bound["classifier"]))
             one_hot = np.zeros((1, 3))
             one_hot[0, utt.label] = 1.0
-            cls = ad.neg(ad.sum_all(ad.mul(ad.constant(one_hot), ad.log_softmax(logits))))
+            cls = ad.scale(ad.sum_all(ad.mul(ad.constant(one_hot),
+                                             ad.log_softmax(logits))), -1.0)
             logits_t = predict_phonemes(ad.gather_rows(hidden, plan.target_idx),
                                         bound["embed"])
             plm = obj.soft_cross_entropy(logits_t, utt.sequence.frames[list(plan.target_idx)])

@@ -153,6 +153,11 @@ class TestCheckpoint:
         loaded = tr.load_checkpoint(path)
         assert loaded.config == cfg and loaded.step == 2
 
+    def test_config_breaking_model_rules_is_data_error(self, tmp_path):
+        path, _ = self._with_config_line(tmp_path, "heads = 7")
+        with pytest.raises(tr.DataError, match="divisible by heads"):
+            tr.load_checkpoint(path)
+
     def test_unknown_config_key_is_data_error(self, tmp_path):
         path, _ = self._with_config_line(tmp_path, "banana = 1")
         with pytest.raises(tr.DataError, match="banana"):

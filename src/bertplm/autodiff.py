@@ -5,11 +5,15 @@ Transformer encoder and its losses need. There is no general broadcasting
 engine; ``add`` supports the single (rows, d) + (d,) bias case and everything
 else requires matching shapes.
 
-A ``Tape`` is single-owner: one forward computation per tape, never shared
-across concurrent executions. Tensors are immutable values after creation
-(callers must not mutate the backing array they pass in). Running ops on
-tensors that carry no tape performs a plain forward computation with no
-recording, which is what the finite-difference checker relies on.
+A ``Tape`` is single-owner: it takes one forward pass and then one backward
+pass, never shared across concurrent executions. ``backward`` frees what it
+has consumed as it walks: once a node's gradient has gone to its inputs, the
+node's gradient slot and VJP closures (and the forward arrays they captured)
+are dropped, so a used tape cannot be walked again. Tensors are immutable
+values after creation (callers must not mutate the backing array they pass
+in). Running ops on tensors that carry no tape performs a plain forward
+computation with no recording, which is what the finite-difference checker
+relies on.
 """
 
 from __future__ import annotations
@@ -87,10 +91,12 @@ class Node:
 
 
 class Tape:
-    """Append-only record of one forward pass, in topological order."""
+    """Append-only record of one forward pass, in topological order; a
+    node's entry becomes None once ``backward`` has consumed it."""
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.nodes: list[Node | None] = []
+        self.used = False
 
     def leaf(self, values, check: bool = True) -> Tensor:
         """Register a differentiable input (parameter) on the tape."""
@@ -108,25 +114,34 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
-    """Gradients of a scalar loss with respect to every reachable node.
+    """Gradients of a scalar loss with respect to every reachable leaf, plus
+    the loss's own seed d(loss)/d(loss) = 1.
 
-    Walks the tape once in reverse; d(loss)/d(loss) = 1.
+    Walks the tape once in reverse, dropping each node (its VJP closures and
+    the forward arrays they hold) and each interior gradient as soon as they
+    have been consumed, so the tape can be walked only once.
     """
     if loss.tape is not tape or loss.node_id is None:
         raise ContractError("loss is not a node of this tape")
     if loss.data.shape != ():
         raise ContractError("backward requires a scalar loss")
+    if tape.used:
+        raise ContractError("backward already consumed this tape")
+    tape.used = True
+    nodes = tape.nodes
     slots: dict[int, Array] = {loss.node_id: np.ones(())}
-    for node_id in range(len(tape.nodes) - 1, -1, -1):
-        grad = slots.get(node_id)
+    kept: dict[int, Array] = {loss.node_id: slots[loss.node_id]}
+    for node_id in range(len(nodes) - 1, -1, -1):
+        node, nodes[node_id] = nodes[node_id], None
+        grad = slots.pop(node_id, None)
         if grad is None:
             continue
-        node = tape.nodes[node_id]
+        if node.op == "leaf":
+            kept[node_id] = grad
         for parent, vjp in zip(node.inputs, node.vjps):
-            contribution = vjp(grad)
             held = slots.get(parent)
-            slots[parent] = contribution if held is None else held + contribution
-    return {nid: Tensor(g, check=False) for nid, g in slots.items()}
+            slots[parent] = vjp(grad) if held is None else held + vjp(grad)
+    return {nid: Tensor(g, check=False) for nid, g in kept.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +434,14 @@ def rel_position_gather(x) -> Tensor:
     if x.dims[-1] != 2 * t_len - 1:
         raise ShapeError(f"expected (..., T, 2T-1) offset scores, got {x.dims}")
     rows, cols = _rel_indices(t_len)
-    xd = x.data
+    shape = x.dims
 
     def vjp(g: Array) -> Array:
-        out = np.zeros_like(xd)
+        out = np.zeros(shape)
         out[..., rows, cols] = g
         return out
 
-    return _apply("rel_position_gather", xd[..., rows, cols], [(x, vjp)])
+    return _apply("rel_position_gather", x.data[..., rows, cols], [(x, vjp)])
 
 
 def merge_heads(x) -> Tensor:

@@ -10,6 +10,7 @@ values and overrides apply, so either can still override individual keys.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,8 +49,14 @@ class Config:
                 f"plm_weighting must be mean|sum, got {self.plm_weighting!r}")
         if not 0.0 < self.mask_ratio_max <= 1.0:
             raise ConfigError("mask_ratio_max must lie in (0, 1]")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
+        for key in ("batch_size", "epochs", "finetune_epochs", "patience"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1")
+        for key in ("heldout_fraction", "val_fraction"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1)")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError("lr must be a finite number above 0")
         try:  # the model-shape rules live in EncoderConfig
             encoder_config(self, vocab_size=2)
         except ValueError as exc:

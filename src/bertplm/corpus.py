@@ -20,6 +20,7 @@ Lines of both text files end at LF, CRLF or CR.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -326,20 +327,41 @@ def write_corpus(sequences: list[PhonemePosteriorSequence], path,
     Path(path).write_bytes(bytes(payload))
 
 
-class ByteReader:
-    """Bounds-checked cursor over a binary file held in memory; errors are
-    CorpusFormatErrors carrying the byte offset where reading stopped."""
+def _utf8(chunk: bytes, start: int, what: str) -> str:
+    try:
+        return chunk.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{what} is not valid UTF-8",
+                                start + exc.start) from None
 
-    def __init__(self, raw: bytes, offset: int = 0):
-        self.raw = raw
-        self.offset = offset
+
+class ByteReader:
+    """Bounds-checked cursor over a binary file, read from disk one field at
+    a time so that the whole file is never held in memory; errors are
+    CorpusFormatErrors carrying the byte offset where reading stopped. Use
+    it in a ``with`` block, which closes the file."""
+
+    def __init__(self, path):
+        self._file = open(path, "rb")
+        self.size = os.fstat(self._file.fileno()).st_size
+        self.offset = 0
+
+    def __enter__(self) -> "ByteReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._file.close()
 
     def take(self, count: int) -> bytes:
-        if self.offset + count > len(self.raw):
+        if self.offset + count > self.size:
             raise CorpusFormatError("truncated file", self.offset)
-        chunk = self.raw[self.offset:self.offset + count]
+        chunk = self._file.read(count)
         self.offset += count
         return chunk
+
+    def magic(self, count: int) -> bytes:
+        """The first ``count`` bytes, or the whole file if it is shorter."""
+        return self.take(min(count, self.size))
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -347,46 +369,45 @@ class ByteReader:
     def text(self, count: int, what: str) -> str:
         """The next ``count`` bytes decoded as UTF-8."""
         start = self.offset
-        try:
-            return self.take(count).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"{what} is not valid UTF-8",
-                                    start + exc.start) from None
+        return _utf8(self.take(count), start, what)
 
     def lines(self, what: str) -> list[tuple[int, str]]:
         """(offset, UTF-8 text) of each remaining line, without its ending."""
-        return [(self.offset, self.text(len(chunk), what).rstrip("\r\n"))
-                for chunk in self.raw[self.offset:].splitlines(keepends=True)]
+        start, found = self.offset, []
+        for chunk in self.take(self.size - start).splitlines(keepends=True):
+            found.append((start, _utf8(chunk, start, what).rstrip("\r\n")))
+            start += len(chunk)
+        return found
 
     def end(self) -> None:
-        extra = len(self.raw) - self.offset
+        extra = self.size - self.offset
         if extra:
             raise CorpusFormatError(f"{extra} trailing bytes", self.offset)
 
 
 def read_corpus(path, expected_vocab_size: int | None = None
                 ) -> list[PhonemePosteriorSequence]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != CORPUS_MAGIC:
-        raise CorpusFormatError(f"bad magic {raw[:4]!r}", 0)
-    reader = ByteReader(raw, 4)
-    version, _, vocab_size, count = reader.unpack("<HHII")
-    if version != CORPUS_VERSION:
-        raise CorpusFormatError(f"unsupported version {version}", 4)
-    if expected_vocab_size is not None and vocab_size != expected_vocab_size:
-        raise CorpusFormatError(
-            f"vocabulary size mismatch: file has {vocab_size}, "
-            f"expected {expected_vocab_size}", 8)
-    sequences = []
-    for _ in range(count):
-        (id_len,) = reader.unpack("<H")
-        ident = reader.text(id_len, "utterance id")
-        (t_len,) = reader.unpack("<I")
-        frames = np.frombuffer(reader.take(4 * t_len * vocab_size),
-                               dtype="<f4").reshape(t_len, vocab_size)
-        frames = frames.astype(np.float64)
-        sequences.append(PhonemePosteriorSequence(frames, utterance_id=ident))
-    reader.end()
+    with ByteReader(path) as reader:
+        magic = reader.magic(len(CORPUS_MAGIC))
+        if magic != CORPUS_MAGIC:
+            raise CorpusFormatError(f"bad magic {magic!r}", 0)
+        version, _, vocab_size, count = reader.unpack("<HHII")
+        if version != CORPUS_VERSION:
+            raise CorpusFormatError(f"unsupported version {version}", 4)
+        if expected_vocab_size is not None and vocab_size != expected_vocab_size:
+            raise CorpusFormatError(
+                f"vocabulary size mismatch: file has {vocab_size}, "
+                f"expected {expected_vocab_size}", 8)
+        sequences = []
+        for _ in range(count):
+            (id_len,) = reader.unpack("<H")
+            ident = reader.text(id_len, "utterance id")
+            (t_len,) = reader.unpack("<I")
+            frames = np.frombuffer(reader.take(4 * t_len * vocab_size),
+                                   dtype="<f4").reshape(t_len, vocab_size)
+            frames = frames.astype(np.float64)
+            sequences.append(PhonemePosteriorSequence(frames, utterance_id=ident))
+        reader.end()
     return sequences
 
 
@@ -399,7 +420,8 @@ def write_manifest(utterances: list[LabeledUtterance], path) -> None:
 
 def read_manifest(path) -> dict[str, int]:
     labels: dict[str, int] = {}
-    lines = ByteReader(Path(path).read_bytes()).lines("manifest")
+    with ByteReader(path) as reader:
+        lines = reader.lines("manifest")
     for lineno, (offset, line) in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -427,8 +449,8 @@ def write_vocab(vocab: PhonemeVocab, path) -> None:
 
 
 def read_vocab(path) -> PhonemeVocab:
-    raw = Path(path).read_bytes()
-    lines = ByteReader(raw).lines("vocabulary")
+    with ByteReader(path) as reader:
+        lines = reader.lines("vocabulary")
     while lines and lines[-1][1] == "":
         lines.pop()
     symbols: dict[str, None] = {}  # insertion-ordered, O(1) membership
@@ -443,5 +465,5 @@ def read_vocab(path) -> PhonemeVocab:
         raise CorpusFormatError(f"vocabulary lacks a {SIL_SYMBOL} line", None)
     if len(symbols) < 2:
         raise CorpusFormatError("vocabulary needs at least 2 phonemes",
-                                len(raw))
+                                reader.size)
     return PhonemeVocab.from_symbols(symbols)

@@ -15,6 +15,9 @@ length, name bytes (UTF-8), u8 rank, rank u32 dims, then little-endian f32
 payload; finally a u32-length-prefixed UTF-8 dump of the resolved config,
 after which nothing may follow. Optimizer moments are stored under "adam.m."
 / "adam.v." name prefixes and the step counter as the scalar entry "step".
+Checkpoints are written and read one entry at a time (the format does not
+depend on it), so neither side holds the whole payload; an entry holding a
+NaN or an infinity is a data error.
 """
 
 from __future__ import annotations
@@ -103,17 +106,17 @@ class Checkpoint:
     optim: OptimState | None = None
 
 
-def _pack_entry(name: str, array: np.ndarray) -> bytes:
+def _write_entry(out, name: str, array: np.ndarray) -> None:
     encoded = name.encode("utf-8")
     dims = array.shape
-    head = struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", len(dims))
-    head += b"".join(struct.pack("<I", d) for d in dims)
-    return head + array.astype("<f4").tobytes()
+    out.write(struct.pack("<H", len(encoded)) + encoded
+              + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
+    out.write(np.ascontiguousarray(array, dtype="<f4"))
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], config: Config,
                     step: int, optim: OptimState | None = None) -> None:
-    """Atomic write: temp file then rename."""
+    """Atomic write, one entry at a time: temp file then rename."""
     entries: dict[str, np.ndarray] = dict(sorted(params.items()))
     if optim is not None:
         for name, arr in sorted(optim.m.items()):
@@ -121,47 +124,59 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: Config,
         for name, arr in sorted(optim.v.items()):
             entries[f"adam.v.{name}"] = arr
     entries["step"] = np.asarray(float(step))
-    payload = bytearray(CHECKPOINT_MAGIC)
-    payload += struct.pack("<I", len(entries))
-    for name, arr in entries.items():
-        payload += _pack_entry(name, np.asarray(arr, dtype=np.float64))
     text = config_text(config).encode("utf-8")
-    payload += struct.pack("<I", len(text)) + text
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(payload))
+    with open(tmp, "wb") as out:
+        out.write(CHECKPOINT_MAGIC + struct.pack("<I", len(entries)))
+        for name, arr in entries.items():
+            _write_entry(out, name, np.asarray(arr, dtype=np.float64))
+        out.write(struct.pack("<I", len(text)) + text)
     tmp.replace(path)
 
 
+def _read_entries(reader: ByteReader) -> tuple[dict[str, np.ndarray], Config]:
+    """Every entry, one at a time, then the config text; an entry holding a
+    NaN or an infinity is rejected at the offset of that value."""
+    (count,) = reader.unpack("<I")
+    entries: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = reader.unpack("<H")
+        name = reader.text(name_len, "entry name")
+        (rank,) = reader.unpack("<B")
+        if rank > MAX_RANK:
+            raise CorpusFormatError(f"entry {name!r} has rank {rank} > "
+                                    f"{MAX_RANK}", reader.offset - 1)
+        dims = reader.unpack(f"<{rank}I")
+        start = reader.offset
+        data = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4")
+        finite = np.isfinite(data)
+        if not finite.all():
+            raise CorpusFormatError(f"entry {name!r} holds a non-finite value",
+                                    start + 4 * int(finite.argmin()))
+        entries[name] = data.astype(np.float64).reshape(dims)
+    (text_len,) = reader.unpack("<I")
+    config = parse_config_text(reader.text(text_len, "config text"))
+    reader.end()
+    return entries, config
+
+
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"bad checkpoint magic {raw[:4]!r}")
-    reader = ByteReader(raw, 4)
-    try:
-        (count,) = reader.unpack("<I")
-        entries: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = reader.unpack("<H")
-            name = reader.text(name_len, "entry name")
-            (rank,) = reader.unpack("<B")
-            if rank > MAX_RANK:
-                raise CorpusFormatError(f"entry {name!r} has rank {rank} > "
-                                        f"{MAX_RANK}", reader.offset - 1)
-            dims = reader.unpack(f"<{rank}I")
-            data = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4")
-            entries[name] = data.astype(np.float64).reshape(dims)
-        (text_len,) = reader.unpack("<I")
-        config = parse_config_text(reader.text(text_len, "config text"))
-        reader.end()
-    except (CorpusFormatError, ConfigError) as exc:
-        raise DataError(f"checkpoint {path}: {exc}") from None
+    """Read one entry at a time from the file (never the whole payload)."""
+    with ByteReader(path) as reader:
+        magic = reader.magic(len(CHECKPOINT_MAGIC))
+        if magic != CHECKPOINT_MAGIC:
+            raise DataError(f"bad checkpoint magic {magic!r}")
+        try:
+            entries, config = _read_entries(reader)
+        except (CorpusFormatError, ConfigError) as exc:
+            raise DataError(f"checkpoint {path}: {exc}") from None
 
     if "step" not in entries:
         raise DataError(f"checkpoint {path}: no 'step' entry")
     step = entries.pop("step")
-    if step.size != 1 or not np.isfinite(step).all():
-        raise DataError(f"checkpoint {path}: 'step' is not one finite number")
+    if step.size != 1:
+        raise DataError(f"checkpoint {path}: 'step' is not one number")
     step = int(step.reshape(()))
     params = {k: v for k, v in entries.items() if not k.startswith("adam.")}
     optim = None
@@ -255,6 +270,24 @@ def _as_sequences(corpus) -> list[PhonemePosteriorSequence]:
     return list(corpus)
 
 
+def _accumulate(grads_acc: dict[str, np.ndarray], losses: list,
+                result) -> None:
+    """Add one utterance's ``(loss, grads)`` (or nothing for None) into the
+    minibatch sums. The first kept utterance's arrays become the sums: no
+    two entries of a loss's gradient dict share memory, so adding into them
+    in place is safe. Returning drops this utterance's dict before the next
+    utterance runs."""
+    if result is None:
+        return
+    loss, grads = result
+    losses.append(loss)
+    for name, grad in grads.items():
+        if name in grads_acc:
+            grads_acc[name] += grad
+        else:
+            grads_acc[name] = grad
+
+
 def _train_steps(params, optim: OptimState, order, batch_size: int,
                  utterance_grads):
     """One epoch of minibatch Adam over ``order``, yielding each step's
@@ -264,16 +297,7 @@ def _train_steps(params, optim: OptimState, order, batch_size: int,
         grads_acc: dict[str, np.ndarray] = {}
         losses = []
         for idx in order[start:start + batch_size]:
-            result = utterance_grads(int(idx))
-            if result is None:
-                continue
-            loss, grads = result
-            losses.append(loss)
-            for name, grad in grads.items():
-                if name in grads_acc:
-                    grads_acc[name] += grad
-                else:
-                    grads_acc[name] = grad.copy()
+            _accumulate(grads_acc, losses, utterance_grads(int(idx)))
         if not losses:
             continue
         for grad in grads_acc.values():

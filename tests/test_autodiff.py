@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -130,6 +132,33 @@ class TestBackward:
         loss = ad.sum_all(x)
         grads = ad.backward(tape, loss)
         assert grads[loss.node_id].data == 1.0
+
+    def test_returns_only_leaf_gradients_and_the_seed(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.array([1.0, 2.0]))
+        loss = ad.sum_all(ad.mul(x, x))
+        assert set(ad.backward(tape, loss)) == {x.node_id, loss.node_id}
+
+    def test_second_backward_raises(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.array([1.0, 2.0]))
+        loss = ad.sum_all(ad.mul(x, x))
+        ad.backward(tape, loss)
+        with pytest.raises(ad.ContractError, match="already consumed"):
+            ad.backward(tape, loss)
+
+    def test_backward_frees_captured_forward_arrays(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.linspace(-1.0, 1.0, 6).reshape(2, 3))
+        scaled = ad.scale(x, 2.0)
+        captured = weakref.ref(scaled.data)  # held by gelu's VJP
+        loss = ad.sum_all(ad.gelu(scaled))
+        del scaled
+        gc.collect()
+        assert captured() is not None
+        ad.backward(tape, loss)
+        assert captured() is None
+        assert all(node is None for node in tape.nodes)
 
     def test_two_layer_mlp_matches_finite_differences(self):
         rng = stream(6, "mlp")

@@ -54,7 +54,11 @@ class TestParseConfig:
         assert code == cli.EXIT_USAGE
 
     @pytest.mark.parametrize("key, value", [
-        ("heads", "7"), ("d", "0"), ("dropout", "1.5"), ("batch_size", "0")])
+        ("heads", "7"), ("d", "0"), ("dropout", "1.5"), ("batch_size", "0"),
+        ("heldout_fraction", "-0.5"), ("heldout_fraction", "1"),
+        ("val_fraction", "1.5"), ("val_fraction", "-0.1"), ("epochs", "0"),
+        ("finetune_epochs", "0"), ("patience", "-1"), ("lr", "0"),
+        ("lr", "-1e-3"), ("lr", "nan"), ("lr", "inf")])
     def test_invalid_model_or_batch_is_usage_error(self, tmp_path, capsys,
                                                     key, value):
         with pytest.raises(ConfigError):

@@ -372,6 +372,8 @@ class TestMutatedFiles:
     @example(edits=[(15, 65)], cut=None)  # "embed" of rank 65
     @example(edits=[(19, 0xff), (23, 0xff)], cut=None)  # dims past int64
     @example(edits=[(57, 0xc0), (58, 0x7f)], cut=None)  # step is NaN
+    @example(edits=[(24, 1), (25, 0), (26, 0x80), (27, 0x7f)],
+             cut=None)  # signalling NaN in "embed"
     def test_checkpoint(self, valid_files, edits, cut):
         _loads_or_raises(valid_files, "checkpoint", tr.load_checkpoint,
                          tr.DataError, edits, cut)

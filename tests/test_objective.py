@@ -227,3 +227,35 @@ class TestFinetuneLoss:
         breakdown = obj.finetune_loss(params, CONFIG, utt, plan, lam=0.7)
         assert abs(breakdown.total
                    - (breakdown.cls_loss + 0.7 * breakdown.plm_loss)) <= 1e-12
+
+
+DROPOUT_CONFIG = EncoderConfig(vocab_size=6, layers=2, d_model=8, d_ff=12,
+                               heads=2, max_seq_len=32, dropout=0.2)
+
+
+@pytest.mark.parametrize("stage, context", [
+    ("pretrain", (0, 1, 4)), ("finetune", (0, 2, 3)),
+    ("finetune", (0, 1, 2, 3, 4))])
+def test_gradient_entries_share_no_memory(stage, context):
+    # the training loop adds later utterances into the first one's arrays
+    # in place, which is safe only if every entry owns its memory
+    params = init_params(DROPOUT_CONFIG, stream(15, "init"),
+                         classes=3 if stage == "finetune" else None)
+    utt = LabeledUtterance(simplex_sequence(5, 6, stream(15, "s")), 1)
+    plan = obj.MaskPlan.from_context_set(context, 5)
+    if stage == "pretrain":
+        _, grads = obj.bert_plm_loss(params, DROPOUT_CONFIG, utt.sequence,
+                                     plan, drop_rng=stream(15, "d"),
+                                     want_grads=True)
+    else:
+        _, grads = obj.finetune_loss(params, DROPOUT_CONFIG, utt, plan,
+                                     drop_rng=stream(15, "d"), want_grads=True)
+    unused = set() if stage == "finetune" else {"pool_query"}  # never pooled
+    assert set(grads) == set(params) - unused
+    names = sorted(grads)
+    for i, name in enumerate(names):
+        assert grads[name].flags.writeable
+        for other in names[i + 1:]:
+            assert not np.shares_memory(grads[name], grads[other]), (name, other)
+        for param in params.values():
+            assert not np.shares_memory(grads[name], param), name

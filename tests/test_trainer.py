@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -87,6 +88,41 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             loaded.optim.m["embed"], optim.m["embed"].astype("<f4"))
 
+    def test_writes_the_documented_layout(self, tmp_path):
+        from bertplm.config import config_text
+        cfg = small_config()
+        params = {"w": np.array([[1.0, -2.5, 0.5]]), "b": np.array([0.25, 3.0])}
+        path = tmp_path / "two.ckpt"
+        tr.save_checkpoint(path, params, cfg, step=5)
+        text = config_text(cfg).encode("utf-8")
+        assert path.read_bytes() == (
+            b"CKP1" + struct.pack("<I", 3)
+            + struct.pack("<H", 1) + b"b" + struct.pack("<BI", 1, 2)
+            + struct.pack("<2f", 0.25, 3.0)
+            + struct.pack("<H", 1) + b"w" + struct.pack("<B2I", 2, 1, 3)
+            + struct.pack("<3f", 1.0, -2.5, 0.5)
+            + struct.pack("<H", 4) + b"step" + struct.pack("<B", 0)
+            + struct.pack("<f", 5.0)
+            + struct.pack("<I", len(text)) + text)
+        assert list(tmp_path.iterdir()) == [path]  # the temp file is renamed
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_names_entry_and_offset(self, tmp_path, value):
+        cfg = small_config()
+        params = {"classifier": np.ones((2, 3)), "embed": np.ones((4, 3))}
+        path = tmp_path / "ft.ckpt"
+        tr.save_checkpoint(path, params, cfg, step=1)
+        raw = bytearray(path.read_bytes())
+        # 8 header bytes, then u16 length, "classifier", rank, two dims
+        payload = 8 + 2 + len("classifier") + 1 + 2 * 4
+        assert raw[payload:payload + 4] == struct.pack("<f", 1.0)
+        raw[payload + 4:payload + 8] = struct.pack("<f", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(tr.DataError, match=(
+                f"entry 'classifier' holds a non-finite value "
+                f".at byte offset {payload + 4}.")):
+            tr.load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -132,14 +168,14 @@ class TestCheckpoint:
             tr.load_checkpoint(path)
 
     def _with_config_line(self, tmp_path, line):
-        """A saved checkpoint whose config text gains ``line``."""
+        """A saved checkpoint whose config text ends with ``line``, which
+        overrides an earlier line for the same key."""
         from bertplm.config import config_text
         path, cfg = self._saved(tmp_path)
         text = config_text(cfg).encode("utf-8")
         raw = path.read_bytes()
         assert raw.endswith(struct.pack("<I", len(text)) + text)
-        new_text = config_text(cfg).replace(
-            "mask_ratio_max", line + "\nmask_ratio_max").encode("utf-8")
+        new_text = (config_text(cfg) + line + "\n").encode("utf-8")
         path.write_bytes(raw[:-len(text) - 4]
                          + struct.pack("<I", len(new_text)) + new_text)
         return path, cfg
@@ -156,6 +192,16 @@ class TestCheckpoint:
     def test_config_breaking_model_rules_is_data_error(self, tmp_path):
         path, _ = self._with_config_line(tmp_path, "heads = 7")
         with pytest.raises(tr.DataError, match="divisible by heads"):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("heldout_fraction", "-0.5"), ("val_fraction", "1"), ("epochs", "0"),
+        ("finetune_epochs", "0"), ("patience", "0"), ("lr", "nan"),
+        ("lr", "0")])
+    def test_config_value_out_of_range_is_data_error(self, tmp_path, key,
+                                                     value):
+        path, _ = self._with_config_line(tmp_path, f"{key} = {value}")
+        with pytest.raises(tr.DataError, match=f"checkpoint .*{key} must"):
             tr.load_checkpoint(path)
 
     def test_unknown_config_key_is_data_error(self, tmp_path):

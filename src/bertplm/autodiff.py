@@ -12,8 +12,16 @@ node's gradient slot and VJP closures (and the forward arrays they captured)
 are dropped, so a used tape cannot be walked again. Tensors are immutable
 values after creation (callers must not mutate the backing array they pass
 in). Running ops on tensors that carry no tape performs a plain forward
-computation with no recording, which is what the finite-difference checker
-relies on.
+computation with no recording: the path for forward-only work.
+
+A recording tape (``Tape(record=True)``) additionally keeps, for every node,
+the primitive call that made it (function, arguments, the node ids of its
+taped inputs) and its output as a tapeless tensor; ``backward`` leaves that
+log alone. ``finite_diff_check`` records the loss once per precision and,
+for each perturbed parameter entry, re-invokes only the calls downstream of
+that parameter, reading every other output from the recording. The same
+primitives run on the same inputs in the same order, so each replayed loss
+is bitwise the loss a full forward pass would give.
 """
 
 from __future__ import annotations
@@ -90,18 +98,33 @@ class Node:
     vjps: tuple[Callable[[Array], Array], ...]
 
 
+#: one recorded primitive call: function, arguments, (argument position,
+#: input node id) per taped argument, and the output as a tapeless tensor;
+#: a leaf records (None, (), (), value)
+Call = tuple[Callable[..., Tensor] | None, tuple, tuple[tuple[int, int], ...],
+             Tensor]
+
+
 class Tape:
     """Append-only record of one forward pass, in topological order; a
-    node's entry becomes None once ``backward`` has consumed it."""
+    node's entry becomes None once ``backward`` has consumed it.
 
-    def __init__(self):
+    With ``record=True`` the tape also fills ``calls``, one ``Call`` per
+    node, which ``backward`` does not free.
+    """
+
+    def __init__(self, record: bool = False):
         self.nodes: list[Node | None] = []
         self.used = False
+        self.calls: list[Call] | None = [] if record else None
 
     def leaf(self, values, check: bool = True) -> Tensor:
         """Register a differentiable input (parameter) on the tape."""
         node_id = self._record("leaf", (), ())
-        return Tensor(values, tape=self, node_id=node_id, check=check)
+        tensor = Tensor(values, tape=self, node_id=node_id, check=check)
+        if self.calls is not None:
+            self.calls.append((None, (), (), Tensor(tensor.data, check=False)))
+        return tensor
 
     def _record(self, op: str, inputs: tuple[int, ...],
                 vjps: tuple[Callable[[Array], Array], ...]) -> int:
@@ -153,8 +176,10 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, check=False)
 
 
-def _apply(op: str, data: Array,
+def _apply(fn: Callable[..., Tensor], args: tuple, data: Array,
            parents: Sequence[tuple[Tensor, Callable[[Array], Array]]]) -> Tensor:
+    """Output of the primitive call ``fn(*args)``, computed as ``data``;
+    recorded on the operands' tape, if any, with one VJP per taped parent."""
     tape = None
     for tensor, _ in parents:
         if tensor.tape is None:
@@ -162,13 +187,18 @@ def _apply(op: str, data: Array,
         if tape is None:
             tape = tensor.tape
         elif tape is not tensor.tape:
-            raise ContractError(f"{op}: operands belong to different tapes")
+            raise ContractError(
+                f"{fn.__name__}: operands belong to different tapes")
     if tape is None:
         return Tensor(data, check=False)
     taped = [(t.node_id, vjp) for t, vjp in parents if t.tape is not None]
     ids = tuple(i for i, _ in taped)
     vjps = tuple(v for _, v in taped)
-    node_id = tape._record(op, ids, vjps)
+    node_id = tape._record(fn.__name__, ids, vjps)
+    if tape.calls is not None:
+        slots = tuple((pos, arg.node_id) for pos, arg in enumerate(args)
+                      if isinstance(arg, Tensor) and arg.tape is tape)
+        tape.calls.append((fn, args, slots, Tensor(data, check=False)))
     return Tensor(data, tape=tape, node_id=node_id, check=False)
 
 
@@ -205,7 +235,7 @@ def matmul(a, b) -> Tensor:
         gb = _swap_last(ad) @ g
         return gb.sum(axis=0) if gb.ndim > bd.ndim else gb
 
-    return _apply("matmul", out, [(a, vjp_a), (b, vjp_b)])
+    return _apply(matmul, (a, b), out, [(a, vjp_a), (b, vjp_b)])
 
 
 def add(a, b) -> Tensor:
@@ -215,19 +245,19 @@ def add(a, b) -> Tensor:
     """
     a, b = _lift(a), _lift(b)
     if a.dims == b.dims:
-        return _apply("add", a.data + b.data, [
+        return _apply(add, (a, b), a.data + b.data, [
             (a, lambda g: g),
             (b, lambda g: g),
         ])
     if b.data.ndim == 1 and a.data.ndim >= 2 and a.dims[-1] == b.dims[0]:
         axes = tuple(range(a.data.ndim - 1))
-        return _apply("add", a.data + b.data, [
+        return _apply(add, (a, b), a.data + b.data, [
             (a, lambda g: g),
             (b, lambda g: g.sum(axis=axes)),
         ])
     if (a.data.ndim == 3 and b.data.ndim == 3 and b.dims[1] == 1
             and a.dims[0] == b.dims[0] and a.dims[2] == b.dims[2]):
-        return _apply("add", a.data + b.data, [
+        return _apply(add, (a, b), a.data + b.data, [
             (a, lambda g: g),
             (b, lambda g: g.sum(axis=1, keepdims=True)),
         ])
@@ -240,7 +270,7 @@ def mul(a, b) -> Tensor:
     if a.dims != b.dims:
         raise ShapeError(f"mul shapes differ: {a.dims} * {b.dims}")
     ad, bd = a.data, b.data
-    return _apply("mul", ad * bd, [
+    return _apply(mul, (a, b), ad * bd, [
         (a, lambda g: g * bd),
         (b, lambda g: g * ad),
     ])
@@ -249,7 +279,7 @@ def mul(a, b) -> Tensor:
 def scale(a, s: float) -> Tensor:
     a = _lift(a)
     s = float(s)
-    return _apply("scale", a.data * s, [(a, lambda g: g * s)])
+    return _apply(scale, (a, s), a.data * s, [(a, lambda g: g * s)])
 
 
 def softmax(a) -> Tensor:
@@ -262,7 +292,7 @@ def softmax(a) -> Tensor:
     def vjp(g: Array) -> Array:
         return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
-    return _apply("softmax", y, [(a, vjp)])
+    return _apply(softmax, (a,), y, [(a, vjp)])
 
 
 def log_softmax(a) -> Tensor:
@@ -276,7 +306,7 @@ def log_softmax(a) -> Tensor:
     def vjp(g: Array) -> Array:
         return g - p * g.sum(axis=-1, keepdims=True)
 
-    return _apply("log_softmax", y, [(a, vjp)])
+    return _apply(log_softmax, (a,), y, [(a, vjp)])
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -293,7 +323,7 @@ def gelu(a) -> Tensor:
         d_inner = _GELU_C * (1.0 + (3 * 0.044715) * x * x)
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
-    return _apply("gelu", y, [(a, vjp)])
+    return _apply(gelu, (a,), y, [(a, vjp)])
 
 
 def layer_norm(x, gamma, beta) -> Tensor:
@@ -320,7 +350,7 @@ def layer_norm(x, gamma, beta) -> Tensor:
                       - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True)
                                 * inv_d))
 
-    return _apply("layer_norm", y, [
+    return _apply(layer_norm, (x, gamma, beta), y, [
         (x, vjp_x),
         (gamma, lambda g: (g * xhat).sum(axis=0)),
         (beta, lambda g: g.sum(axis=0)),
@@ -332,7 +362,7 @@ def transpose(a) -> Tensor:
     a = _lift(a)
     if a.data.ndim < 2:
         raise ShapeError(f"transpose expects >= 2-D, got {a.dims}")
-    return _apply("transpose", np.ascontiguousarray(_swap_last(a.data)),
+    return _apply(transpose, (a,), np.ascontiguousarray(_swap_last(a.data)),
                   [(a, lambda g: np.ascontiguousarray(_swap_last(g)))])
 
 
@@ -341,7 +371,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.dims} to {shape}")
     old = a.dims
-    return _apply("reshape", a.data.reshape(shape),
+    return _apply(reshape, (a, shape), a.data.reshape(shape),
                   [(a, lambda g: g.reshape(old))])
 
 
@@ -363,7 +393,7 @@ def gather_rows(x, idx) -> Tensor:
         np.add.at(out, index, g)
         return out
 
-    return _apply("gather_rows", xd[index].copy(), [(x, vjp)])
+    return _apply(gather_rows, (x, index), xd[index].copy(), [(x, vjp)])
 
 
 def fill_rows(x, idx, v) -> Tensor:
@@ -386,7 +416,7 @@ def fill_rows(x, idx, v) -> Tensor:
     def vjp_v(g: Array) -> Array:
         return g[index].sum(axis=0) if index.size else np.zeros(d)
 
-    return _apply("fill_rows", out, [(x, vjp_x), (v, vjp_v)])
+    return _apply(fill_rows, (x, index, v), out, [(x, vjp_x), (v, vjp_v)])
 
 
 def masked_fill(x, mask, value: float) -> Tensor:
@@ -400,7 +430,8 @@ def masked_fill(x, mask, value: float) -> Tensor:
     if m.shape != x.dims[x.data.ndim - m.ndim:]:
         raise ShapeError(f"mask shape {m.shape} does not trail tensor {x.dims}")
     out = np.where(m, value, x.data)
-    return _apply("masked_fill", out, [(x, lambda g: np.where(m, 0.0, g))])
+    return _apply(masked_fill, (x, m, value), out,
+                  [(x, lambda g: np.where(m, 0.0, g))])
 
 
 # offset->pairwise index grids, keyed by T
@@ -441,7 +472,8 @@ def rel_position_gather(x) -> Tensor:
         out[..., rows, cols] = g
         return out
 
-    return _apply("rel_position_gather", x.data[..., rows, cols], [(x, vjp)])
+    return _apply(rel_position_gather, (x,), x.data[..., rows, cols],
+                  [(x, vjp)])
 
 
 def merge_heads(x) -> Tensor:
@@ -455,28 +487,32 @@ def merge_heads(x) -> Tensor:
     def vjp(g: Array) -> Array:
         return np.ascontiguousarray(g.reshape(t_len, h, e).transpose(1, 0, 2))
 
-    return _apply("merge_heads", out, [(x, vjp)])
+    return _apply(merge_heads, (x,), out, [(x, vjp)])
 
 
 def sum_all(a) -> Tensor:
     a = _lift(a)
     shape = a.dims
-    return _apply("sum_all", np.asarray(a.data.sum()),
+    return _apply(sum_all, (a,), np.asarray(a.data.sum()),
                   [(a, lambda g: np.broadcast_to(g, shape).copy())])
 
 
 def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout with a mask drawn from the supplied generator.
 
-    Train-mode only: callers skip the op entirely at evaluation time.
+    Train-mode only: callers skip the op entirely at evaluation time. A
+    recording tape rejects it, because a replay would draw a fresh mask.
     """
     x = _lift(x)
     if not 0.0 <= rate < 1.0:
         raise ContractError("dropout rate must lie in [0, 1)")
     if rate == 0.0:
         return x
+    if x.tape is not None and x.tape.calls is not None:
+        raise ContractError("dropout cannot run on a recording tape")
     keep = (rng.random(x.dims) >= rate) / (1.0 - rate)
-    return _apply("dropout", x.data * keep, [(x, lambda g: g * keep)])
+    return _apply(dropout, (x, rate, rng), x.data * keep,
+                  [(x, lambda g: g * keep)])
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +524,55 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
 FD_EPS_MIN, FD_EPS_MAX = 1e-7, 1e-3
 
 
-def _fd_slope(build_loss, frozen: dict[str, Tensor], buffer: Array,
-              flat_index: int, eps) -> float:
-    """Central difference through one entry of an aliased parameter buffer."""
+def _fd_slope(loss_at: Callable[[], Tensor], buffer: Array, flat_index: int,
+              eps) -> float:
+    """Central difference through one entry of the parameter buffer that
+    ``loss_at`` reads."""
     flat = buffer.reshape(-1)
     saved = flat[flat_index]
     flat[flat_index] = saved + eps
-    hi = build_loss(frozen).data.reshape(())
+    hi = loss_at().data.reshape(())
     flat[flat_index] = saved - eps
-    lo = build_loss(frozen).data.reshape(())
+    lo = loss_at().data.reshape(())
     flat[flat_index] = saved
     return float((hi - lo) / (2 * eps))
+
+
+class _Recording:
+    """``build_loss`` evaluated once on a recording tape, at one dtype."""
+
+    def __init__(self, build_loss, params: dict[str, Array], dtype):
+        self.tape = Tape(record=True)
+        self.leaves = {name: self.tape.leaf(np.asarray(value, dtype=dtype))
+                       for name, value in params.items()}
+        self.loss = build_loss(self.leaves)
+
+    def slopes(self, name: str, indices, eps):
+        """Central-difference slope of the loss through each flat entry of
+        parameter ``name``, re-running only the calls that read it, directly
+        or through earlier calls; every other output comes from the tape."""
+        leaf_id = self.leaves[name].node_id
+        calls = self.tape.calls
+        reached, steps = {leaf_id}, []
+        for node_id in range(leaf_id + 1, len(calls)):
+            fn, args, slots, _ = calls[node_id]
+            if any(src in reached for _, src in slots):
+                reached.add(node_id)
+                steps.append((node_id, fn, list(args), slots))
+        values = [value for _, _, _, value in calls]
+        buffer = values[leaf_id].data.copy()
+        values[leaf_id] = Tensor(buffer, check=False)
+        loss_id = self.loss.node_id
+
+        def loss_at() -> Tensor:
+            for node_id, fn, replayed, slots in steps:
+                for pos, src in slots:
+                    replayed[pos] = values[src]
+                values[node_id] = fn(*replayed)
+            return values[loss_id]
+
+        for i in indices:
+            yield _fd_slope(loss_at, buffer, i, eps)
 
 
 def finite_diff_check(build_loss: Callable[[dict[str, Tensor]], Tensor],
@@ -506,9 +580,15 @@ def finite_diff_check(build_loss: Callable[[dict[str, Tensor]], Tensor],
                       eps: float = 1e-5) -> float:
     """Max relative error between tape gradients and central differences.
 
-    ``build_loss`` must map a name->Tensor dict to a scalar Tensor and be
-    deterministic (dropout disabled). Every parameter entry is perturbed by
-    +/- eps; the relative error is |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
+    ``build_loss`` must map a name->Tensor dict to a scalar Tensor through a
+    fixed composition of autodiff primitives: no Python branch on tensor
+    values and no dropout, so that one recorded pass fixes every call the
+    loss makes. It runs once on float64 leaves (the gradients and the
+    recording) and, when some entry is undecided, once more on longdouble
+    leaves; each slope replays only the calls downstream of the perturbed
+    parameter. Every parameter entry is perturbed by +/- eps; the relative
+    error is |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|). A non-finite
+    gradient entry or slope makes the result ``math.inf``.
 
     Entries whose float64 central difference is too noisy to decide (those
     with near-zero gradients, where the difference quotient sits at rounding
@@ -519,45 +599,41 @@ def finite_diff_check(build_loss: Callable[[dict[str, Tensor]], Tensor],
         raise ContractError(f"finite_diff_check eps must lie in "
                             f"[{FD_EPS_MIN:g}, {FD_EPS_MAX:g}]")
 
-    tape = Tape()
-    leaves = {name: tape.leaf(np.asarray(value, dtype=np.float64))
-              for name, value in params.items()}
-    loss = build_loss(leaves)
-    grads = backward(tape, loss)
+    record = _Recording(build_loss, params, np.float64)
+    grads = backward(record.tape, record.loss)
     grad_flat = {}
-    for name, leaf in leaves.items():
+    for name, leaf in record.leaves.items():
         g = grads.get(leaf.node_id)
         grad_flat[name] = (np.zeros(leaf.data.size) if g is None
                            else g.data.reshape(-1))
-
-    buffers = {name: leaf.data.copy() for name, leaf in leaves.items()}
-    frozen = {name: Tensor(buf, check=False) for name, buf in buffers.items()}
+        if not np.all(np.isfinite(grad_flat[name])):
+            return math.inf
 
     def rel_err(g_ad: float, g_fd: float) -> float:
         return abs(g_ad - g_fd) / max(1e-8, abs(g_ad) + abs(g_fd))
 
     worst = 0.0
-    undecided: list[tuple[str, int]] = []
-    for name, buf in buffers.items():
-        for i in range(buf.size):
-            g_fd = _fd_slope(build_loss, frozen, buf, i, eps)
+    undecided: dict[str, list[int]] = {}
+    for name, leaf in record.leaves.items():
+        for i, g_fd in enumerate(record.slopes(name, range(leaf.data.size),
+                                               eps)):
+            if not math.isfinite(g_fd):
+                return math.inf
             err = rel_err(grad_flat[name][i], g_fd)
             if err > 1e-5:
-                undecided.append((name, int(i)))
+                undecided.setdefault(name, []).append(i)
             elif err > worst:
                 worst = err
 
     if undecided and np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
-        precise = {name: buf.astype(np.longdouble)
-                   for name, buf in buffers.items()}
-        frozen_hp = {name: Tensor(buf, check=False)
-                     for name, buf in precise.items()}
-        eps_hp = np.longdouble(eps)
-        for name, i in undecided:
-            g_fd = _fd_slope(build_loss, frozen_hp, precise[name], i, eps_hp)
-            worst = max(worst, rel_err(grad_flat[name][i], g_fd))
-    else:
-        for name, i in undecided:  # pragma: no cover - non-x86 fallback
-            g_fd = _fd_slope(build_loss, frozen, buffers[name], i, eps)
+        record = _Recording(build_loss, {name: leaf.data for name, leaf
+                                         in record.leaves.items()},
+                            np.longdouble)
+        eps = np.longdouble(eps)
+    # without a wider longdouble (non-x86) the float64 slopes are re-read
+    for name, indices in undecided.items():
+        for i, g_fd in zip(indices, record.slopes(name, indices, eps)):
+            if not math.isfinite(g_fd):
+                return math.inf
             worst = max(worst, rel_err(grad_flat[name][i], g_fd))
     return worst

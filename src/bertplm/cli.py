@@ -282,11 +282,10 @@ def cmd_verify_theorem(args) -> int:
     return EXIT_OK
 
 
-def cmd_grad_check(args) -> int:
-    if not ad.FD_EPS_MIN <= args.eps <= ad.FD_EPS_MAX:
-        raise UsageError(
-            f"--eps must lie in [{ad.FD_EPS_MIN:g}, {ad.FD_EPS_MAX:g}]")
-    if args.quick:
+def grad_check_problem(seed: int, quick: bool):
+    """Parameters and the two loss builders ``grad-check`` checks: the full
+    encoder at the tiny profile's widths, or at smaller ones with ``quick``."""
+    if quick:
         enc_cfg = oracle.EncoderConfig(vocab_size=6, layers=1, d_model=16,
                                        d_ff=24, heads=2, max_seq_len=16,
                                        dropout=0.0)
@@ -296,12 +295,12 @@ def cmd_grad_check(args) -> int:
                                        d_ff=128, heads=4, max_seq_len=16,
                                        dropout=0.0)
         t_len = 12
-    rng = stream(args.seed, "gc")
+    rng = stream(seed, "gc")
     seq = oracle.random_sequence(t_len, enc_cfg.vocab_size, rng, "grad-check")
     eligible = list(range(t_len))
     targets = tuple(eligible[2::3])
     plan = MaskPlan(tuple(i for i in eligible if i not in targets), targets)
-    params = init_params(enc_cfg, stream(args.seed, "gc-init"), classes=5,
+    params = init_params(enc_cfg, stream(seed, "gc-init"), classes=5,
                          init_std=0.1)
     utterance = cp.LabeledUtterance(seq, 1)
 
@@ -312,9 +311,16 @@ def cmd_grad_check(args) -> int:
         return _finetune_term(bound, enc_cfg, utterance, plan, 1.0, "mean",
                               False, None)[2]
 
+    return params, {"bert_plm_loss": build_plm, "finetune_loss": build_finetune}
+
+
+def cmd_grad_check(args) -> int:
+    if not ad.FD_EPS_MIN <= args.eps <= ad.FD_EPS_MAX:
+        raise UsageError(
+            f"--eps must lie in [{ad.FD_EPS_MIN:g}, {ad.FD_EPS_MAX:g}]")
+    params, builds = grad_check_problem(args.seed, args.quick)
     worst = 0.0
-    for name, build in (("bert_plm_loss", build_plm),
-                        ("finetune_loss", build_finetune)):
+    for name, build in builds.items():
         err = ad.finite_diff_check(build, params, eps=args.eps)
         worst = max(worst, err)
         print(f"{name}\tmax_rel_err\t{err:.3e}")

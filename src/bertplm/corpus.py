@@ -405,7 +405,10 @@ def read_corpus(path, expected_vocab_size: int | None = None
             (t_len,) = reader.unpack("<I")
             frames = np.frombuffer(reader.take(4 * t_len * vocab_size),
                                    dtype="<f4").reshape(t_len, vocab_size)
-            frames = frames.astype(np.float64)
+            # a signalling NaN turns quiet without a warning; it is left for
+            # validate_sequence to report with its utterance and frame
+            with np.errstate(invalid="ignore"):
+                frames = frames.astype(np.float64)
             sequences.append(PhonemePosteriorSequence(frames, utterance_id=ident))
         reader.end()
     return sequences

@@ -239,8 +239,13 @@ def rel_attention_block(x: Tensor, mask: AttentionMask,
                          layer_params["ln2.gamma"], layer_params["ln2.beta"])
 
 
-def bind_params(tape: ad.Tape, params: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """Register every parameter array as a leaf on the tape."""
+def bind_params(params: dict[str, np.ndarray],
+                tape: ad.Tape | None = None) -> dict[str, Tensor]:
+    """Every parameter array as a leaf on the tape; without a tape, as a
+    plain tensor, so a forward-only pass records nothing."""
+    if tape is None:
+        return {name: Tensor(array, check=False)
+                for name, array in params.items()}
     return {name: tape.leaf(array, check=False) for name, array in params.items()}
 
 

@@ -135,10 +135,11 @@ def _plm_term(bound: dict[str, Tensor], config: EncoderConfig,
 
 
 def _loss_and_grads(params: dict[str, np.ndarray], want_grads: bool, build):
-    """Evaluate ``build(bound) -> (cls or None, plm, total)`` on a fresh
-    tape; backpropagate the total to a name->gradient dict when requested."""
-    tape = ad.Tape()
-    bound = bind_params(tape, params)
+    """Evaluate ``build(bound) -> (cls or None, plm, total)``, on a fresh
+    tape only when gradients are requested; backpropagate the total to a
+    name->gradient dict then."""
+    tape = ad.Tape() if want_grads else None
+    bound = bind_params(params, tape)
     cls, plm, total = build(bound)
     breakdown = LossBreakdown(plm_loss=plm.item(),
                               cls_loss=None if cls is None else cls.item(),

@@ -150,9 +150,11 @@ def make_frozen_predictor(params: dict[str, np.ndarray],
     log-probability of position j is the log-softmax of its tied logits at
     the argmax phoneme of the true posterior row. One forward pass per
     distinct S serves every j outside S, because a target row attends only
-    to S and itself, never to other targets.
+    to S and itself, never to other targets. The parameters are bound once,
+    without a tape, when the predictor is made.
     """
     cache: dict[tuple[str, frozenset], dict[int, float]] = {}
+    bound = bind_params(params)
 
     def predictor(seq: PhonemePosteriorSequence, context: frozenset,
                   target: int) -> float:
@@ -160,8 +162,6 @@ def make_frozen_predictor(params: dict[str, np.ndarray],
         scores = cache.get(key)
         if scores is None:
             plan = MaskPlan.from_context_set(context, seq.length)
-            tape = ad.Tape()
-            bound = bind_params(tape, params)
             hidden = encode(bound, config, seq, plan)
             logits = predict_phonemes(
                 ad.gather_rows(hidden, plan.target_idx), bound["embed"])

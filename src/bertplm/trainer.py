@@ -38,7 +38,6 @@ from .encoder import (EncoderConfig, attentive_pool, bind_params, encode,
 from .objective import (MaskPlan, SamplingError, bert_plm_loss,
                         finetune_loss, sample_mask_plan)
 from .rng import stream
-from . import autodiff as ad
 
 CHECKPOINT_MAGIC = b"CKP1"
 MAX_RANK = 64  # numpy arrays have at most 64 dimensions
@@ -379,13 +378,11 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
     return Checkpoint(arrays=params, config=cfg, step=optim.step, optim=optim)
 
 
-def _predict_label(params, enc_config, seq) -> int:
+def _predict_label(bound, enc_config, seq) -> int:
     plan = MaskPlan.full_context(seq.length)
-    tape = ad.Tape()
-    bound = bind_params(tape, params)
     hidden = encode(bound, enc_config, seq, plan)
     pooled = attentive_pool(hidden, bound["pool_query"], plan.context_idx)
-    logits = params["classifier"] @ pooled.data
+    logits = bound["classifier"].data @ pooled.data
     return int(logits.argmax())
 
 
@@ -396,10 +393,11 @@ def evaluate(params: dict[str, np.ndarray], enc_config: EncoderConfig,
         raise DataError("checkpoint has no classifier head")
     classes = params["classifier"].shape[0]
     confusion = np.zeros((classes, classes), dtype=np.int64)
+    bound = bind_params(params)
     for utt in utterances:
         if not 0 <= utt.label < classes:
             raise DataError(f"label {utt.label} out of range ({classes} classes)")
-        predicted = _predict_label(params, enc_config, utt.sequence)
+        predicted = _predict_label(bound, enc_config, utt.sequence)
         confusion[utt.label, predicted] += 1
     return metrics_from_confusion(confusion)
 

@@ -118,7 +118,7 @@ def test_criterion_3_no_leakage():
 
         capture = AttentionCapture()
         tape = ad.Tape()
-        base = encode(bind_params(tape, params), enc_cfg, seq, plan,
+        base = encode(bind_params(params, tape), enc_cfg, seq, plan,
                       capture=capture).data
         allowed = AttentionMask.from_plan(plan).allowed
         for stacked in capture.weights:
@@ -128,7 +128,7 @@ def test_criterion_3_no_leakage():
             frames = seq.frames.copy()
             frames[target] = rng.dirichlet(np.ones(6))
             tape2 = ad.Tape()
-            perturbed = encode(bind_params(tape2, params), enc_cfg,
+            perturbed = encode(bind_params(params, tape2), enc_cfg,
                                PhonemePosteriorSequence(frames), plan).data
             worst_delta = max(worst_delta,
                               float(np.abs(perturbed - base).max()))

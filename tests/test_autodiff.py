@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bertplm import autodiff as ad
+from bertplm.cli import grad_check_problem
 from bertplm.rng import stream
 
 
@@ -207,6 +208,70 @@ class TestFiniteDiffCheck:
     def test_eps_contract(self):
         with pytest.raises(ad.ContractError):
             ad.finite_diff_check(lambda p: ad.sum_all(p["w"]), {"w": np.ones(2)}, eps=0.5)
+
+    def test_non_finite_slope_gives_inf(self):
+        # w[0] + eps overflows w * c and inf * 0 is NaN; the loss is finite
+        # at w and at w[0] - eps, and its gradient 2w is finite
+        c = ad.constant([np.finfo(np.float64).max / (1 + 0.5e-5), 0.0, 0.0])
+        zero = ad.constant(np.zeros(3))
+
+        def build(p):
+            w = p["w"]
+            return ad.add(ad.sum_all(ad.mul(w, w)),
+                          ad.sum_all(ad.mul(ad.mul(w, c), zero)))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = ad.finite_diff_check(build, {"w": np.array([1.0, 2.0, 3.0])})
+        assert err == math.inf
+
+    def test_non_finite_gradient_gives_inf(self):
+        # gelu(-1e200) is -0.0, but its derivative there evaluates 0 * inf
+        def build(p):
+            return ad.sum_all(ad.gelu(p["w"]))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = ad.finite_diff_check(build,
+                                       {"w": np.array([-1e200, 1.0, 2.0])})
+        assert err == math.inf
+
+    @pytest.mark.parametrize("loss", ["bert_plm_loss", "finetune_loss"])
+    def test_build_loss_runs_once_per_precision(self, loss):
+        params, builds = grad_check_problem(3, quick=True)
+        dtypes = []
+
+        def counted(bound):
+            dtypes.append(bound["embed"].data.dtype)
+            return builds[loss](bound)
+
+        assert ad.finite_diff_check(counted, params) <= 1e-4
+        # this problem has undecided entries: where longdouble is wider than
+        # float64, they are re-checked on one longdouble recording
+        wider = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+        assert dtypes == [np.dtype(np.float64)] + (
+            [np.dtype(np.longdouble)] if wider else [])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("loss", ["bert_plm_loss", "finetune_loss"])
+    def test_replayed_slopes_equal_full_forward_slopes(self, loss, dtype):
+        """Every entry of every parameter, including those the PLM loss never
+        reads (pool_query, classifier)."""
+        params, builds = grad_check_problem(3, quick=True)
+        build = builds[loss]
+        record = ad._Recording(build, params, dtype)
+        eps = dtype(1e-5)
+        for name, leaf in record.leaves.items():
+            buffers = {n: l.data.copy() for n, l in record.leaves.items()}
+            frozen = {n: ad.Tensor(b, check=False) for n, b in buffers.items()}
+            indices = range(leaf.data.size)
+            replayed = np.array(list(record.slopes(name, indices, eps)))
+            full = np.array([ad._fd_slope(lambda: build(frozen), buffers[name],
+                                          i, eps) for i in indices])
+            assert replayed.tobytes() == full.tobytes(), name
+
+    def test_recording_tape_rejects_dropout(self):
+        tape = ad.Tape(record=True)
+        with pytest.raises(ad.ContractError):
+            ad.dropout(tape.leaf(np.ones(3)), 0.5, stream(1, "drop"))
 
 
 class TestPrimitives:

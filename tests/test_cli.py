@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +243,24 @@ class TestInputValidation:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert "'utt-000003': frame 2: non-finite entry" in err
+
+    def test_signalling_nan_frame_is_one_line_without_warning(
+            self, small_corpus, tmp_path, capsys):
+        raw = bytearray(open(small_corpus["c.pps"], "rb").read())
+        # f32 signalling NaN as the first entry of utt-000000's frame 0
+        raw[32:36] = bytes([0x01, 0x00, 0x80, 0x7f])
+        bad = tmp_path / "snan.pps"
+        bad.write_bytes(bytes(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["pretrain", "--data", str(bad),
+                             "--vocab", small_corpus["v.txt"],
+                             "--out", str(tmp_path / "pre.ckpt")] + SMALL)
+        assert code == cli.EXIT_DATA
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'utt-000000': frame 0: non-finite entry" in err
 
     def test_evaluate_validates_against_checkpoint_config(
             self, small_corpus, tmp_path, capsys):

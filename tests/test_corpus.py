@@ -349,6 +349,8 @@ class TestMutatedFiles:
 
     @settings(max_examples=400, deadline=None)
     @given(edits=EDITS, cut=CUTS)
+    @example(edits=[(24, 1), (25, 0), (26, 0x80), (27, 0x7f)],
+             cut=None)  # signalling NaN in u0's first frame
     def test_corpus(self, valid_files, edits, cut):
         _loads_or_raises(valid_files, "corpus", cp.read_corpus,
                          cp.CorpusFormatError, edits, cut)

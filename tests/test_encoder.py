@@ -23,7 +23,7 @@ def random_sequence(t_len, vocab_size, rng, utt_id="seq"):
 def bound_params(config, seed, classes=None):
     params = enc.init_params(config, stream(seed, "init"), classes=classes)
     tape = ad.Tape()
-    return params, enc.bind_params(tape, params), tape
+    return params, enc.bind_params(params, tape), tape
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ class TestEncode:
             frames[target] = rng.dirichlet(np.ones(6))
             perturbed = PhonemePosteriorSequence(frames)
             tape2 = ad.Tape()
-            bound2 = enc.bind_params(tape2, params)
+            bound2 = enc.bind_params(params, tape2)
             out = enc.encode(bound2, TINY, perturbed, plan).data
             assert np.abs(out - base).max() <= 1e-12
 
@@ -234,7 +234,7 @@ class TestEncode:
         swapped = rows.copy()
         swapped[[1, 4]] = swapped[[4, 1]]
         tape2 = ad.Tape()
-        bound2 = enc.bind_params(tape2, params)
+        bound2 = enc.bind_params(params, tape2)
         moved = enc.encode(bound2, TINY, PhonemePosteriorSequence(swapped), plan).data
         assert np.abs(moved[0] - base[0]).max() > 1e-6
 
@@ -313,3 +313,42 @@ class TestEncoderGradients:
             return _plm_term(bound, config, seq, plan, "mean", False, None)
 
         assert ad.finite_diff_check(build, params, eps=1e-5) <= 1e-4
+
+
+class TestTapelessBinding:
+    def test_leaves_and_outputs_carry_no_tape(self):
+        params = enc.init_params(TINY, stream(20, "init"), classes=3)
+        bound = enc.bind_params(params)
+        assert all(t.tape is None and t.node_id is None for t in bound.values())
+        seq = random_sequence(6, 6, stream(20, "s"))
+        plan = MaskPlan.from_context_set((0, 2, 3, 5), 6)
+        hidden = enc.encode(bound, TINY, seq, plan)
+        pooled = enc.attentive_pool(hidden, bound["pool_query"],
+                                    plan.context_idx)
+        logits = enc.predict_phonemes(ad.gather_rows(hidden, plan.target_idx),
+                                      bound["embed"])
+        assert all(t.tape is None for t in (hidden, pooled, logits))
+
+        taped = enc.bind_params(params, ad.Tape())
+        reference = enc.encode(taped, TINY, seq, plan)
+        assert hidden.data.tobytes() == reference.data.tobytes()
+
+    def test_forward_only_callers_build_no_tape(self, monkeypatch):
+        from bertplm import objective as obj
+        from bertplm import oracle
+        from bertplm import trainer as tr
+        from bertplm.corpus import LabeledUtterance
+
+        params = enc.init_params(TINY, stream(21, "init"), classes=3)
+        seq = random_sequence(5, 6, stream(21, "s"), "u")
+        plan = MaskPlan.from_context_set((0, 1, 3), 5)
+
+        def no_tape(*args, **kwargs):
+            raise AssertionError("a forward-only pass built a Tape")
+
+        monkeypatch.setattr(ad, "Tape", no_tape)
+        obj.bert_plm_loss(params, TINY, seq, plan)
+        obj.finetune_loss(params, TINY, LabeledUtterance(seq, 1), plan)
+        tr.evaluate(params, TINY, [LabeledUtterance(seq, 2)])
+        predictor = oracle.make_frozen_predictor(params, TINY)
+        predictor(seq, frozenset({0, 1}), 4)

@@ -138,7 +138,7 @@ class TestBertPlmLoss:
         # recompute through the generic path
         from bertplm.encoder import bind_params, encode, predict_phonemes
         tape = ad.Tape()
-        bound = bind_params(tape, params)
+        bound = bind_params(params, tape)
         hidden = encode(bound, CONFIG, seq, plan)
         logits = predict_phonemes(ad.gather_rows(hidden, [2]), bound["embed"])
         expected = obj.soft_cross_entropy(logits, seq.frames[[2]])
@@ -160,6 +160,18 @@ class TestBertPlmLoss:
         total = obj.bert_plm_loss(params, CONFIG, seq, plan, weighting="sum")
         assert abs(total.plm_loss - 3 * mean.plm_loss) <= 1e-12
 
+    @pytest.mark.parametrize("weighting", ["mean", "sum"])
+    def test_forward_only_loss_equals_taped_loss(self, weighting):
+        # the held-out rows of pretrain come from the forward-only path
+        params = init_params(CONFIG, stream(13, "init"))
+        seq = simplex_sequence(7, 6, stream(13, "s"))
+        plan = obj.MaskPlan.from_context_set((0, 2, 3, 6), 7)
+        tapeless = obj.bert_plm_loss(params, CONFIG, seq, plan,
+                                     weighting=weighting)
+        taped, _ = obj.bert_plm_loss(params, CONFIG, seq, plan,
+                                     weighting=weighting, want_grads=True)
+        assert tapeless == taped
+
 
 class TestFinetuneLoss:
     def test_lambda_zero_total_equals_cls(self):
@@ -178,7 +190,7 @@ class TestFinetuneLoss:
         plan = obj.MaskPlan.full_context(4)
         # point a huge correct-class row along the actual pooled vector
         tape = ad.Tape()
-        bound = bind_params(tape, params)
+        bound = bind_params(params, tape)
         hidden = encode(bound, CONFIG, utt.sequence, plan)
         pooled = attentive_pool(hidden, bound["pool_query"], plan.context_idx).data
         params["classifier"] = np.zeros_like(params["classifier"])

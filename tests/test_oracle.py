@@ -168,11 +168,33 @@ class TestFrozenPredictor:
         value = p(seq, frozenset([0]), 1)
 
         tape = ad.Tape()
-        bound = bind_params(tape, params)
+        bound = bind_params(params, tape)
         hidden = encode(bound, self.CONFIG, seq, MaskPlan((0,), (1,)))
         logits = predict_phonemes(ad.gather_rows(hidden, [1]), bound["embed"])
         expected = ad.log_softmax(logits).data[0, int(seq.frames[1].argmax())]
         assert value == float(expected)
+
+    def test_every_score_equals_a_taped_forward(self):
+        from itertools import combinations
+
+        from bertplm import autodiff as ad
+        from bertplm.encoder import bind_params, encode, predict_phonemes
+        from bertplm.objective import MaskPlan
+
+        params = init_params(self.CONFIG, stream(33, "init"))
+        p = oracle.make_frozen_predictor(params, self.CONFIG)
+        seq = oracle.random_sequence(4, 5, stream(33, "s"), "taped")
+        for size in range(1, 4):
+            for context in combinations(range(4), size):
+                plan = MaskPlan.from_context_set(context, 4)
+                bound = bind_params(params, ad.Tape())
+                hidden = encode(bound, self.CONFIG, seq, plan)
+                logits = predict_phonemes(
+                    ad.gather_rows(hidden, plan.target_idx), bound["embed"])
+                log_probs = ad.log_softmax(logits).data
+                for row, j in enumerate(plan.target_idx):
+                    expected = log_probs[row, int(seq.frames[j].argmax())]
+                    assert p(seq, frozenset(context), j) == float(expected)
 
     def test_theorem_holds_for_the_real_network(self):
         params = init_params(self.CONFIG, stream(32, "init"))

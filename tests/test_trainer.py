@@ -348,6 +348,34 @@ class TestFinetuneEvaluate:
         assert metrics.error_rate == 0.0
         assert metrics.micro_f1 == 1.0
 
+    def test_evaluate_confusion_equals_taped_predictions(self):
+        from bertplm import autodiff as ad
+        from bertplm.encoder import (EncoderConfig, attentive_pool,
+                                     bind_params, encode)
+        from bertplm.objective import MaskPlan
+
+        config = EncoderConfig(vocab_size=5, layers=1, d_model=16, d_ff=24,
+                               heads=2, max_seq_len=64, dropout=0.0)
+        params = init_params(config, stream(40, "init"), classes=3,
+                             init_std=0.5)
+        rng = stream(40, "utts")
+        utts = [LabeledUtterance(PhonemePosteriorSequence(
+            rng.dirichlet(np.ones(5), size=int(rng.integers(3, 9))),
+            utterance_id=f"u{i}"), int(rng.integers(3))) for i in range(30)]
+
+        expected = np.zeros((3, 3), dtype=np.int64)
+        for utt in utts:
+            plan = MaskPlan.full_context(utt.sequence.length)
+            bound = bind_params(params, ad.Tape())
+            hidden = encode(bound, config, utt.sequence, plan)
+            pooled = attentive_pool(hidden, bound["pool_query"],
+                                    plan.context_idx)
+            expected[utt.label, int((params["classifier"] @ pooled.data)
+                                    .argmax())] += 1
+        confusion = tr.evaluate(params, config, utts).confusion
+        np.testing.assert_array_equal(confusion, expected)
+        assert (confusion.sum(axis=0) > 0).sum() >= 2  # not one constant label
+
     def test_identical_seeds_identical_metrics(self):
         grammar = default_grammar()
         utts = generate_corpus(grammar, 20, seed=7)

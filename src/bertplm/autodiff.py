@@ -2,8 +2,16 @@
 
 The primitive set is deliberately small: exactly what a relative-position
 Transformer encoder and its losses need. There is no general broadcasting
-engine; ``add`` supports the single (rows, d) + (d,) bias case and everything
-else requires matching shapes.
+engine; ``add`` supports the (..., d) + (d,) and (h, rows, d) + (h, 1, d)
+bias cases and everything else requires matching shapes.
+
+Each primitive checks its operands' shapes and its contract, then calls its
+one forward kernel: a numpy function (``np.matmul``, ``np.add``, ...) or a
+``_fwd_<op>`` function written with ``...`` and negative axes, so that it
+broadcasts over any leading axes. Static facts a kernel cannot read from its
+operands' trailing axes (``reshape``'s source shape, ``sum_all``'s rank) are
+passed in as arguments. Taped, tapeless and replayed evaluation all run that
+kernel, so every op has exactly one forward implementation.
 
 A ``Tape`` is single-owner: it takes one forward pass and then one backward
 pass, never shared across concurrent executions. ``backward`` frees what it
@@ -15,13 +23,18 @@ in). Running ops on tensors that carry no tape performs a plain forward
 computation with no recording: the path for forward-only work.
 
 A recording tape (``Tape(record=True)``) additionally keeps, for every node,
-the primitive call that made it (function, arguments, the node ids of its
-taped inputs) and its output as a tapeless tensor; ``backward`` leaves that
-log alone. ``finite_diff_check`` records the loss once per precision and,
-for each perturbed parameter entry, re-invokes only the calls downstream of
-that parameter, reading every other output from the recording. The same
-primitives run on the same inputs in the same order, so each replayed loss
-is bitwise the loss a full forward pass would give.
+the kernel call that made it (kernel, arguments with arrays for tensors, the
+node ids of its taped inputs) and its output array; ``backward`` leaves that
+log alone. ``finite_diff_check`` records the loss once per precision. For
+each parameter it then replays only the kernel calls downstream of it, on
+chunks of up to ``FD_CHUNK`` perturbed copies stacked along a new leading
+axis: each replayed value is shaped (2n, 1, ..., 1, *recorded shape), padded
+to one rank so that the recorded operands broadcast against it, and each
+kernel runs once per chunk. Per copy this is the arithmetic of a full
+forward pass on the same inputs: stacked matmuls run one GEMM per slice,
+row reductions run along a contiguous last axis, and ``sum_all`` reduces
+one contiguous run per copy. So each replayed loss is bitwise the loss that
+pass would give.
 """
 
 from __future__ import annotations
@@ -98,11 +111,11 @@ class Node:
     vjps: tuple[Callable[[Array], Array], ...]
 
 
-#: one recorded primitive call: function, arguments, (argument position,
-#: input node id) per taped argument, and the output as a tapeless tensor;
-#: a leaf records (None, (), (), value)
-Call = tuple[Callable[..., Tensor] | None, tuple, tuple[tuple[int, int], ...],
-             Tensor]
+#: one recorded kernel call: kernel, arguments (arrays for tensors), (argument
+#: position, input node id) per taped argument, and the output array; a leaf
+#: records (None, (), (), value)
+Call = tuple[Callable[..., Array] | None, tuple, tuple[tuple[int, int], ...],
+             Array]
 
 
 class Tape:
@@ -123,7 +136,7 @@ class Tape:
         node_id = self._record("leaf", (), ())
         tensor = Tensor(values, tape=self, node_id=node_id, check=check)
         if self.calls is not None:
-            self.calls.append((None, (), (), Tensor(tensor.data, check=False)))
+            self.calls.append((None, (), (), tensor.data))
         return tensor
 
     def _record(self, op: str, inputs: tuple[int, ...],
@@ -176,10 +189,12 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, check=False)
 
 
-def _apply(fn: Callable[..., Tensor], args: tuple, data: Array,
+def _apply(kernel: Callable[..., Array], args: tuple, data: Array,
            parents: Sequence[tuple[Tensor, Callable[[Array], Array]]]) -> Tensor:
-    """Output of the primitive call ``fn(*args)``, computed as ``data``;
-    recorded on the operands' tape, if any, with one VJP per taped parent."""
+    """Output ``data`` of the kernel call ``kernel(*args)``, in which each
+    Tensor argument stands for its array; recorded on the operands' tape,
+    if any, with one VJP per taped parent."""
+    op = kernel.__name__.removeprefix("_fwd_")
     tape = None
     for tensor, _ in parents:
         if tensor.tape is None:
@@ -187,23 +202,25 @@ def _apply(fn: Callable[..., Tensor], args: tuple, data: Array,
         if tape is None:
             tape = tensor.tape
         elif tape is not tensor.tape:
-            raise ContractError(
-                f"{fn.__name__}: operands belong to different tapes")
+            raise ContractError(f"{op}: operands belong to different tapes")
     if tape is None:
         return Tensor(data, check=False)
     taped = [(t.node_id, vjp) for t, vjp in parents if t.tape is not None]
     ids = tuple(i for i, _ in taped)
     vjps = tuple(v for _, v in taped)
-    node_id = tape._record(fn.__name__, ids, vjps)
+    node_id = tape._record(op, ids, vjps)
+    out = Tensor(data, tape=tape, node_id=node_id, check=False)
     if tape.calls is not None:
         slots = tuple((pos, arg.node_id) for pos, arg in enumerate(args)
                       if isinstance(arg, Tensor) and arg.tape is tape)
-        tape.calls.append((fn, args, slots, Tensor(data, check=False)))
-    return Tensor(data, tape=tape, node_id=node_id, check=False)
+        arrays = tuple(arg.data if isinstance(arg, Tensor) else arg
+                       for arg in args)
+        tape.calls.append((kernel, arrays, slots, out.data))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# primitives: shape and contract checks, one forward kernel, the VJPs
 # ---------------------------------------------------------------------------
 
 
@@ -225,7 +242,6 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.dims} @ {b.dims}")
     if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
         raise ShapeError(f"matmul stack dims differ: {a.dims} @ {b.dims}")
-    out = ad @ bd
 
     def vjp_a(g: Array) -> Array:
         ga = g @ _swap_last(bd)
@@ -235,7 +251,8 @@ def matmul(a, b) -> Tensor:
         gb = _swap_last(ad) @ g
         return gb.sum(axis=0) if gb.ndim > bd.ndim else gb
 
-    return _apply(matmul, (a, b), out, [(a, vjp_a), (b, vjp_b)])
+    return _apply(np.matmul, (a, b), np.matmul(ad, bd),
+                  [(a, vjp_a), (b, vjp_b)])
 
 
 def add(a, b) -> Tensor:
@@ -245,19 +262,19 @@ def add(a, b) -> Tensor:
     """
     a, b = _lift(a), _lift(b)
     if a.dims == b.dims:
-        return _apply(add, (a, b), a.data + b.data, [
+        return _apply(np.add, (a, b), np.add(a.data, b.data), [
             (a, lambda g: g),
             (b, lambda g: g),
         ])
     if b.data.ndim == 1 and a.data.ndim >= 2 and a.dims[-1] == b.dims[0]:
         axes = tuple(range(a.data.ndim - 1))
-        return _apply(add, (a, b), a.data + b.data, [
+        return _apply(np.add, (a, b), np.add(a.data, b.data), [
             (a, lambda g: g),
             (b, lambda g: g.sum(axis=axes)),
         ])
     if (a.data.ndim == 3 and b.data.ndim == 3 and b.dims[1] == 1
             and a.dims[0] == b.dims[0] and a.dims[2] == b.dims[2]):
-        return _apply(add, (a, b), a.data + b.data, [
+        return _apply(np.add, (a, b), np.add(a.data, b.data), [
             (a, lambda g: g),
             (b, lambda g: g.sum(axis=1, keepdims=True)),
         ])
@@ -270,7 +287,7 @@ def mul(a, b) -> Tensor:
     if a.dims != b.dims:
         raise ShapeError(f"mul shapes differ: {a.dims} * {b.dims}")
     ad, bd = a.data, b.data
-    return _apply(mul, (a, b), ad * bd, [
+    return _apply(np.multiply, (a, b), np.multiply(ad, bd), [
         (a, lambda g: g * bd),
         (b, lambda g: g * ad),
     ])
@@ -279,51 +296,75 @@ def mul(a, b) -> Tensor:
 def scale(a, s: float) -> Tensor:
     a = _lift(a)
     s = float(s)
-    return _apply(scale, (a, s), a.data * s, [(a, lambda g: g * s)])
+    return _apply(np.multiply, (a, s), np.multiply(a.data, s),
+                  [(a, lambda g: g * s)])
+
+
+def _fwd_softmax(a: Array) -> Array:
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(a) -> Tensor:
     """Softmax along the last axis, computed with max subtraction."""
     a = _lift(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _fwd_softmax(a.data)
 
     def vjp(g: Array) -> Array:
         return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
-    return _apply(softmax, (a,), y, [(a, vjp)])
+    return _apply(_fwd_softmax, (a,), y, [(a, vjp)])
+
+
+def _fwd_log_softmax(a: Array) -> Array:
+    shifted = a - a.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def log_softmax(a) -> Tensor:
     """log(softmax(a)) along the last axis without forming the log of 0."""
     a = _lift(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    y = shifted - lse
-    p = np.exp(y)
+    y = _fwd_log_softmax(a.data)
 
     def vjp(g: Array) -> Array:
-        return g - p * g.sum(axis=-1, keepdims=True)
+        return g - np.exp(y) * g.sum(axis=-1, keepdims=True)
 
-    return _apply(log_softmax, (a,), y, [(a, vjp)])
+    return _apply(_fwd_log_softmax, (a,), y, [(a, vjp)])
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _fwd_gelu(x: Array) -> tuple[Array, Array]:
+    """The output and the tanh term its VJP reuses."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
 
 
 def gelu(a) -> Tensor:
     """Smooth tanh-form GELU (exact derivative of the tanh form)."""
     a = _lift(a)
     x = a.data
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    y = 0.5 * x * (1.0 + t)
+    y, t = _fwd_gelu(x)
 
     def vjp(g: Array) -> Array:
         d_inner = _GELU_C * (1.0 + (3 * 0.044715) * x * x)
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
-    return _apply(gelu, (a,), y, [(a, vjp)])
+    return _apply(_fwd_gelu, (a,), y, [(a, vjp)])
+
+
+def _fwd_layer_norm(x: Array, gamma: Array,
+                    beta: Array) -> tuple[Array, Array, Array]:
+    """The output, and the normalized rows and inverse deviations its VJPs
+    reuse."""
+    inv_d = 1.0 / x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * inv_d
+    xc = x - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_d
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+    return gamma * xhat + beta, xhat, inv
 
 
 def layer_norm(x, gamma, beta) -> Tensor:
@@ -335,14 +376,9 @@ def layer_norm(x, gamma, beta) -> Tensor:
     d = x.dims[1]
     if gamma.dims != (d,) or beta.dims != (d,):
         raise ShapeError("layer_norm scale/shift must be d-vectors")
-    xd, gd = x.data, gamma.data
+    gd = gamma.data
     inv_d = 1.0 / d
-    mu = xd.sum(axis=-1, keepdims=True) * inv_d
-    xc = xd - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_d
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    y = gd * xhat + beta.data
+    y, xhat, inv = _fwd_layer_norm(x.data, gd, beta.data)
 
     def vjp_x(g: Array) -> Array:
         dxhat = g * gd
@@ -350,11 +386,15 @@ def layer_norm(x, gamma, beta) -> Tensor:
                       - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True)
                                 * inv_d))
 
-    return _apply(layer_norm, (x, gamma, beta), y, [
+    return _apply(_fwd_layer_norm, (x, gamma, beta), y, [
         (x, vjp_x),
         (gamma, lambda g: (g * xhat).sum(axis=0)),
         (beta, lambda g: g.sum(axis=0)),
     ])
+
+
+def _fwd_transpose(a: Array) -> Array:
+    return np.ascontiguousarray(_swap_last(a))
 
 
 def transpose(a) -> Tensor:
@@ -362,17 +402,29 @@ def transpose(a) -> Tensor:
     a = _lift(a)
     if a.data.ndim < 2:
         raise ShapeError(f"transpose expects >= 2-D, got {a.dims}")
-    return _apply(transpose, (a,), np.ascontiguousarray(_swap_last(a.data)),
+    return _apply(_fwd_transpose, (a,), _fwd_transpose(a.data),
                   [(a, lambda g: np.ascontiguousarray(_swap_last(g)))])
+
+
+def _fwd_reshape(a: Array, old: tuple[int, ...],
+                 shape: tuple[int, ...]) -> Array:
+    """Reshape the trailing axes, which have shape ``old``, to ``shape``."""
+    return a.reshape(a.shape[:a.ndim - len(old)] + shape)
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _lift(a)
+    shape = tuple(shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.dims} to {shape}")
     old = a.dims
-    return _apply(reshape, (a, shape), a.data.reshape(shape),
+    return _apply(_fwd_reshape, (a, old, shape),
+                  _fwd_reshape(a.data, old, shape),
                   [(a, lambda g: g.reshape(old))])
+
+
+def _fwd_gather_rows(x: Array, index: Array) -> Array:
+    return x[..., index, :]
 
 
 def gather_rows(x, idx) -> Tensor:
@@ -385,15 +437,22 @@ def gather_rows(x, idx) -> Tensor:
         raise ShapeError("gather_rows index must be 1-D")
     if index.size and (index.min() < 0 or index.max() >= x.dims[0]):
         raise ContractError("gather_rows index out of range")
-    xd = x.data
-    shape = xd.shape
+    shape = x.dims
 
     def vjp(g: Array) -> Array:
         out = np.zeros(shape)
         np.add.at(out, index, g)
         return out
 
-    return _apply(gather_rows, (x, index), xd[index].copy(), [(x, vjp)])
+    return _apply(_fwd_gather_rows, (x, index),
+                  _fwd_gather_rows(x.data, index), [(x, vjp)])
+
+
+def _fwd_fill_rows(x: Array, index: Array, v: Array) -> Array:
+    out = np.empty(np.broadcast_shapes(x.shape, v.shape), dtype=x.dtype)
+    out[...] = x
+    out[..., index, :] = v
+    return out
 
 
 def fill_rows(x, idx, v) -> Tensor:
@@ -404,8 +463,6 @@ def fill_rows(x, idx, v) -> Tensor:
     index = np.asarray(idx, dtype=np.intp)
     if index.size and (index.min() < 0 or index.max() >= x.dims[0]):
         raise ContractError("fill_rows index out of range")
-    out = x.data.copy()
-    out[index] = v.data
     d = v.dims[0]
 
     def vjp_x(g: Array) -> Array:
@@ -416,7 +473,9 @@ def fill_rows(x, idx, v) -> Tensor:
     def vjp_v(g: Array) -> Array:
         return g[index].sum(axis=0) if index.size else np.zeros(d)
 
-    return _apply(fill_rows, (x, index, v), out, [(x, vjp_x), (v, vjp_v)])
+    return _apply(_fwd_fill_rows, (x, index, v),
+                  _fwd_fill_rows(x.data, index, v.data),
+                  [(x, vjp_x), (v, vjp_v)])
 
 
 def masked_fill(x, mask, value: float) -> Tensor:
@@ -429,26 +488,31 @@ def masked_fill(x, mask, value: float) -> Tensor:
     m = np.asarray(mask, dtype=bool)
     if m.shape != x.dims[x.data.ndim - m.ndim:]:
         raise ShapeError(f"mask shape {m.shape} does not trail tensor {x.dims}")
-    out = np.where(m, value, x.data)
-    return _apply(masked_fill, (x, m, value), out,
+    return _apply(np.where, (m, value, x), np.where(m, value, x.data),
                   [(x, lambda g: np.where(m, 0.0, g))])
 
 
-# offset->pairwise index grids, keyed by T
-_REL_INDEX_CACHE: dict[int, tuple[Array, Array]] = {}
+# offset->pairwise index grids for the longest T seen so far; a shorter T
+# reads a corner of them
+_REL_INDEX_CACHE: list[tuple[Array, Array]] = []
 
 
 def _rel_indices(t_len: int) -> tuple[Array, Array]:
-    cached = _REL_INDEX_CACHE.get(t_len)
-    if cached is None:
+    """(rows, cols) with cols[i, j] = i - j + T - 1, as read-only views."""
+    if not _REL_INDEX_CACHE or _REL_INDEX_CACHE[0][0].shape[0] < t_len:
         rows = np.arange(t_len)[:, None]
         cols = rows - np.arange(t_len)[None, :] + t_len - 1
         rows = np.broadcast_to(rows, (t_len, t_len)).copy()
         rows.setflags(write=False)
         cols.setflags(write=False)
-        cached = (rows, cols)
-        _REL_INDEX_CACHE[t_len] = cached
-    return cached
+        _REL_INDEX_CACHE[:] = [(rows, cols)]
+    rows, cols = _REL_INDEX_CACHE[0]
+    longest = rows.shape[0]
+    return rows[:t_len, :t_len], cols[:t_len, longest - t_len:]
+
+
+def _fwd_rel_position_gather(x: Array, rows: Array, cols: Array) -> Array:
+    return x[..., rows, cols]
 
 
 def rel_position_gather(x) -> Tensor:
@@ -472,8 +536,14 @@ def rel_position_gather(x) -> Tensor:
         out[..., rows, cols] = g
         return out
 
-    return _apply(rel_position_gather, (x,), x.data[..., rows, cols],
-                  [(x, vjp)])
+    return _apply(_fwd_rel_position_gather, (x, rows, cols),
+                  _fwd_rel_position_gather(x.data, rows, cols), [(x, vjp)])
+
+
+def _fwd_merge_heads(x: Array) -> Array:
+    h, t_len, e = x.shape[-3:]
+    return np.ascontiguousarray(np.swapaxes(x, -3, -2)).reshape(
+        x.shape[:-3] + (t_len, h * e))
 
 
 def merge_heads(x) -> Tensor:
@@ -482,18 +552,23 @@ def merge_heads(x) -> Tensor:
     if x.data.ndim != 3:
         raise ShapeError(f"merge_heads expects (h, T, e), got {x.dims}")
     h, t_len, e = x.dims
-    out = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(t_len, h * e)
 
     def vjp(g: Array) -> Array:
         return np.ascontiguousarray(g.reshape(t_len, h, e).transpose(1, 0, 2))
 
-    return _apply(merge_heads, (x,), out, [(x, vjp)])
+    return _apply(_fwd_merge_heads, (x,), _fwd_merge_heads(x.data), [(x, vjp)])
+
+
+def _fwd_sum_all(a: Array, rank: int) -> Array:
+    """Sum of the trailing ``rank`` axes, each as one contiguous run."""
+    return np.asarray(a.reshape(a.shape[:a.ndim - rank] + (-1,)).sum(axis=-1))
 
 
 def sum_all(a) -> Tensor:
     a = _lift(a)
     shape = a.dims
-    return _apply(sum_all, (a,), np.asarray(a.data.sum()),
+    rank = len(shape)
+    return _apply(_fwd_sum_all, (a, rank), _fwd_sum_all(a.data, rank),
                   [(a, lambda g: np.broadcast_to(g, shape).copy())])
 
 
@@ -511,7 +586,7 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
     if x.tape is not None and x.tape.calls is not None:
         raise ContractError("dropout cannot run on a recording tape")
     keep = (rng.random(x.dims) >= rate) / (1.0 - rate)
-    return _apply(dropout, (x, rate, rng), x.data * keep,
+    return _apply(np.multiply, (x, keep), np.multiply(x.data, keep),
                   [(x, lambda g: g * keep)])
 
 
@@ -524,10 +599,21 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
 FD_EPS_MIN, FD_EPS_MAX = 1e-7, 1e-3
 
 
+#: perturbed entries of one parameter replayed together, so every downstream
+#: value is stacked up to 2 * FD_CHUNK deep; larger chunks ran no faster and
+#: raised peak memory, since each kernel's temporaries grow with the stack
+FD_CHUNK = 16
+
+
+def _central(hi, lo, eps):
+    return (hi - lo) / (2 * eps)
+
+
 def _fd_slope(loss_at: Callable[[], Tensor], buffer: Array, flat_index: int,
               eps) -> float:
     """Central difference through one entry of the parameter buffer that
-    ``loss_at`` reads."""
+    ``loss_at`` reads, by two full evaluations: the reference the stacked
+    replay reproduces."""
     flat = buffer.reshape(-1)
     saved = flat[flat_index]
     flat[flat_index] = saved + eps
@@ -535,7 +621,7 @@ def _fd_slope(loss_at: Callable[[], Tensor], buffer: Array, flat_index: int,
     flat[flat_index] = saved - eps
     lo = loss_at().data.reshape(())
     flat[flat_index] = saved
-    return float((hi - lo) / (2 * eps))
+    return float(_central(hi, lo, eps))
 
 
 class _Recording:
@@ -546,33 +632,71 @@ class _Recording:
         self.leaves = {name: self.tape.leaf(np.asarray(value, dtype=dtype))
                        for name, value in params.items()}
         self.loss = build_loss(self.leaves)
+        self.rank = max(value.ndim for *_, value in self.tape.calls)
 
-    def slopes(self, name: str, indices, eps):
+    def slopes(self, name: str, indices, eps) -> list[float]:
         """Central-difference slope of the loss through each flat entry of
-        parameter ``name``, re-running only the calls that read it, directly
-        or through earlier calls; every other output comes from the tape."""
-        leaf_id = self.leaves[name].node_id
+        parameter ``name``.
+
+        Only the kernel calls that read the parameter, directly or through
+        earlier calls, run again, each once per chunk of at most
+        ``FD_CHUNK`` entries; every other operand comes from the tape.
+        """
+        leaf_id, loss_id = self.leaves[name].node_id, self.loss.node_id
         calls = self.tape.calls
         reached, steps = {leaf_id}, []
-        for node_id in range(leaf_id + 1, len(calls)):
-            fn, args, slots, _ = calls[node_id]
-            if any(src in reached for _, src in slots):
+        for node_id in range(leaf_id + 1, loss_id + 1):
+            kernel, args, slots, value = calls[node_id]
+            moved = tuple((pos, src) for pos, src in slots if src in reached)
+            if moved:
                 reached.add(node_id)
-                steps.append((node_id, fn, list(args), slots))
-        values = [value for _, _, _, value in calls]
-        buffer = values[leaf_id].data.copy()
-        values[leaf_id] = Tensor(buffer, check=False)
-        loss_id = self.loss.node_id
+                steps.append((node_id, kernel, args, moved, value.shape))
+        indices = np.asarray(indices, dtype=np.intp)
+        if loss_id not in reached:
+            return [0.0] * indices.size
+        last_use = {src: k for k, step in enumerate(steps)
+                    for _, src in step[3]}
+        drops: list[list[int]] = [[] for _ in steps]
+        for src, k in last_use.items():
+            drops[k].append(src)
+        slopes: list[float] = []
+        for start in range(0, indices.size, FD_CHUNK):
+            chunk = indices[start:start + FD_CHUNK]
+            losses = self._stacked_losses(leaf_id, steps, drops, chunk, eps)
+            n = chunk.size
+            slopes.extend(float(s) for s in _central(losses[:n], losses[n:],
+                                                     eps))
+        return slopes
 
-        def loss_at() -> Tensor:
-            for node_id, fn, replayed, slots in steps:
-                for pos, src in slots:
-                    replayed[pos] = values[src]
-                values[node_id] = fn(*replayed)
-            return values[loss_id]
+    def _stacked_losses(self, leaf_id: int, steps, drops, chunk: Array,
+                        eps) -> Array:
+        """The 2n losses with entry chunk[i] of the leaf at +eps (row i)
+        and at -eps (row n + i). Every replayed value is shaped
+        (2n, 1, ..., 1, *recorded shape), padded to one rank, so operands
+        read from the tape broadcast against it."""
+        depth = 2 * chunk.size
 
-        for i in indices:
-            yield _fd_slope(loss_at, buffer, i, eps)
+        def stacked(shape: tuple[int, ...]) -> tuple[int, ...]:
+            return (depth,) + (1,) * (self.rank - len(shape)) + shape
+
+        base = self.tape.calls[leaf_id][3]
+        flat = np.repeat(base.reshape(1, -1), depth, axis=0)
+        saved = base.reshape(-1)[chunk]
+        rows = np.arange(chunk.size)
+        flat[rows, chunk] = saved + eps
+        flat[chunk.size + rows, chunk] = saved - eps
+        values = {leaf_id: flat.reshape(stacked(base.shape))}
+        for (node_id, kernel, args, moved, shape), drop in zip(steps, drops):
+            call = list(args)
+            for pos, src in moved:
+                call[pos] = values[src]
+            out = kernel(*call)
+            if type(out) is tuple:
+                out = out[0]
+            values[node_id] = np.ascontiguousarray(out).reshape(stacked(shape))
+            for src in drop:
+                del values[src]
+        return values[self.loss.node_id].reshape(depth)
 
 
 def finite_diff_check(build_loss: Callable[[dict[str, Tensor]], Tensor],
@@ -582,17 +706,23 @@ def finite_diff_check(build_loss: Callable[[dict[str, Tensor]], Tensor],
 
     ``build_loss`` must map a name->Tensor dict to a scalar Tensor through a
     fixed composition of autodiff primitives: no Python branch on tensor
-    values and no dropout, so that one recorded pass fixes every call the
-    loss makes. It runs once on float64 leaves (the gradients and the
+    values and no dropout, so that one recorded pass fixes every kernel call
+    the loss makes. It runs once on float64 leaves (the gradients and the
     recording) and, when some entry is undecided, once more on longdouble
-    leaves; each slope replays only the calls downstream of the perturbed
-    parameter. Every parameter entry is perturbed by +/- eps; the relative
+    leaves. Every parameter entry is perturbed by +/- eps; the relative
     error is |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|). A non-finite
     gradient entry or slope makes the result ``math.inf``.
 
+    The slopes come from a stacked replay: for each parameter, chunks of at
+    most ``FD_CHUNK`` entries are perturbed together as copies stacked
+    along a leading axis, and only the kernel calls downstream of that
+    parameter run again, once per chunk. A parameter the loss never reads
+    runs nothing and has slope 0. Each copy's loss is bitwise the loss a
+    full forward pass would give.
+
     Entries whose float64 central difference is too noisy to decide (those
     with near-zero gradients, where the difference quotient sits at rounding
-    level) are re-evaluated with an extended-precision forward pass, which
+    level) are re-evaluated with an extended-precision replay, which
     sharpens the reference slope without touching the gradients under test.
     """
     if not FD_EPS_MIN <= eps <= FD_EPS_MAX:

@@ -138,31 +138,35 @@ def _mask_for_plan(plan: "MaskPlan") -> AttentionMask:
     return AttentionMask.from_plan(plan)
 
 
-# cached constants; keyed by (T, d, max_seq_len), content deterministic
-_SINUSOID_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
+# one (2 * max_seq_len - 1, width) table per (width, max_seq_len); every
+# shorter T reads a slice of it
+_SINUSOID_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def relative_sinusoids(t_len: int, width: int, max_seq_len: int) -> np.ndarray:
-    """(2T-1, width) sinusoidal embeddings of offsets -(T-1) .. T-1.
+    """(2T-1, width) sinusoidal embeddings of offsets -(T-1) .. T-1, as a
+    read-only view.
 
     Frequencies span geometrically from 1 down to ~1/(2 * max_seq_len), so
     even the slowest component varies across the offsets the model can see;
     a component constant over all offsets would be invisible to attention
     (softmax is shift-invariant per row) and its projection untrainable.
     """
-    key = (t_len, width, max_seq_len)
+    if not 1 <= t_len <= max_seq_len:
+        raise SequenceLengthError(f"T={t_len} outside 1 .. {max_seq_len}")
+    key = (width, max_seq_len)
     table = _SINUSOID_CACHE.get(key)
     if table is None:
-        offsets = np.arange(-(t_len - 1), t_len, dtype=np.float64)
+        offsets = np.arange(-(max_seq_len - 1), max_seq_len, dtype=np.float64)
         base = 2.0 * max_seq_len
         inv_freq = base ** (-np.arange(0, width, 2) / width)
         angles = offsets[:, None] * inv_freq[None, :]
-        table = np.empty((2 * t_len - 1, width))
+        table = np.empty((2 * max_seq_len - 1, width))
         table[:, 0::2] = np.sin(angles)
         table[:, 1::2] = np.cos(angles)
         table.setflags(write=False)
         _SINUSOID_CACHE[key] = table
-    return table
+    return table[max_seq_len - t_len:max_seq_len + t_len - 1]
 
 
 def embed_posteriors(embedding: Tensor, seq: PhonemePosteriorSequence) -> Tensor:

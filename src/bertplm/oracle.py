@@ -150,15 +150,18 @@ def make_frozen_predictor(params: dict[str, np.ndarray],
     log-probability of position j is the log-softmax of its tied logits at
     the argmax phoneme of the true posterior row. One forward pass per
     distinct S serves every j outside S, because a target row attends only
-    to S and itself, never to other targets. The parameters are bound once,
-    without a tape, when the predictor is made.
+    to S and itself, never to other targets. Scores are cached on the
+    sequence's frames, not its id, so two sequences that share an id never
+    share scores. The parameters are bound once, without a tape, when the
+    predictor is made.
     """
-    cache: dict[tuple[str, frozenset], dict[int, float]] = {}
+    cache: dict[tuple[tuple[int, ...], bytes, frozenset],
+                dict[int, float]] = {}
     bound = bind_params(params)
 
     def predictor(seq: PhonemePosteriorSequence, context: frozenset,
                   target: int) -> float:
-        key = (seq.utterance_id, context)
+        key = (seq.frames.shape, seq.frames.tobytes(), context)
         scores = cache.get(key)
         if scores is None:
             plan = MaskPlan.from_context_set(context, seq.length)

@@ -268,6 +268,19 @@ class TestFiniteDiffCheck:
                                           i, eps) for i in indices])
             assert replayed.tobytes() == full.tobytes(), name
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_chunked_slopes_equal_one_chunk(self, monkeypatch, dtype):
+        params, builds = grad_check_problem(3, quick=True)
+        record = ad._Recording(builds["bert_plm_loss"], params, dtype)
+        eps = dtype(1e-5)
+        for name in ("embed", "mask_vec", "layer0.wq", "layer0.ffn.b2"):
+            indices = range(record.leaves[name].data.size)
+            monkeypatch.setattr(ad, "FD_CHUNK", 10 ** 6)
+            whole = np.array(record.slopes(name, indices, eps))
+            monkeypatch.setattr(ad, "FD_CHUNK", 3)
+            chunked = np.array(record.slopes(name, indices, eps))
+            assert chunked.tobytes() == whole.tobytes(), name
+
     def test_recording_tape_rejects_dropout(self):
         tape = ad.Tape(record=True)
         with pytest.raises(ad.ContractError):
@@ -376,3 +389,123 @@ class TestDeterminism:
         l2, g2 = run()
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
+
+
+# ---------------------------------------------------------------------------
+# forward kernels on a stacked leading axis
+# ---------------------------------------------------------------------------
+
+
+def _gather(x):
+    return ad.gather_rows(x, [2, 0, 2])
+
+
+def _fill(x, v):
+    return ad.fill_rows(x, [1, 3], v)
+
+
+def _masked(x):
+    mask = np.zeros(x.dims[-2:], dtype=bool)
+    mask[0, -1] = mask[-1, 0] = True
+    return ad.masked_fill(x, mask, float("-inf"))
+
+
+#: name -> (primitive, operand shapes given (h, rows, d), operands that may
+#: be stacked)
+KERNEL_CASES = {
+    "matmul 2@2": (ad.matmul, lambda h, r, d: [(r, d), (d, r + 1)], (0, 1)),
+    "matmul 2@3": (ad.matmul, lambda h, r, d: [(r, d), (h, d, 2)], (0, 1)),
+    "matmul 3@2": (ad.matmul, lambda h, r, d: [(h, r, d), (d, 3)], (0, 1)),
+    "matmul 3@3": (ad.matmul, lambda h, r, d: [(h, r, d), (h, d, r)], (0, 1)),
+    "add same": (ad.add, lambda h, r, d: [(h, r, d), (h, r, d)], (0, 1)),
+    "add bias 2-D": (ad.add, lambda h, r, d: [(r, d), (d,)], (0, 1)),
+    "add bias 3-D": (ad.add, lambda h, r, d: [(h, r, d), (d,)], (0, 1)),
+    "add head bias": (ad.add, lambda h, r, d: [(h, r, d), (h, 1, d)], (0, 1)),
+    "mul": (ad.mul, lambda h, r, d: [(r, d), (r, d)], (0, 1)),
+    "scale": (lambda a: ad.scale(a, 0.3), lambda h, r, d: [(h, r, d)], (0,)),
+    "softmax": (ad.softmax, lambda h, r, d: [(h, r, d)], (0,)),
+    "log_softmax": (ad.log_softmax, lambda h, r, d: [(r, d)], (0,)),
+    "gelu": (ad.gelu, lambda h, r, d: [(r, d)], (0,)),
+    "layer_norm": (ad.layer_norm, lambda h, r, d: [(r, d), (d,), (d,)],
+                   (0, 1, 2)),
+    "transpose": (ad.transpose, lambda h, r, d: [(h, r, d)], (0,)),
+    "reshape to column": (lambda a: ad.reshape(a, (a.dims[0], 1)),
+                          lambda h, r, d: [(d,)], (0,)),
+    "reshape to vector": (lambda a: ad.reshape(a, (a.data.size,)),
+                          lambda h, r, d: [(d, 1)], (0,)),
+    "gather_rows": (_gather, lambda h, r, d: [(r + 3, d)], (0,)),
+    "fill_rows": (_fill, lambda h, r, d: [(r + 4, d), (d,)], (0, 1)),
+    "masked_fill": (_masked, lambda h, r, d: [(h, r + 1, r + 1)], (0,)),
+    "rel_position_gather": (ad.rel_position_gather,
+                            lambda h, r, d: [(h, r, 2 * r - 1)], (0,)),
+    "merge_heads": (ad.merge_heads, lambda h, r, d: [(h, r, d)], (0,)),
+    "sum_all": (ad.sum_all, lambda h, r, d: [(h, r, d)], (0,)),
+    "sum_all scalar": (ad.sum_all, lambda h, r, d: [()], (0,)),
+}
+
+
+def assert_same_values(got, expected):
+    """Bitwise equality of finite arrays, including longdouble ones, whose
+    storage carries padding bytes: equal values with equal signs."""
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestStackedKernels:
+    """The kernel a recording tape records for each primitive, run once with
+    one operand replaced by a stack of variants shaped (n, 1, ..., 1,
+    *shape), equals the primitive's forward on each variant, bitwise."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("case,which", [
+        (case, which) for case, (_, _, stackable) in sorted(KERNEL_CASES.items())
+        for which in stackable])
+    @settings(max_examples=10, deadline=None)
+    @given(heads=st.integers(1, 3), rows=st.integers(1, 5),
+           width=st.integers(1, 6), depth=st.integers(1, 4),
+           extra_rank=st.integers(0, 2), seed=st.integers(0, 2 ** 16))
+    def test_each_slice_equals_a_forward(self, case, which, dtype, heads,
+                                         rows, width, depth, extra_rank,
+                                         seed):
+        op, shapes, _ = KERNEL_CASES[case]
+        rng = stream(seed, "kernels")
+        operands = [rng.normal(size=s).astype(dtype)
+                    for s in shapes(heads, rows, width)]
+        tape = ad.Tape(record=True)
+        leaves = [tape.leaf(o) for o in operands]
+        op(*leaves)
+        kernel, args, slots, value = tape.calls[-1]
+        pos = next(p for p, src in slots if src == leaves[which].node_id)
+        rank = max([value.ndim] + [o.ndim for o in operands]) + extra_rank
+
+        def stacked(shape):
+            return (depth,) + (1,) * (rank - len(shape)) + shape
+
+        shape = operands[which].shape
+        variants = [rng.normal(size=shape).astype(dtype) for _ in range(depth)]
+        call = list(args)
+        call[pos] = np.stack(variants).reshape(stacked(shape))
+        got = kernel(*call)
+        if type(got) is tuple:
+            got = got[0]
+        got = np.ascontiguousarray(got).reshape(stacked(value.shape))
+        for i, variant in enumerate(variants):
+            one = list(operands)
+            one[which] = variant
+            expected = op(*[ad.constant(o) for o in one]).data
+            assert_same_values(got[i].reshape(expected.shape), expected)
+
+
+class TestRelIndices:
+    def test_one_grid_serves_every_length(self, monkeypatch):
+        monkeypatch.setattr(ad, "_REL_INDEX_CACHE", [])
+        for t_len in (4, 9, 2, 9, 7, 1):
+            rows, cols = ad._rel_indices(t_len)
+            i, j = np.meshgrid(np.arange(t_len), np.arange(t_len),
+                               indexing="ij")
+            np.testing.assert_array_equal(rows, i)
+            np.testing.assert_array_equal(cols, i - j + t_len - 1)
+            assert not rows.flags.writeable and not cols.flags.writeable
+        assert len(ad._REL_INDEX_CACHE) == 1
+        assert ad._REL_INDEX_CACHE[0][0].shape == (9, 9)

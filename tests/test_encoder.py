@@ -151,6 +151,35 @@ class TestApplyMaskPlan:
             enc.apply_mask_plan(x, MaskPlan((0, 1), (3,)), ad.constant(np.zeros(8)))
 
 
+def direct_sinusoids(t_len, width, max_seq_len):
+    """The offset table for one T built on its own, as numpy computes it."""
+    offsets = np.arange(-(t_len - 1), t_len, dtype=np.float64)
+    inv_freq = (2.0 * max_seq_len) ** (-np.arange(0, width, 2) / width)
+    angles = offsets[:, None] * inv_freq[None, :]
+    table = np.empty((2 * t_len - 1, width))
+    table[:, 0::2] = np.sin(angles)
+    table[:, 1::2] = np.cos(angles)
+    return table
+
+
+class TestRelativeSinusoids:
+    @pytest.mark.parametrize("width,max_seq_len", [(16, 16), (64, 320),
+                                                   (576, 320)])
+    def test_one_table_serves_every_length(self, monkeypatch, width,
+                                           max_seq_len):
+        monkeypatch.setattr(enc, "_SINUSOID_CACHE", {})
+        for t_len in range(1, max_seq_len + 1):
+            table = enc.relative_sinusoids(t_len, width, max_seq_len)
+            assert not table.flags.writeable
+            assert table.tobytes() == direct_sinusoids(
+                t_len, width, max_seq_len).tobytes(), t_len
+        assert len(enc._SINUSOID_CACHE) == 1
+
+    def test_length_beyond_maximum_rejected(self):
+        with pytest.raises(enc.SequenceLengthError):
+            enc.relative_sinusoids(17, 8, 16)
+
+
 class TestAttentionBlock:
     def test_constant_input_scores_are_toeplitz(self):
         params, bound, _ = bound_params(TINY, 7)

@@ -196,6 +196,19 @@ class TestFrozenPredictor:
                     expected = log_probs[row, int(seq.frames[j].argmax())]
                     assert p(seq, frozenset(context), j) == float(expected)
 
+    def test_sequences_sharing_an_id_do_not_share_scores(self):
+        params = init_params(self.CONFIG, stream(34, "init"))
+        p = oracle.make_frozen_predictor(params, self.CONFIG)
+        rng = stream(34, "s")
+        first = oracle.random_sequence(3, 5, rng)
+        second = oracle.random_sequence(3, 5, rng)
+        assert first.utterance_id == second.utterance_id
+        context = frozenset({0})
+        p(first, context, 1)
+        fresh = oracle.make_frozen_predictor(params, self.CONFIG)
+        assert p(second, context, 1) == fresh(second, context, 1)
+        assert p(second, context, 1) != p(first, context, 1)
+
     def test_theorem_holds_for_the_real_network(self):
         params = init_params(self.CONFIG, stream(32, "init"))
         p = oracle.make_frozen_predictor(params, self.CONFIG)

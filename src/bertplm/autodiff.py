@@ -5,6 +5,14 @@ Transformer encoder and its losses need. There is no general broadcasting
 engine; ``add`` supports the (..., d) + (d,) and (h, rows, d) + (h, 1, d)
 bias cases and everything else requires matching shapes.
 
+Batches add no axis. The encoder folds a group of padded utterances into
+the ranks a single utterance already uses: position-wise ops see (B*T, d)
+rows, attention sees (heads*B, T, .) stacks, and ``segment_sum`` turns
+per-row loss terms into one loss per utterance. So every VJP handles
+exactly the shapes it did for one utterance. ``dropout`` multiplies by a
+boolean mask the caller draws with ``keep_mask``, so that each utterance
+of a group can draw its own.
+
 Each primitive checks its operands' shapes and its contract, then calls its
 one forward kernel: a numpy function (``np.matmul``, ``np.add``, ...) or a
 ``_fwd_<op>`` function written with ``...`` and negative axes, so that it
@@ -194,7 +202,6 @@ def _apply(kernel: Callable[..., Array], args: tuple, data: Array,
     """Output ``data`` of the kernel call ``kernel(*args)``, in which each
     Tensor argument stands for its array; recorded on the operands' tape,
     if any, with one VJP per taped parent."""
-    op = kernel.__name__.removeprefix("_fwd_")
     tape = None
     for tensor, _ in parents:
         if tensor.tape is None:
@@ -202,9 +209,11 @@ def _apply(kernel: Callable[..., Array], args: tuple, data: Array,
         if tape is None:
             tape = tensor.tape
         elif tape is not tensor.tape:
-            raise ContractError(f"{op}: operands belong to different tapes")
+            raise ContractError(f"{kernel.__name__.removeprefix('_fwd_')}: "
+                                "operands belong to different tapes")
     if tape is None:
         return Tensor(data, check=False)
+    op = kernel.__name__.removeprefix("_fwd_")
     taped = [(t.node_id, vjp) for t, vjp in parents if t.tape is not None]
     ids = tuple(i for i, _ in taped)
     vjps = tuple(v for _, v in taped)
@@ -345,9 +354,10 @@ def gelu(a) -> Tensor:
     """Smooth tanh-form GELU (exact derivative of the tanh form)."""
     a = _lift(a)
     x = a.data
-    y, t = _fwd_gelu(x)
+    y, _ = _fwd_gelu(x)
 
     def vjp(g: Array) -> Array:
+        t = _fwd_gelu(x)[1]     # recomputed, so the tape holds x alone
         d_inner = _GELU_C * (1.0 + (3 * 0.044715) * x * x)
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
@@ -413,11 +423,15 @@ def _fwd_reshape(a: Array, old: tuple[int, ...],
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
+    """Same values in a new shape; reshaping to the current shape records
+    nothing and returns ``a`` itself."""
     a = _lift(a)
     shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
-        raise ShapeError(f"cannot reshape {a.dims} to {shape}")
     old = a.dims
+    if shape == old:
+        return a
+    if math.prod(shape) != a.data.size:
+        raise ShapeError(f"cannot reshape {a.dims} to {shape}")
     return _apply(_fwd_reshape, (a, old, shape),
                   _fwd_reshape(a.data, old, shape),
                   [(a, lambda g: g.reshape(old))])
@@ -572,22 +586,76 @@ def sum_all(a) -> Tensor:
                   [(a, lambda g: np.broadcast_to(g, shape).copy())])
 
 
-def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a mask drawn from the supplied generator.
+def _fwd_segment_sum(a: Array, bounds: Array, rank: int) -> Array:
+    """Per segment, the sum of rows bounds[i] .. bounds[i+1] of the trailing
+    ``rank`` axes, each segment summed as one contiguous run."""
+    lead = a.shape[:a.ndim - rank]
+    width = math.prod(a.shape[a.ndim - rank + 1:])
+    flat = a.reshape(lead + (-1,))
+    out = np.empty(lead + (bounds.size - 1,), dtype=a.dtype)
+    for i in range(bounds.size - 1):
+        out[..., i] = flat[..., bounds[i] * width:bounds[i + 1] * width].sum(
+            axis=-1)
+    return out
+
+
+def segment_sum(a, bounds) -> Tensor:
+    """(n,) sums of n runs of consecutive rows: entry i sums every value in
+    rows bounds[i] .. bounds[i+1] - 1 of ``a`` (an empty run sums to 0).
+
+    Each run is reduced as one contiguous run, as ``sum_all`` reduces a
+    whole array, so a run covering all of ``a`` gives ``sum_all``'s value.
+    """
+    a = _lift(a)
+    edges = np.asarray(bounds, dtype=np.intp)
+    if a.data.ndim < 1 or edges.ndim != 1 or edges.size < 2:
+        raise ShapeError(f"segment_sum needs rows and >= 2 bounds, got "
+                         f"{a.dims} and {edges.shape}")
+    if (edges[0] != 0 or edges[-1] != a.dims[0]
+            or np.any(np.diff(edges) < 0)):
+        raise ContractError("segment_sum bounds must rise from 0 to the row "
+                            "count")
+    shape, rank = a.dims, a.data.ndim
+    counts = np.diff(edges)
+
+    def vjp(g: Array) -> Array:
+        rows = np.repeat(g, counts)
+        return np.ascontiguousarray(np.broadcast_to(
+            rows.reshape((-1,) + (1,) * (rank - 1)), shape))
+
+    return _apply(_fwd_segment_sum, (a, edges, rank),
+                  _fwd_segment_sum(a.data, edges, rank), [(a, vjp)])
+
+
+def keep_mask(rate: float, rng: np.random.Generator,
+              shape: tuple[int, ...]) -> Array:
+    """Which entries inverted dropout keeps, from one ``rng.random(shape)``
+    draw: those whose draw is at least ``rate``."""
+    if not 0.0 <= rate < 1.0:
+        raise ContractError("dropout rate must lie in [0, 1)")
+    return rng.random(shape) >= rate
+
+
+def dropout(x, rate: float, kept: Array) -> Tensor:
+    """Inverted dropout: x times kept / (1 - rate), for a boolean mask the
+    caller draws with ``keep_mask``, so it can assemble one mask from
+    several draws. The tape holds the boolean mask, not its scales.
 
     Train-mode only: callers skip the op entirely at evaluation time. A
-    recording tape rejects it, because a replay would draw a fresh mask.
+    recording tape rejects it, because a replay would need a fresh mask.
     """
     x = _lift(x)
     if not 0.0 <= rate < 1.0:
         raise ContractError("dropout rate must lie in [0, 1)")
-    if rate == 0.0:
-        return x
+    kept = np.asarray(kept, dtype=bool)
+    if kept.shape != x.dims:
+        raise ShapeError(f"dropout mask {kept.shape} does not match {x.dims}")
     if x.tape is not None and x.tape.calls is not None:
         raise ContractError("dropout cannot run on a recording tape")
-    keep = (rng.random(x.dims) >= rate) / (1.0 - rate)
+    scale = 1.0 - rate
+    keep = kept / scale
     return _apply(np.multiply, (x, keep), np.multiply(x.data, keep),
-                  [(x, lambda g: g * keep)])
+                  [(x, lambda g: g * (kept / scale))])
 
 
 # ---------------------------------------------------------------------------

@@ -239,8 +239,9 @@ def cmd_evaluate(args) -> int:
     _resolve_config(args)
     vocab = cp.read_vocab(args.vocab)
     ckpt = tr.load_checkpoint(args.ckpt)
-    utterances = _load_labeled(args.data, args.manifest, vocab, ckpt.config)
     enc_cfg = encoder_config(ckpt.config, vocab.size)
+    tr.check_model_arrays(ckpt.arrays, enc_cfg)
+    utterances = _load_labeled(args.data, args.manifest, vocab, ckpt.config)
     metrics = tr.evaluate(ckpt.arrays, enc_cfg, utterances)
     print(f"error_rate\t{metrics.error_rate:.6f}")
     print(f"macro_f1\t{metrics.macro_f1:.6f}")

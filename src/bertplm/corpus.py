@@ -212,6 +212,15 @@ def is_major_sil(frame: np.ndarray, sil_index: int,
     return float(frame[sil_index]) > tau
 
 
+def major_sil_frames(frames: np.ndarray, sil_index: int,
+                     tau: float = SIL_THRESHOLD) -> np.ndarray:
+    """``is_major_sil`` of every row of a (T, V) float64 matrix, as a bool
+    vector, with one comparison."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError("tau must lie strictly inside (0, 1)")
+    return frames[:, sil_index] > tau
+
+
 def expand_template(grammar: SynthGrammar, tokens: tuple[str, ...],
                     rng: np.random.Generator,
                     dur_max: int | None = None) -> list[int]:
@@ -433,6 +442,10 @@ def read_manifest(path) -> dict[str, int]:
             raise CorpusFormatError(
                 f"manifest line {lineno} malformed: expected utterance_id"
                 "<TAB>class_id with a non-negative integer class_id", offset)
+        if parts[0] in labels:
+            raise CorpusFormatError(
+                f"manifest line {lineno} repeats utterance id {parts[0]!r}",
+                offset)
         labels[parts[0]] = int(parts[1])
     return labels
 

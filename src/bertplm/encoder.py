@@ -8,6 +8,10 @@ columns for everyone but themselves. Context rows attend to context columns
 only; target rows attend to context plus self. No absolute positions enter
 anywhere; attention scores see only relative offsets, which is what makes
 orderings of the same context set equivalent.
+
+The encoder runs on a ``Group``: utterances padded to one length and stacked
+along the rows, each with its own attention mask, so one pass (and one tape)
+serves them all. A single utterance is a group of one.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import PhonemePosteriorSequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .objective import MaskPlan
@@ -110,14 +113,16 @@ def init_params(config: EncoderConfig, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class AttentionMask:
-    """allowed[i, j] is true when position i may attend to position j."""
+    """allowed[..., i, j] is true when position i may attend to position j;
+    a (B, T, T) mask holds one (T, T) mask per utterance of a group."""
 
     allowed: np.ndarray
 
     def __post_init__(self):
-        if self.allowed.ndim != 2 or self.allowed.shape[0] != self.allowed.shape[1]:
+        shape = self.allowed.shape
+        if self.allowed.ndim not in (2, 3) or shape[-1] != shape[-2]:
             raise ValueError("attention mask must be square")
-        if not self.allowed.any(axis=1).all():
+        if not self.allowed.any(axis=-1).all():
             raise ValueError("attention mask has an all-blocked row")
 
     @classmethod
@@ -136,6 +141,104 @@ class AttentionMask:
 @lru_cache(maxsize=512)
 def _mask_for_plan(plan: "MaskPlan") -> AttentionMask:
     return AttentionMask.from_plan(plan)
+
+
+class Group:
+    """Utterances, each with its mask plan, scored in one pass.
+
+    The sequences are padded with zero frames to the longest length T
+    (``length``) and folded into the row axis: frame t of utterance b is
+    row b*T + t. Padding rows attend only to themselves and no real row
+    attends to them, so every utterance's rows compute what they would
+    alone. A single utterance is a group of one, with no padding.
+    """
+
+    def __init__(self, sequences, plans):
+        self.sequences = tuple(sequences)
+        self.plans = tuple(plans)
+        if not self.sequences or len(self.plans) != len(self.sequences):
+            raise ad.ContractError("a group needs one plan per sequence, "
+                                   "and at least one sequence")
+        if len({seq.vocab_size for seq in self.sequences}) != 1:
+            raise ad.ShapeError("group sequences differ in vocabulary size")
+        self.lengths = tuple(seq.length for seq in self.sequences)
+        for plan, t_len in zip(self.plans, self.lengths):
+            plan.check_partition(t_len)
+        self.size = len(self.sequences)
+        self.length = max(self.lengths)
+        self.vocab_size = self.sequences[0].vocab_size
+
+    def rows(self, b: int, idx) -> np.ndarray:
+        """Row numbers of utterance b's frames ``idx``."""
+        return b * self.length + np.asarray(idx, dtype=np.intp)
+
+    @property
+    def frames(self) -> np.ndarray:
+        """(size * length, V) posterior rows, zero on padding."""
+        out = np.zeros((self.size, self.length, self.vocab_size))
+        for b, seq in enumerate(self.sequences):
+            out[b, :seq.length] = seq.frames
+        return out.reshape(-1, self.vocab_size)
+
+    @property
+    def target_rows(self) -> np.ndarray:
+        """Every plan's targets as rows, utterance by utterance."""
+        return np.concatenate([self.rows(b, plan.target_idx)
+                               for b, plan in enumerate(self.plans)])
+
+    @property
+    def target_bounds(self) -> np.ndarray:
+        """Utterance b's targets are entries bounds[b] .. bounds[b+1] - 1 of
+        ``target_rows``."""
+        return np.concatenate(([0], np.cumsum([p.k for p in self.plans])))
+
+    @property
+    def context_rows(self) -> list[np.ndarray]:
+        return [self.rows(b, plan.context_idx)
+                for b, plan in enumerate(self.plans)]
+
+    def attention_mask(self) -> AttentionMask:
+        """Each plan's mask on its utterance's block; a padding row sees
+        only itself."""
+        t_len = self.length
+        allowed = np.zeros((self.size, t_len, t_len), dtype=bool)
+        for b, (plan, n) in enumerate(zip(self.plans, self.lengths)):
+            allowed[b, :n, :n] = _mask_for_plan(plan).allowed
+            if n < t_len:
+                pad = np.arange(n, t_len)
+                allowed[b, pad, pad] = True
+        return AttentionMask(allowed)
+
+
+class GroupDropout:
+    """Train-mode dropout over a group's rows or attention weights.
+
+    Utterance b's masks come from ``rngs[b]``, one draw per site at the
+    utterance's unpadded shape, in the order a pass over the utterance alone
+    draws them, so its masks do not depend on the group it is in. Padding
+    entries are kept.
+    """
+
+    def __init__(self, rate: float, rngs, group: Group):
+        if len(rngs) != group.size:
+            raise ad.ContractError("dropout needs one generator per utterance")
+        self.rate, self.rngs, self.group = rate, tuple(rngs), group
+
+    def rows(self, x: Tensor) -> Tensor:
+        """(B*T, d) rows."""
+        g, width = self.group, x.dims[-1]
+        kept = np.ones((g.size, g.length, width), dtype=bool)
+        for b, (rng, n) in enumerate(zip(self.rngs, g.lengths)):
+            kept[b, :n] = ad.keep_mask(self.rate, rng, (n, width))
+        return ad.dropout(x, self.rate, kept.reshape(x.dims))
+
+    def weights(self, x: Tensor, heads: int) -> Tensor:
+        """(heads*B, T, T) attention weights, head-major."""
+        g = self.group
+        kept = np.ones((heads, g.size, g.length, g.length), dtype=bool)
+        for b, (rng, n) in enumerate(zip(self.rngs, g.lengths)):
+            kept[:, b, :n, :n] = ad.keep_mask(self.rate, rng, (heads, n, n))
+        return ad.dropout(x, self.rate, kept.reshape(x.dims))
 
 
 # one (2 * max_seq_len - 1, width) table per (width, max_seq_len); every
@@ -169,25 +272,29 @@ def relative_sinusoids(t_len: int, width: int, max_seq_len: int) -> np.ndarray:
     return table[max_seq_len - t_len:max_seq_len + t_len - 1]
 
 
-def embed_posteriors(embedding: Tensor, seq: PhonemePosteriorSequence) -> Tensor:
-    """Row t of the output is sum_v frames[t, v] * embedding[v]."""
+def embed_posteriors(embedding: Tensor, seq) -> Tensor:
+    """Row t of the output is sum_v frames[t, v] * embedding[v], for a
+    sequence or a group."""
     if seq.vocab_size != embedding.dims[0]:
         raise ad.ShapeError(
             f"sequence V={seq.vocab_size} != embedding rows {embedding.dims[0]}")
     return ad.matmul(ad.constant(seq.frames, check=False), embedding)
 
 
-def apply_mask_plan(embeddings: Tensor, plan: "MaskPlan", mask_vec: Tensor) -> Tensor:
-    """Replace target rows with the learnable mask vector."""
-    t_len = embeddings.dims[0]
-    plan.check_partition(t_len)
-    return ad.fill_rows(embeddings, plan.target_idx, mask_vec)
+def apply_mask_plan(embeddings: Tensor, group: Group, mask_vec: Tensor) -> Tensor:
+    """Replace every target row of the group's plans with the learnable
+    mask vector."""
+    if embeddings.dims[0] != group.size * group.length:
+        raise ad.ShapeError(f"{embeddings.dims[0]} rows for a group of "
+                            f"{group.size} x {group.length}")
+    return ad.fill_rows(embeddings, group.target_rows, mask_vec)
 
 
 @dataclass
 class AttentionCapture:
-    """Optional sink for attention internals, one (heads, T, T) array per
-    block: pre-mask scaled scores and post-softmax weights."""
+    """Optional sink for attention internals, one (heads*B, T, T) array per
+    block (head-major; (heads, T, T) for one utterance): pre-mask scaled
+    scores and post-softmax weights."""
 
     scores: list[np.ndarray] = field(default_factory=list)
     weights: list[np.ndarray] = field(default_factory=list)
@@ -195,41 +302,53 @@ class AttentionCapture:
 
 def rel_attention_block(x: Tensor, mask: AttentionMask,
                         layer_params: dict[str, Tensor], config: EncoderConfig,
-                        drop_rng: np.random.Generator | None = None,
+                        dropout: GroupDropout | None = None,
                         capture: AttentionCapture | None = None) -> Tensor:
     """One encoder block: relative-position attention, then feed-forward.
 
     Per head: score(i,j) = ((q_i + u) . k_j + (q_i + v) . r(i-j)) / sqrt(dh)
     where r is a learned projection of the sinusoidal offset table. Blocked
     pairs are set to -inf before the softmax. Post-norm residual wiring.
-    All heads run as one stacked computation. Dropout runs exactly when
-    ``drop_rng`` is given.
+    ``x`` holds B utterances of T rows each, B and T given by the (B, T, T)
+    or (T, T) mask. Position-wise work runs on the (B*T, d) rows; attention
+    runs on (heads*B, T, .) stacks, head-major, so every head of every
+    utterance is one stacked computation. Dropout runs exactly when
+    ``dropout`` is given.
     """
-    t_len = x.dims[0]
+    allowed = mask.allowed.reshape((-1,) + mask.allowed.shape[-2:])
+    size, t_len = allowed.shape[0], allowed.shape[-1]
+    heads, dh = config.heads, config.head_dim
+    stacks = heads * size
     rel_table = ad.constant(
         relative_sinusoids(t_len, config.d_model, config.max_seq_len),
         check=False)
-    blocked = ~mask.allowed
+    blocked = np.concatenate([~allowed] * heads)   # (heads*B, T, T)
+    # (heads, B*T, e) values regrouped as one (T, e) stack per head and
+    # utterance
+    stacked = (stacks, t_len, dh)
 
-    q = ad.matmul(x, layer_params["wq"])            # (heads, T, dh)
-    k = ad.matmul(x, layer_params["wk"])
-    v = ad.matmul(x, layer_params["wv"])
+    q = ad.matmul(x, layer_params["wq"])            # (heads, B*T, dh)
+    k = ad.reshape(ad.matmul(x, layer_params["wk"]), stacked)
+    v = ad.reshape(ad.matmul(x, layer_params["wv"]), stacked)
     r = ad.matmul(rel_table, layer_params["wr"])    # (heads, 2T-1, dh)
-    content = ad.matmul(ad.add(q, layer_params["u_bias"]), ad.transpose(k))
-    by_offset = ad.matmul(ad.add(q, layer_params["v_bias"]), ad.transpose(r))
+    content = ad.matmul(ad.reshape(ad.add(q, layer_params["u_bias"]), stacked),
+                        ad.transpose(k))
+    by_offset = ad.reshape(
+        ad.matmul(ad.add(q, layer_params["v_bias"]), ad.transpose(r)),
+        (stacks, t_len, 2 * t_len - 1))
     scores = ad.scale(ad.add(content, ad.rel_position_gather(by_offset)),
-                      1.0 / math.sqrt(config.head_dim))
+                      1.0 / math.sqrt(dh))
     if capture is not None:
         capture.scores.append(scores.data.copy())
     weights = ad.softmax(ad.masked_fill(scores, blocked, NEG_INF))
     if capture is not None:
         capture.weights.append(weights.data.copy())
-    if drop_rng is not None:
-        weights = ad.dropout(weights, config.dropout, drop_rng)
-    attn = ad.matmul(ad.merge_heads(ad.matmul(weights, v)),
-                     layer_params["wo"])
-    if drop_rng is not None:
-        attn = ad.dropout(attn, config.dropout, drop_rng)
+    if dropout is not None:
+        weights = dropout.weights(weights, heads)
+    heads_out = ad.reshape(ad.matmul(weights, v), (heads, size * t_len, dh))
+    attn = ad.matmul(ad.merge_heads(heads_out), layer_params["wo"])
+    if dropout is not None:
+        attn = dropout.rows(attn)
     x = ad.layer_norm(ad.add(x, attn),
                       layer_params["ln1.gamma"], layer_params["ln1.beta"])
 
@@ -237,8 +356,8 @@ def rel_attention_block(x: Tensor, mask: AttentionMask,
                             layer_params["ffn.b1"]))
     hidden = ad.add(ad.matmul(hidden, layer_params["ffn.w2"]),
                     layer_params["ffn.b2"])
-    if drop_rng is not None:
-        hidden = ad.dropout(hidden, config.dropout, drop_rng)
+    if dropout is not None:
+        hidden = dropout.rows(hidden)
     return ad.layer_norm(ad.add(x, hidden),
                          layer_params["ln2.gamma"], layer_params["ln2.beta"])
 
@@ -267,28 +386,31 @@ def _layer_view(bound: dict[str, Tensor], index: int) -> dict[str, Tensor]:
     return {key: bound[full] for key, full in _layer_names(index).items()}
 
 
-def encode(bound: dict[str, Tensor], config: EncoderConfig,
-           seq: PhonemePosteriorSequence, plan: "MaskPlan",
-           drop_rng: np.random.Generator | None = None,
-           capture: AttentionCapture | None = None) -> Tensor:
-    """Full forward pass; row t of the result is the hidden state at frame t.
+def encode(bound: dict[str, Tensor], config: EncoderConfig, group: Group,
+           drop_rngs=None, capture: AttentionCapture | None = None) -> Tensor:
+    """Full forward pass over a group; row b*T + t of the result is the
+    hidden state of utterance b at frame t (T = ``group.length``; rows
+    past an utterance's end are padding).
 
     Target rows carry the prediction representations: their inputs were
     replaced by the mask vector, so they can never see their own content.
-    Dropout (train mode) runs exactly when ``drop_rng`` is given.
+    Dropout (train mode) runs exactly when ``drop_rngs``, one generator per
+    utterance, is given; each utterance draws its masks from its own
+    generator as it would alone.
     """
-    t_len = seq.length
+    t_len = group.length
     if t_len > config.max_seq_len:
         raise SequenceLengthError(f"T={t_len} exceeds max {config.max_seq_len}")
-    plan.check_partition(t_len)
-    x = embed_posteriors(bound["embed"], seq)
-    x = apply_mask_plan(x, plan, bound["mask_vec"])
-    if drop_rng is not None:
-        x = ad.dropout(x, config.dropout, drop_rng)
-    mask = _mask_for_plan(plan)
+    x = apply_mask_plan(embed_posteriors(bound["embed"], group), group,
+                        bound["mask_vec"])
+    dropout = None
+    if drop_rngs is not None and config.dropout > 0.0:
+        dropout = GroupDropout(config.dropout, drop_rngs, group)
+        x = dropout.rows(x)
+    mask = group.attention_mask()
     for i in range(config.layers):
         x = rel_attention_block(x, mask, _layer_view(bound, i), config,
-                                drop_rng=drop_rng, capture=capture)
+                                dropout=dropout, capture=capture)
     return x
 
 
@@ -300,18 +422,29 @@ def predict_phonemes(hidden_at_targets: Tensor, embedding: Tensor) -> Tensor:
 
 
 def attentive_pool(hidden: Tensor, pool_query: Tensor,
-                   valid_idx) -> Tensor:
-    """Single-head attention pooling with a trainable query.
+                   valid_rows) -> Tensor:
+    """Single-head attention pooling with a trainable query, once per entry
+    of ``valid_rows`` (a list of row-index lists); returns (n, d).
 
-    weights = softmax over valid positions of (pool_query . h_t) / sqrt(d);
-    the result is the weight-averaged hidden state, a d-vector.
+    Pooled vector i weights rows valid_rows[i] by softmax over them of
+    (pool_query . h_t) / sqrt(d) and averages them. The sets run as one
+    stack padded to the largest set, with padding scored -inf.
     """
-    valid = np.asarray(valid_idx, dtype=np.intp)
-    if valid.size == 0:
+    sets = [np.asarray(rows, dtype=np.intp) for rows in valid_rows]
+    if not sets or min(s.size for s in sets) == 0:
         raise ad.ContractError("attentive_pool needs at least one valid position")
+    n, width = len(sets), max(s.size for s in sets)
+    index = np.empty((n, width), dtype=np.intp)
+    padding = np.zeros((n, 1, width), dtype=bool)
+    for i, rows in enumerate(sets):
+        index[i, :rows.size] = rows
+        index[i, rows.size:] = rows[0]
+        padding[i, 0, rows.size:] = True
     d = hidden.dims[1]
-    rows = ad.gather_rows(hidden, valid)
+    rows = ad.gather_rows(hidden, index.reshape(-1))
     scores = ad.scale(ad.matmul(rows, ad.reshape(pool_query, (d, 1))),
                       1.0 / math.sqrt(d))
-    weights = ad.softmax(ad.transpose(scores))
-    return ad.reshape(ad.matmul(weights, rows), (d,))
+    weights = ad.softmax(ad.masked_fill(ad.reshape(scores, (n, 1, width)),
+                                        padding, NEG_INF))
+    return ad.reshape(ad.matmul(weights, ad.reshape(rows, (n, width, d))),
+                      (n, d))

@@ -13,6 +13,9 @@ distributions and the original posterior rows at the targets. Per-target
 averaging is the default; the plain sum over targets is available through
 ``weighting="sum"`` for comparison (the two differ by a per-plan factor k,
 which is exactly the gap quantified by the oracle module).
+
+Both losses score a ``Group`` of utterances in one pass and report the sum
+of their per-utterance losses; a single utterance is a group of one.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import LabeledUtterance, PhonemePosteriorSequence, is_major_sil
-from .encoder import (EncoderConfig, attentive_pool, bind_params, encode,
-                      predict_phonemes)
+from .corpus import (LabeledUtterance, PhonemePosteriorSequence,
+                     major_sil_frames)
+from .encoder import (EncoderConfig, Group, attentive_pool, bind_params,
+                      encode, predict_phonemes)
 
 
 class SamplingError(RuntimeError):
@@ -64,7 +68,8 @@ class MaskPlan:
     @classmethod
     def from_context_set(cls, context, t_len: int) -> "MaskPlan":
         context = tuple(sorted(context))
-        targets = tuple(i for i in range(t_len) if i not in set(context))
+        excluded = set(context)
+        targets = tuple(i for i in range(t_len) if i not in excluded)
         return cls(context, targets)
 
 
@@ -74,29 +79,34 @@ def sample_mask_plan(seq: PhonemePosteriorSequence, sil_index: int,
     """Draw a mask plan: uniform target count, uniform subset of eligibles."""
     if not 0.0 < rho_max <= 1.0:
         raise ValueError("rho_max must lie in (0, 1]")
-    eligible = [t for t in range(seq.length)
-                if not is_major_sil(seq.frames[t], sil_index, tau)]
-    if not eligible:
+    eligible = np.flatnonzero(~major_sil_frames(seq.frames, sil_index, tau))
+    if not eligible.size:
         raise SamplingError(
             f"{seq.utterance_id or 'sequence'}: every frame is major-SIL")
-    budget_max = max(1, math.floor(rho_max * len(eligible)))
+    budget_max = max(1, math.floor(rho_max * eligible.size))
     k = int(rng.integers(1, budget_max + 1))
-    targets = rng.choice(len(eligible), size=k, replace=False)
-    target_idx = tuple(eligible[i] for i in targets)
-    context_idx = tuple(t for t in range(seq.length)
-                        if t not in set(target_idx))
+    targets = rng.choice(eligible.size, size=k, replace=False)
+    target_idx = tuple(int(t) for t in eligible[targets])
+    chosen = set(target_idx)
+    context_idx = tuple(t for t in range(seq.length) if t not in chosen)
     return MaskPlan(context_idx, target_idx)
 
 
 @dataclass
 class LossBreakdown:
+    """Losses of one evaluation; for a group, each is the sum over its
+    utterances."""
+
     plm_loss: float
     cls_loss: float | None
     total: float
 
 
-def soft_cross_entropy(logits: Tensor, target_dists: np.ndarray) -> Tensor:
-    """Mean over rows of -sum_v target[v] * log softmax(logits)[v].
+def soft_cross_entropy(logits: Tensor, target_dists: np.ndarray,
+                       bounds=None) -> Tensor:
+    """Per run of rows, the mean over its rows of -sum_v target[v] * log
+    softmax(logits)[v]; (n,) for the n runs that ``bounds`` delimits (as in
+    ``segment_sum``), one run of every row by default. An empty run scores 0.
 
     Each row's value is bounded below by the entropy of its target, with
     equality exactly when the prediction matches the target.
@@ -105,71 +115,111 @@ def soft_cross_entropy(logits: Tensor, target_dists: np.ndarray) -> Tensor:
     if targets.shape != logits.dims:
         raise ad.ShapeError(
             f"targets {targets.shape} do not match logits {logits.dims}")
-    k = targets.shape[0]
-    per_row_sum = ad.scale(ad.sum_all(ad.mul(ad.constant(targets, check=False),
-                                             ad.log_softmax(logits))), -1.0)
-    return ad.scale(per_row_sum, 1.0 / k)
+    edges = [0, targets.shape[0]] if bounds is None else bounds
+    counts = np.diff(edges)
+    inverse = np.array([1.0 / k if k else 0.0 for k in counts.tolist()])
+    per_run_sum = ad.scale(ad.segment_sum(
+        ad.mul(ad.constant(targets, check=False), ad.log_softmax(logits)),
+        edges), -1.0)
+    return ad.mul(per_run_sum, ad.constant(inverse, check=False))
 
 
-def _masked_regression(hidden: Tensor, embed: Tensor,
-                       seq: PhonemePosteriorSequence, plan: MaskPlan,
+def _masked_regression(hidden: Tensor, embed: Tensor, group: Group,
                        weighting: str) -> Tensor:
-    """Soft cross entropy of the predictions at the targets against their
-    original posterior rows: averaged over targets, or summed for "sum"."""
-    logits = predict_phonemes(ad.gather_rows(hidden, plan.target_idx), embed)
-    loss = soft_cross_entropy(logits, seq.frames[list(plan.target_idx)])
-    return ad.scale(loss, float(plan.k)) if weighting == "sum" else loss
+    """Per utterance, soft cross entropy of the predictions at its targets
+    against their original posterior rows: averaged over its targets, or
+    summed for "sum". An utterance without targets scores 0; (B,)."""
+    rows = group.target_rows
+    if not rows.size:
+        return ad.constant(np.zeros(group.size))
+    logits = predict_phonemes(ad.gather_rows(hidden, rows), embed)
+    frames = np.concatenate([seq.frames[list(plan.target_idx)] for seq, plan
+                             in zip(group.sequences, group.plans)])
+    loss = soft_cross_entropy(logits, frames, group.target_bounds)
+    if weighting == "sum":
+        ks = np.array([float(plan.k) for plan in group.plans])
+        loss = ad.mul(loss, ad.constant(ks, check=False))
+    return loss
+
+
+def _plm_losses(bound: dict[str, Tensor], config: EncoderConfig,
+                group: Group, weighting: str, drop_rngs) -> Tensor:
+    """(B,) masked-regression losses of a group's utterances."""
+    if weighting not in ("mean", "sum"):
+        raise ValueError(f"unknown weighting {weighting!r}")
+    if min(plan.k for plan in group.plans) < 1:
+        raise ad.ContractError("pre-training loss needs at least one target")
+    hidden = encode(bound, config, group, drop_rngs=drop_rngs)
+    return _masked_regression(hidden, bound["embed"], group, weighting)
 
 
 def _plm_term(bound: dict[str, Tensor], config: EncoderConfig,
               seq: PhonemePosteriorSequence, plan: MaskPlan,
               weighting: str, train: bool,
               drop_rng: np.random.Generator | None) -> Tensor:
-    if weighting not in ("mean", "sum"):
-        raise ValueError(f"unknown weighting {weighting!r}")
-    if plan.k < 1:
-        raise ad.ContractError("pre-training loss needs at least one target")
-    hidden = encode(bound, config, seq, plan,
-                    drop_rng=drop_rng if train else None)
-    return _masked_regression(hidden, bound["embed"], seq, plan, weighting)
+    """One utterance's loss as a scalar, through a group of one."""
+    rngs = [drop_rng] if train and drop_rng is not None else None
+    return ad.sum_all(_plm_losses(bound, config, Group([seq], [plan]),
+                                  weighting, rngs))
 
 
 def _loss_and_grads(params: dict[str, np.ndarray], want_grads: bool, build):
-    """Evaluate ``build(bound) -> (cls or None, plm, total)``, on a fresh
-    tape only when gradients are requested; backpropagate the total to a
-    name->gradient dict then."""
+    """Evaluate ``build(bound) -> (cls or None, plm, total)``, each (B,) per
+    utterance, on a fresh tape only when gradients are requested; report
+    their sums and backpropagate the summed total to a name->gradient dict
+    then."""
     tape = ad.Tape() if want_grads else None
     bound = bind_params(params, tape)
     cls, plm, total = build(bound)
-    breakdown = LossBreakdown(plm_loss=plm.item(),
-                              cls_loss=None if cls is None else cls.item(),
-                              total=total.item())
+    loss = ad.sum_all(total)
+    breakdown = LossBreakdown(
+        plm_loss=float(plm.data.sum()),
+        cls_loss=None if cls is None else float(cls.data.sum()),
+        total=loss.item())
     if not want_grads:
         return breakdown
-    grads = ad.backward(tape, total)
+    grads = ad.backward(tape, loss)
     by_name = {name: grads[tensor.node_id].data
                for name, tensor in bound.items() if tensor.node_id in grads}
     return breakdown, by_name
 
 
 def bert_plm_loss(params: dict[str, np.ndarray], config: EncoderConfig,
-                  seq: PhonemePosteriorSequence, plan: MaskPlan,
-                  weighting: str = "mean",
-                  drop_rng: np.random.Generator | None = None,
+                  group: Group, weighting: str = "mean", drop_rngs=None,
                   want_grads: bool = False):
-    """Masked-regression loss against the original posterior rows.
+    """Masked-regression loss against the original posterior rows, summed
+    over the group's utterances.
 
     Gradient flows to every encoder parameter, including the mask vector.
-    Dropout runs exactly when ``drop_rng`` is given. Returns a LossBreakdown,
-    plus a name->gradient dict when requested.
+    Dropout runs exactly when ``drop_rngs`` (one generator per utterance)
+    is given. Returns a LossBreakdown, plus a name->gradient dict of the
+    summed loss when requested.
     """
-    plan.check_partition(seq.length)
 
     def build(bound):
-        loss = _plm_term(bound, config, seq, plan, weighting, True, drop_rng)
-        return None, loss, loss
+        losses = _plm_losses(bound, config, group, weighting, drop_rngs)
+        return None, losses, losses
 
     return _loss_and_grads(params, want_grads, build)
+
+
+def _finetune_losses(bound: dict[str, Tensor], config: EncoderConfig,
+                     group: Group, labels, lam: float, weighting: str,
+                     drop_rngs) -> tuple[Tensor, Tensor, Tensor]:
+    """(cls, plm, total), each (B,), on one shared forward pass."""
+    classes = bound["classifier"].dims[0]
+    hidden = encode(bound, config, group, drop_rngs=drop_rngs)
+
+    pooled = attentive_pool(hidden, bound["pool_query"], group.context_rows)
+    logits = ad.matmul(pooled, ad.transpose(bound["classifier"]))
+    one_hot = np.zeros((group.size, classes))
+    one_hot[np.arange(group.size), list(labels)] = 1.0
+    cls = ad.scale(ad.segment_sum(
+        ad.mul(ad.constant(one_hot, check=False), ad.log_softmax(logits)),
+        np.arange(group.size + 1)), -1.0)
+
+    plm = _masked_regression(hidden, bound["embed"], group, weighting)
+    return cls, plm, ad.add(cls, ad.scale(plm, lam))
 
 
 def _finetune_term(bound: dict[str, Tensor], config: EncoderConfig,
@@ -177,48 +227,40 @@ def _finetune_term(bound: dict[str, Tensor], config: EncoderConfig,
                    lam: float, weighting: str, train: bool,
                    drop_rng: np.random.Generator | None
                    ) -> tuple[Tensor, Tensor, Tensor]:
-    """(cls, plm, total) on one shared forward pass."""
-    classes = bound["classifier"].dims[0]
-    seq = utterance.sequence
-    hidden = encode(bound, config, seq, plan,
-                    drop_rng=drop_rng if train else None)
-
-    pooled = attentive_pool(hidden, bound["pool_query"], plan.context_idx)
-    logits = ad.matmul(ad.reshape(pooled, (1, config.d_model)),
-                       ad.transpose(bound["classifier"]))
-    one_hot = np.zeros((1, classes))
-    one_hot[0, utterance.label] = 1.0
-    cls = ad.scale(ad.sum_all(ad.mul(ad.constant(one_hot, check=False),
-                                     ad.log_softmax(logits))), -1.0)
-
-    if plan.k >= 1:
-        plm = _masked_regression(hidden, bound["embed"], seq, plan, weighting)
-    else:
-        plm = ad.constant(0.0)
-    return cls, plm, ad.add(cls, ad.scale(plm, lam))
+    """One utterance's (cls, plm, total) as scalars, through a group of
+    one."""
+    rngs = [drop_rng] if train and drop_rng is not None else None
+    terms = _finetune_losses(bound, config,
+                             Group([utterance.sequence], [plan]),
+                             [utterance.label], lam, weighting, rngs)
+    return tuple(ad.sum_all(term) for term in terms)
 
 
 def finetune_loss(params: dict[str, np.ndarray], config: EncoderConfig,
-                  utterance: LabeledUtterance, plan: MaskPlan,
-                  lam: float = 1.0, weighting: str = "mean",
-                  drop_rng: np.random.Generator | None = None,
+                  group: Group, labels, lam: float = 1.0,
+                  weighting: str = "mean", drop_rngs=None,
                   want_grads: bool = False):
-    """Classification loss plus lam times the masked loss, one forward pass.
+    """Classification loss plus lam times the masked loss, one forward pass,
+    summed over the group's utterances (``labels`` holds one label each).
 
     The classifier pools over context positions only (target rows carry the
     mask vector, not content), so the masked frames act as input dropout.
-    Dropout runs exactly when ``drop_rng`` is given.
+    An utterance whose plan has no target adds no masked loss. Dropout runs
+    exactly when ``drop_rngs`` is given.
     """
     if "classifier" not in params:
         raise ad.ContractError("fine-tuning requires a classifier head")
     classes = params["classifier"].shape[0]
-    if not 0 <= utterance.label < classes:
-        raise ad.ContractError(
-            f"label {utterance.label} out of range for {classes} classes")
-    plan.check_partition(utterance.sequence.length)
+    labels = tuple(labels)
+    if len(labels) != group.size:
+        raise ad.ContractError("fine-tuning needs one label per utterance")
+    for label in labels:
+        if not 0 <= label < classes:
+            raise ad.ContractError(
+                f"label {label} out of range for {classes} classes")
 
     def build(bound):
-        return _finetune_term(bound, config, utterance, plan, lam, weighting,
-                              True, drop_rng)
+        return _finetune_losses(bound, config, group, labels, lam, weighting,
+                                drop_rngs)
 
     return _loss_and_grads(params, want_grads, build)

@@ -28,7 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .corpus import PhonemePosteriorSequence
-from .encoder import EncoderConfig, bind_params, encode, predict_phonemes
+from .encoder import (EncoderConfig, Group, bind_params, encode,
+                      predict_phonemes)
 from . import autodiff as ad
 from .objective import MaskPlan
 from .rng import stream_key
@@ -165,7 +166,7 @@ def make_frozen_predictor(params: dict[str, np.ndarray],
         scores = cache.get(key)
         if scores is None:
             plan = MaskPlan.from_context_set(context, seq.length)
-            hidden = encode(bound, config, seq, plan)
+            hidden = encode(bound, config, Group([seq], [plan]))
             logits = predict_phonemes(
                 ad.gather_rows(hidden, plan.target_idx), bound["embed"])
             log_probs = ad.log_softmax(logits).data

@@ -3,12 +3,12 @@
 Pre-training touches sequences only; the code path has no label accessor, so
 labels cannot leak into it. Fine-tuning resamples a fresh mask plan per step
 (the masked frames act as input dropout) and early-stops on validation error.
-Both stages run the same minibatch loop (shuffle, accumulate, average, Adam);
-they differ only in the per-utterance loss and in what happens to an
-utterance without an eligible target: pre-training skips it, fine-tuning
-trains it with nothing masked. All shuffling, plan sampling, dropout and init
-draw from named substreams of one seed, which makes checkpoints bitwise
-reproducible.
+Both stages run the same minibatch loop (shuffle, plan, score the kept
+utterances as length groups with one tape each, average, Adam); they differ
+only in the loss and in what happens to an utterance without an eligible
+target: pre-training skips it, fine-tuning trains it with nothing masked.
+All shuffling, plan sampling, dropout and init draw from named substreams of
+one seed, which makes checkpoints bitwise reproducible.
 
 Checkpoint format (.ckpt): magic "CKP1"; u32 entry count; per entry u16 name
 length, name bytes (UTF-8), u8 rank, rank u32 dims, then little-endian f32
@@ -33,8 +33,8 @@ from .config import (Config, ConfigError, config_text, encoder_config,
                      parse_config_text)
 from .corpus import (SIL_THRESHOLD, ByteReader, CorpusFormatError,
                      LabeledUtterance, PhonemePosteriorSequence, read_corpus)
-from .encoder import (EncoderConfig, attentive_pool, bind_params, encode,
-                      init_params)
+from .encoder import (EncoderConfig, Group, attentive_pool, bind_params,
+                      encode, init_params, param_shapes)
 from .objective import (MaskPlan, SamplingError, bert_plm_loss,
                         finetune_loss, sample_mask_plan)
 from .rng import stream
@@ -136,12 +136,17 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: Config,
 
 def _read_entries(reader: ByteReader) -> tuple[dict[str, np.ndarray], Config]:
     """Every entry, one at a time, then the config text; an entry holding a
-    NaN or an infinity is rejected at the offset of that value."""
+    NaN or an infinity is rejected at the offset of that value, and a
+    repeated entry name at the offset of the repeat."""
     (count,) = reader.unpack("<I")
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
+        entry_start = reader.offset
         (name_len,) = reader.unpack("<H")
         name = reader.text(name_len, "entry name")
+        if name in entries:
+            raise CorpusFormatError(f"entry {name!r} appears twice",
+                                    entry_start)
         (rank,) = reader.unpack("<B")
         if rank > MAX_RANK:
             raise CorpusFormatError(f"entry {name!r} has rank {rank} > "
@@ -186,6 +191,27 @@ def load_checkpoint(path) -> Checkpoint:
     if m:
         optim = OptimState(m=m, v=v2, step=step, lr=config.lr)
     return Checkpoint(arrays=params, config=config, step=step, optim=optim)
+
+
+def check_model_arrays(arrays: dict[str, np.ndarray],
+                       enc_config: EncoderConfig) -> None:
+    """DataError naming the first checkpoint entry that does not fit the
+    model ``enc_config`` describes: a parameter that is missing or has
+    another shape, or an entry that is no parameter. A classifier head is
+    optional; if present, any class count fits."""
+    head = arrays.get("classifier")
+    classes = head.shape[0] if head is not None and head.ndim else None
+    expected = param_shapes(enc_config, classes)
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise DataError(f"checkpoint has no entry {name!r}")
+        if arrays[name].shape != shape:
+            raise DataError(f"checkpoint entry {name!r} has shape "
+                            f"{arrays[name].shape}, the model needs {shape}")
+    for name in arrays:
+        if name not in expected:
+            raise DataError(f"checkpoint entry {name!r} is not a model "
+                            "parameter")
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +295,28 @@ def _as_sequences(corpus) -> list[PhonemePosteriorSequence]:
     return list(corpus)
 
 
-def _accumulate(grads_acc: dict[str, np.ndarray], losses: list,
-                result) -> None:
-    """Add one utterance's ``(loss, grads)`` (or nothing for None) into the
-    minibatch sums. The first kept utterance's arrays become the sums: no
-    two entries of a loss's gradient dict share memory, so adding into them
-    in place is safe. Returning drops this utterance's dict before the next
-    utterance runs."""
-    if result is None:
-        return
-    loss, grads = result
-    losses.append(loss)
+def length_groups(lengths, max_seq_len: int) -> list[list[int]]:
+    """Positions into ``lengths``, split into the groups they are scored in.
+
+    Positions are sorted by length (ties keep their order) and a group takes
+    the next one while its size times its longest length stays within
+    ``max_seq_len``, so a group never holds more padded frames than one
+    utterance of the maximal length.
+    """
+    groups: list[list[int]] = []
+    for pos in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if groups and (len(groups[-1]) + 1) * lengths[pos] <= max_seq_len:
+            groups[-1].append(pos)
+        else:
+            groups.append([pos])
+    return groups
+
+
+def _accumulate(grads_acc: dict[str, np.ndarray],
+                grads: dict[str, np.ndarray]) -> None:
+    """Add one group's gradients into the minibatch sums. The first group's
+    arrays become the sums: no two entries of a loss's gradient dict share
+    memory, so adding into them in place is safe."""
     for name, grad in grads.items():
         if name in grads_acc:
             grads_acc[name] += grad
@@ -288,28 +325,52 @@ def _accumulate(grads_acc: dict[str, np.ndarray], losses: list,
 
 
 def _train_steps(params, optim: OptimState, order, batch_size: int,
-                 utterance_grads):
+                 max_seq_len: int, plan_for, group_grads):
     """One epoch of minibatch Adam over ``order``, yielding each step's
-    losses right after the step. ``utterance_grads(idx)`` gives (loss, grads)
-    or None to skip; a minibatch with nothing kept takes no step."""
+    per-group loss sums and kept-utterance count right after the step.
+
+    ``plan_for(idx)`` gives utterance idx's (sequence, plan), or None to
+    skip it. A minibatch's kept utterances run as ``length_groups``, one
+    tape each: ``group_grads(indices, group)`` gives the group's summed
+    (loss, grads). The step averages the gradients over the kept
+    utterances; a minibatch with nothing kept takes no step.
+    """
     for start in range(0, len(order), batch_size):
+        kept = []
+        for idx in order[start:start + batch_size]:
+            planned = plan_for(int(idx))
+            if planned is not None:
+                kept.append((int(idx), *planned))
+        if not kept:
+            continue
         grads_acc: dict[str, np.ndarray] = {}
         losses = []
-        for idx in order[start:start + batch_size]:
-            _accumulate(grads_acc, losses, utterance_grads(int(idx)))
-        if not losses:
-            continue
+        for members in length_groups([seq.length for _, seq, _ in kept],
+                                     max_seq_len):
+            chosen = [kept[m] for m in members]
+            group = Group([seq for _, seq, _ in chosen],
+                          [plan for *_, plan in chosen])
+            loss, grads = group_grads([idx for idx, *_ in chosen], group)
+            losses.append(loss)
+            _accumulate(grads_acc, grads)
+            del grads   # free this group's arrays before the next group runs
         for grad in grads_acc.values():
-            grad /= len(losses)
+            grad /= len(kept)
         adam_step(params, grads_acc, optim)
-        yield losses
+        yield losses, len(kept)
 
 
 def _mean_plm_loss(params, enc_config, cfg, pairs) -> float:
-    values = [bert_plm_loss(params, enc_config, seq, plan,
-                            weighting=cfg.plm_weighting).plm_loss
-              for seq, plan in pairs]
-    return float(np.mean(values)) if values else float("nan")
+    if not pairs:
+        return float("nan")
+    losses = []
+    for members in length_groups([seq.length for seq, _ in pairs],
+                                 enc_config.max_seq_len):
+        group = Group([pairs[m][0] for m in members],
+                      [pairs[m][1] for m in members])
+        losses.append(bert_plm_loss(params, enc_config, group,
+                                    weighting=cfg.plm_weighting).plm_loss)
+    return float(np.sum(losses)) / len(pairs)
 
 
 def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
@@ -317,10 +378,13 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
              checkpoint_path=None) -> Checkpoint:
     """Masked pre-training over an unlabeled corpus; labels are never read.
 
-    Per epoch: shuffle, sample a fresh plan per utterance, accumulate
-    gradients over micro-batches, Adam step. A held-out slice (fixed plans)
-    is scored every epoch, including once before training as step 0; when
-    ``checkpoint_path`` is given the checkpoint is rewritten every epoch.
+    Per epoch: shuffle, sample a fresh plan per utterance, sum gradients
+    over each minibatch's length groups, Adam step on their mean. A
+    held-out slice (fixed plans) is scored every epoch, including once
+    before training as step 0; when ``checkpoint_path`` is given the
+    checkpoint is rewritten every epoch. After each epoch's last ``train``
+    row an ``epoch skipped`` row counts the utterances skipped for lack of
+    an eligible target.
     """
     sequences = _as_sequences(corpus)
     if not sequences:
@@ -351,23 +415,32 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
                 _mean_plm_loss(params, enc_config, cfg, held_pairs))
 
     for epoch in range(cfg.epochs):
-        def utterance_grads(idx):
+        skipped = []
+
+        def plan_for(idx):
             try:
-                plan = sample_mask_plan(
+                return train[idx], sample_mask_plan(
                     train[idx], sil_index, cfg.mask_ratio_max,
                     SIL_THRESHOLD, stream(seed, "plan", epoch, idx))
             except SamplingError:
+                skipped.append(idx)
                 return None
+
+        def group_grads(indices, group):
             breakdown, grads = bert_plm_loss(
-                params, enc_config, train[idx], plan,
-                weighting=cfg.plm_weighting,
-                drop_rng=stream(seed, "drop", epoch, idx), want_grads=True)
+                params, enc_config, group, weighting=cfg.plm_weighting,
+                drop_rngs=[stream(seed, "drop", epoch, idx)
+                           for idx in indices],
+                want_grads=True)
             return breakdown.plm_loss, grads
 
         order = stream(seed, "shuffle", epoch).permutation(len(train))
-        for losses in _train_steps(params, optim, order, cfg.batch_size,
-                                   utterance_grads):
-            log.log(optim.step, "train", "plm_loss", float(np.mean(losses)))
+        for losses, count in _train_steps(params, optim, order,
+                                          cfg.batch_size, cfg.max_seq_len,
+                                          plan_for, group_grads):
+            log.log(optim.step, "train", "plm_loss",
+                    float(np.sum(losses)) / count)
+        log.log(optim.step, "epoch", "skipped", len(skipped))
         if held_pairs:
             log.log(optim.step, "heldout", "plm_loss",
                     _mean_plm_loss(params, enc_config, cfg, held_pairs))
@@ -378,27 +451,28 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
     return Checkpoint(arrays=params, config=cfg, step=optim.step, optim=optim)
 
 
-def _predict_label(bound, enc_config, seq) -> int:
-    plan = MaskPlan.full_context(seq.length)
-    hidden = encode(bound, enc_config, seq, plan)
-    pooled = attentive_pool(hidden, bound["pool_query"], plan.context_idx)
-    logits = bound["classifier"].data @ pooled.data
-    return int(logits.argmax())
-
-
 def evaluate(params: dict[str, np.ndarray], enc_config: EncoderConfig,
              utterances: list[LabeledUtterance]) -> EvalMetrics:
-    """Argmax intent prediction with nothing masked."""
+    """Argmax intent prediction with nothing masked, one forward pass per
+    length group."""
     if "classifier" not in params:
         raise DataError("checkpoint has no classifier head")
     classes = params["classifier"].shape[0]
-    confusion = np.zeros((classes, classes), dtype=np.int64)
-    bound = bind_params(params)
     for utt in utterances:
         if not 0 <= utt.label < classes:
             raise DataError(f"label {utt.label} out of range ({classes} classes)")
-        predicted = _predict_label(bound, enc_config, utt.sequence)
-        confusion[utt.label, predicted] += 1
+    confusion = np.zeros((classes, classes), dtype=np.int64)
+    bound = bind_params(params)
+    for members in length_groups([u.sequence.length for u in utterances],
+                                 enc_config.max_seq_len):
+        seqs = [utterances[m].sequence for m in members]
+        group = Group(seqs, [MaskPlan.full_context(s.length) for s in seqs])
+        hidden = encode(bound, enc_config, group)
+        pooled = attentive_pool(hidden, bound["pool_query"],
+                                group.context_rows)
+        logits = pooled.data @ bound["classifier"].data.T
+        for m, row in zip(members, logits):
+            confusion[utterances[m].label, int(row.argmax())] += 1
     return metrics_from_confusion(confusion)
 
 
@@ -431,11 +505,12 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
 
     params = init_params(enc_config, stream(seed, "ft-init"), classes=classes)
     if init is not None:
+        check_model_arrays(init.arrays, enc_config)
         for name, arr in init.arrays.items():
-            if name in params:
-                if params[name].shape != arr.shape:
-                    raise DataError(f"checkpoint shape mismatch for {name!r}")
-                params[name] = arr.copy()
+            if params[name].shape != arr.shape:
+                raise DataError(f"checkpoint classifier has "
+                                f"{arr.shape[0]} classes, the data {classes}")
+            params[name] = arr.copy()
     optim = OptimState.for_params(params, lr=cfg.lr)
 
     order = stream(seed, "ft-split").permutation(len(train_utts))
@@ -449,27 +524,39 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     patience_left = cfg.patience
 
     for epoch in range(cfg.finetune_epochs):
-        def utterance_grads(idx):
+        fallbacks = []
+
+        def plan_for(idx):
             seq = train[idx].sequence
             try:
                 plan = sample_mask_plan(
                     seq, sil_index, cfg.mask_ratio_max, SIL_THRESHOLD,
                     stream(seed, "ft-plan", epoch, idx))
             except SamplingError:
+                fallbacks.append(idx)
                 plan = MaskPlan.full_context(seq.length)
+            return seq, plan
+
+        def group_grads(indices, group):
             breakdown, grads = finetune_loss(
-                params, enc_config, train[idx], plan, lam=cfg.finetune_lambda,
-                weighting=cfg.plm_weighting,
-                drop_rng=stream(seed, "ft-drop", epoch, idx), want_grads=True)
+                params, enc_config, group, [train[i].label for i in indices],
+                lam=cfg.finetune_lambda, weighting=cfg.plm_weighting,
+                drop_rngs=[stream(seed, "ft-drop", epoch, idx)
+                           for idx in indices],
+                want_grads=True)
             return breakdown.total, grads
 
         order = stream(seed, "ft-shuffle", epoch).permutation(len(train))
-        epoch_losses = []
-        for losses in _train_steps(params, optim, order, cfg.batch_size,
-                                   utterance_grads):
+        epoch_losses, epoch_count = [], 0
+        for losses, count in _train_steps(params, optim, order,
+                                          cfg.batch_size, cfg.max_seq_len,
+                                          plan_for, group_grads):
             epoch_losses += losses
-        if epoch_losses:
-            log.log(optim.step, "train", "total_loss", float(np.mean(epoch_losses)))
+            epoch_count += count
+        if epoch_count:
+            log.log(optim.step, "train", "total_loss",
+                    float(np.sum(epoch_losses)) / epoch_count)
+        log.log(optim.step, "epoch", "fallback_full_context", len(fallbacks))
         if val:
             val_error = evaluate(params, enc_config, val).error_rate
             log.log(optim.step, "val", "error_rate", val_error)

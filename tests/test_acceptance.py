@@ -18,7 +18,7 @@ from bertplm.config import parse_config
 from bertplm.corpus import (LabeledUtterance, PhonemePosteriorSequence,
                             default_grammar, generate_corpus, is_major_sil)
 from bertplm.encoder import (AttentionCapture, AttentionMask, EncoderConfig,
-                             bind_params, encode, init_params)
+                             Group, bind_params, encode, init_params)
 from bertplm.objective import (MaskPlan, _finetune_term, _plm_term,
                                sample_mask_plan)
 from bertplm.rng import stream
@@ -118,7 +118,7 @@ def test_criterion_3_no_leakage():
 
         capture = AttentionCapture()
         tape = ad.Tape()
-        base = encode(bind_params(params, tape), enc_cfg, seq, plan,
+        base = encode(bind_params(params, tape), enc_cfg, Group([seq], [plan]),
                       capture=capture).data
         allowed = AttentionMask.from_plan(plan).allowed
         for stacked in capture.weights:
@@ -129,7 +129,8 @@ def test_criterion_3_no_leakage():
             frames[target] = rng.dirichlet(np.ones(6))
             tape2 = ad.Tape()
             perturbed = encode(bind_params(params, tape2), enc_cfg,
-                               PhonemePosteriorSequence(frames), plan).data
+                               Group([PhonemePosteriorSequence(frames)], [plan])
+                               ).data
             worst_delta = max(worst_delta,
                               float(np.abs(perturbed - base).max()))
             checked_targets += 1

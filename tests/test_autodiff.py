@@ -284,7 +284,8 @@ class TestFiniteDiffCheck:
     def test_recording_tape_rejects_dropout(self):
         tape = ad.Tape(record=True)
         with pytest.raises(ad.ContractError):
-            ad.dropout(tape.leaf(np.ones(3)), 0.5, stream(1, "drop"))
+            ad.dropout(tape.leaf(np.ones(3)), 0.5,
+                       ad.keep_mask(0.5, stream(1, "drop"), (3,)))
 
 
 class TestPrimitives:
@@ -353,10 +354,33 @@ class TestPrimitives:
         np.add.at(expected, (np.arange(heads)[:, None, None], rows, cols), g)
         assert grad.tobytes() == expected.tobytes()
 
+    def test_segment_sum_forward_and_backward(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.arange(12.0).reshape(4, 3))
+        sums = ad.segment_sum(x, [0, 1, 1, 4])
+        np.testing.assert_array_equal(sums.data, [3.0, 0.0, 63.0])
+        whole = ad.segment_sum(ad.constant(x.data), [0, 4])
+        assert whole.data.tobytes() == ad.sum_all(x).data.reshape(1).tobytes()
+        loss = ad.sum_all(ad.mul(sums, ad.constant(np.array([2.0, 5.0, -1.0]))))
+        grads = ad.backward(tape, loss)
+        np.testing.assert_array_equal(grads[x.node_id].data,
+                                      [[2.0] * 3, [-1.0] * 3, [-1.0] * 3,
+                                       [-1.0] * 3])
+        with pytest.raises(ad.ContractError):
+            ad.segment_sum(x, [0, 3, 2, 4])
+        with pytest.raises(ad.ContractError):
+            ad.segment_sum(x, [0, 3])
+
+    def test_reshape_to_same_shape_records_nothing(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.ones((2, 3)))
+        assert ad.reshape(x, (2, 3)) is x
+        assert len(tape.nodes) == 1
+
     def test_dropout_reproducible_and_inverted(self):
         x = ad.constant(np.ones((50, 20)))
-        a = ad.dropout(x, 0.3, stream(11, "drop")).data
-        b = ad.dropout(x, 0.3, stream(11, "drop")).data
+        a = ad.dropout(x, 0.3, ad.keep_mask(0.3, stream(11, "drop"), x.dims)).data
+        b = ad.dropout(x, 0.3, ad.keep_mask(0.3, stream(11, "drop"), x.dims)).data
         np.testing.assert_array_equal(a, b)
         kept = a[a != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7)
@@ -380,7 +404,8 @@ class TestDeterminism:
             tape = ad.Tape()
             w = tape.leaf(rng.normal(size=(6, 6)))
             x = ad.constant(rng.normal(size=(4, 6)))
-            h = ad.dropout(ad.gelu(ad.matmul(x, w)), 0.2, stream(12, "det", "drop"))
+            h = ad.dropout(ad.gelu(ad.matmul(x, w)), 0.2,
+                           ad.keep_mask(0.2, stream(12, "det", "drop"), (4, 6)))
             loss = ad.sum_all(ad.mul(h, h))
             grads = ad.backward(tape, loss)
             return loss.item(), grads[w.node_id].data.copy()
@@ -408,6 +433,11 @@ def _masked(x):
     mask = np.zeros(x.dims[-2:], dtype=bool)
     mask[0, -1] = mask[-1, 0] = True
     return ad.masked_fill(x, mask, float("-inf"))
+
+
+def _segments(x):
+    rows = x.dims[0]
+    return ad.segment_sum(x, [0, 1, 1, rows - 1, rows])
 
 
 #: name -> (primitive, operand shapes given (h, rows, d), operands that may
@@ -440,6 +470,7 @@ KERNEL_CASES = {
                             lambda h, r, d: [(h, r, 2 * r - 1)], (0,)),
     "merge_heads": (ad.merge_heads, lambda h, r, d: [(h, r, d)], (0,)),
     "sum_all": (ad.sum_all, lambda h, r, d: [(h, r, d)], (0,)),
+    "segment_sum": (_segments, lambda h, r, d: [(r + 2, h, d)], (0,)),
     "sum_all scalar": (ad.sum_all, lambda h, r, d: [()], (0,)),
 }
 

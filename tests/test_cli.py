@@ -336,6 +336,40 @@ class TestInputValidation:
         assert "heads" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    @pytest.mark.parametrize("fault, named", [
+        ("one phoneme more", "entry 'embed' has shape"),
+        ("missing entry", "no entry 'layer0.wq'")])
+    def test_checkpoint_must_fit_the_model(self, small_corpus, tmp_path,
+                                           capsys, command, fault, named):
+        # evaluate reads a fine-tuned checkpoint, finetune --ckpt a
+        # pre-trained one
+        ckpt = tmp_path / "model.ckpt"
+        data = ["--data", small_corpus["c.pps"], "--vocab", small_corpus["v.txt"]]
+        manifest = ["--manifest", small_corpus["c.tsv"]]
+        make = (["finetune"] + manifest if command == "evaluate"
+                else ["pretrain"])
+        assert cli.main(make + data + ["--out", str(ckpt)] + SMALL) \
+            == cli.EXIT_OK
+        saved = tr.load_checkpoint(ckpt)
+        arrays = dict(saved.arrays)
+        if fault == "one phoneme more":
+            arrays["embed"] = np.vstack([arrays["embed"], arrays["embed"][:1]])
+        else:
+            del arrays["layer0.wq"]
+        tr.save_checkpoint(ckpt, arrays, saved.config, saved.step)
+        capsys.readouterr()
+        out = tmp_path / "ft.ckpt"
+        if command == "evaluate":
+            argv = ["evaluate", "--ckpt", str(ckpt)] + data + manifest
+        else:
+            argv = (["finetune", "--ckpt", str(ckpt), "--out", str(out)]
+                    + data + manifest + SMALL)
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert not out.exists()
+
     def test_empty_training_corpus_is_data_error(self, small_corpus, tmp_path,
                                                  capsys):
         empty = tmp_path / "empty.pps"

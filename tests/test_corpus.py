@@ -298,6 +298,14 @@ class TestManifest:
         assert excinfo.value.offset == len("u0\t1\tclass1\n")
         assert str(excinfo.value).endswith("(at byte offset 12)")
 
+    def test_repeated_id_names_line_and_offset(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("u0\t1\tclass1\nu1\t0\tclass0\nu0\t2\tclass2\n")
+        with pytest.raises(cp.CorpusFormatError,
+                           match="line 3 repeats utterance id 'u0'") as excinfo:
+            cp.read_manifest(path)
+        assert excinfo.value.offset == len("u0\t1\tclass1\nu1\t0\tclass0\n")
+
     def test_missing_label(self, grammar, tmp_path):
         seq = cp.generate_utterance(grammar, 0, stream(12, "x"),
                                     utterance_id="lonely").sequence

@@ -20,6 +20,10 @@ def random_sequence(t_len, vocab_size, rng, utt_id="seq"):
     return PhonemePosteriorSequence(rows, utterance_id=utt_id)
 
 
+def one(seq, plan):
+    return enc.Group([seq], [plan])
+
+
 def bound_params(config, seed, classes=None):
     params = enc.init_params(config, stream(seed, "init"), classes=classes)
     tape = ad.Tape()
@@ -126,29 +130,37 @@ class TestEmbedPosteriors:
 
 
 class TestApplyMaskPlan:
+    @staticmethod
+    def group(plan, t_len):
+        return one(PhonemePosteriorSequence(np.full((t_len, 6), 1 / 6)), plan)
+
     def test_empty_target_set_is_identity(self):
         x = ad.constant(stream(4, "m").normal(size=(4, 8)))
         w = ad.constant(np.full(8, 9.0))
-        out = enc.apply_mask_plan(x, MaskPlan.full_context(4), w)
+        out = enc.apply_mask_plan(x, self.group(MaskPlan.full_context(4), 4), w)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_all_target_fills_every_row(self):
         x = ad.constant(stream(5, "m").normal(size=(3, 8)))
         w = ad.constant(np.arange(8.0))
-        out = enc.apply_mask_plan(x, MaskPlan((), (0, 1, 2)), w)
+        out = enc.apply_mask_plan(x, self.group(MaskPlan((), (0, 1, 2)), 3), w)
         np.testing.assert_array_equal(out.data, np.tile(np.arange(8.0), (3, 1)))
 
     def test_context_rows_unchanged_bitwise(self):
         x = ad.constant(stream(6, "m").normal(size=(4, 8)))
         w = ad.constant(np.zeros(8))
-        out = enc.apply_mask_plan(x, MaskPlan((0, 2), (1, 3)), w)
+        out = enc.apply_mask_plan(x, self.group(MaskPlan((0, 2), (1, 3)), 4), w)
         assert out.data[0].tobytes() == x.data[0].tobytes()
         assert out.data[2].tobytes() == x.data[2].tobytes()
 
     def test_bad_plan_rejected(self):
         x = ad.constant(np.zeros((4, 8)))
         with pytest.raises(ad.ContractError):
-            enc.apply_mask_plan(x, MaskPlan((0, 1), (3,)), ad.constant(np.zeros(8)))
+            enc.apply_mask_plan(x, self.group(MaskPlan((0, 1), (3,)), 4),
+                                ad.constant(np.zeros(8)))
+        with pytest.raises(ad.ShapeError):
+            enc.apply_mask_plan(x, self.group(MaskPlan.full_context(3), 3),
+                                ad.constant(np.zeros(8)))
 
 
 def direct_sinusoids(t_len, width, max_seq_len):
@@ -223,7 +235,7 @@ class TestEncode:
     def test_single_frame_full_context(self):
         params, bound, _ = bound_params(TINY, 10)
         seq = random_sequence(1, 6, stream(10, "s"))
-        out = enc.encode(bound, TINY, seq, MaskPlan.full_context(1))
+        out = enc.encode(bound, TINY, one(seq, MaskPlan.full_context(1)))
         assert out.dims == (1, 16)
 
     def test_target_content_cannot_leak(self):
@@ -231,14 +243,14 @@ class TestEncode:
         rng = stream(11, "s")
         seq = random_sequence(7, 6, rng)
         plan = MaskPlan.from_context_set((0, 2, 3, 6), 7)
-        base = enc.encode(bound, TINY, seq, plan).data
+        base = enc.encode(bound, TINY, one(seq, plan)).data
         for target in plan.target_idx:
             frames = seq.frames.copy()
             frames[target] = rng.dirichlet(np.ones(6))
             perturbed = PhonemePosteriorSequence(frames)
             tape2 = ad.Tape()
             bound2 = enc.bind_params(params, tape2)
-            out = enc.encode(bound2, TINY, perturbed, plan).data
+            out = enc.encode(bound2, TINY, one(perturbed, plan)).data
             assert np.abs(out - base).max() <= 1e-12
 
     def test_blocked_columns_carry_zero_attention(self):
@@ -246,7 +258,7 @@ class TestEncode:
         seq = random_sequence(8, 6, stream(12, "s"))
         plan = MaskPlan.from_context_set((0, 1, 4, 5), 8)
         capture = enc.AttentionCapture()
-        enc.encode(bound, TINY, seq, plan, capture=capture)
+        enc.encode(bound, TINY, one(seq, plan), capture=capture)
         allowed = enc.AttentionMask.from_plan(plan).allowed
         for stacked in capture.weights:
             for weights in stacked:
@@ -259,19 +271,20 @@ class TestEncode:
         rng = stream(13, "s")
         rows = rng.dirichlet(np.ones(6), size=6)
         plan = MaskPlan.from_context_set((0, 1, 2, 4, 5), 6)
-        base = enc.encode(bound, TINY, PhonemePosteriorSequence(rows), plan).data
+        base = enc.encode(bound, TINY, one(PhonemePosteriorSequence(rows), plan)).data
         swapped = rows.copy()
         swapped[[1, 4]] = swapped[[4, 1]]
         tape2 = ad.Tape()
         bound2 = enc.bind_params(params, tape2)
-        moved = enc.encode(bound2, TINY, PhonemePosteriorSequence(swapped), plan).data
+        moved = enc.encode(bound2, TINY,
+                           one(PhonemePosteriorSequence(swapped), plan)).data
         assert np.abs(moved[0] - base[0]).max() > 1e-6
 
     def test_sequence_too_long(self):
         params, bound, _ = bound_params(TINY, 14)
         seq = random_sequence(TINY.max_seq_len + 1, 6, stream(14, "s"))
         with pytest.raises(enc.SequenceLengthError):
-            enc.encode(bound, TINY, seq, MaskPlan.full_context(seq.length))
+            enc.encode(bound, TINY, one(seq, MaskPlan.full_context(seq.length)))
 
 
 class TestPredictPhonemes:
@@ -299,23 +312,24 @@ class TestAttentivePool:
         row = stream(16, "p").normal(size=8)
         hidden = ad.constant(np.tile(row, (5, 1)))
         pooled = enc.attentive_pool(hidden, ad.constant(stream(16, "q").normal(size=8)),
-                                    range(5))
-        np.testing.assert_allclose(pooled.data, row, atol=1e-12)
+                                    [range(5)])
+        np.testing.assert_allclose(pooled.data[0], row, atol=1e-12)
 
     def test_single_valid_position(self):
         hidden = ad.constant(stream(17, "p").normal(size=(4, 8)))
-        pooled = enc.attentive_pool(hidden, ad.constant(np.ones(8)), [2])
-        np.testing.assert_allclose(pooled.data, hidden.data[2])
+        pooled = enc.attentive_pool(hidden, ad.constant(np.ones(8)), [[2]])
+        np.testing.assert_allclose(pooled.data[0], hidden.data[2])
 
     def test_zero_query_gives_mean(self):
         hidden = ad.constant(stream(18, "p").normal(size=(6, 8)))
-        pooled = enc.attentive_pool(hidden, ad.constant(np.zeros(8)), [0, 2, 5])
-        np.testing.assert_allclose(pooled.data, hidden.data[[0, 2, 5]].mean(axis=0))
+        pooled = enc.attentive_pool(hidden, ad.constant(np.zeros(8)), [[0, 2, 5]])
+        np.testing.assert_allclose(pooled.data[0],
+                                   hidden.data[[0, 2, 5]].mean(axis=0))
 
     def test_no_valid_positions(self):
         with pytest.raises(ad.ContractError):
             enc.attentive_pool(ad.constant(np.zeros((3, 8))),
-                               ad.constant(np.zeros(8)), [])
+                               ad.constant(np.zeros(8)), [[]])
 
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
@@ -324,7 +338,7 @@ class TestAttentivePool:
         hidden = ad.constant(rng.normal(size=(6, 5)))
         query = ad.constant(rng.normal(size=5, scale=3.0))
         valid = sorted(rng.choice(6, size=n_valid, replace=False).tolist())
-        pooled = enc.attentive_pool(hidden, query, valid).data
+        pooled = enc.attentive_pool(hidden, query, [valid]).data[0]
         rows = hidden.data[valid]
         assert np.all(pooled >= rows.min(axis=0) - 1e-12)
         assert np.all(pooled <= rows.max(axis=0) + 1e-12)
@@ -351,15 +365,15 @@ class TestTapelessBinding:
         assert all(t.tape is None and t.node_id is None for t in bound.values())
         seq = random_sequence(6, 6, stream(20, "s"))
         plan = MaskPlan.from_context_set((0, 2, 3, 5), 6)
-        hidden = enc.encode(bound, TINY, seq, plan)
+        hidden = enc.encode(bound, TINY, one(seq, plan))
         pooled = enc.attentive_pool(hidden, bound["pool_query"],
-                                    plan.context_idx)
+                                    [plan.context_idx])
         logits = enc.predict_phonemes(ad.gather_rows(hidden, plan.target_idx),
                                       bound["embed"])
         assert all(t.tape is None for t in (hidden, pooled, logits))
 
         taped = enc.bind_params(params, ad.Tape())
-        reference = enc.encode(taped, TINY, seq, plan)
+        reference = enc.encode(taped, TINY, one(seq, plan))
         assert hidden.data.tobytes() == reference.data.tobytes()
 
     def test_forward_only_callers_build_no_tape(self, monkeypatch):
@@ -376,8 +390,106 @@ class TestTapelessBinding:
             raise AssertionError("a forward-only pass built a Tape")
 
         monkeypatch.setattr(ad, "Tape", no_tape)
-        obj.bert_plm_loss(params, TINY, seq, plan)
-        obj.finetune_loss(params, TINY, LabeledUtterance(seq, 1), plan)
+        obj.bert_plm_loss(params, TINY, one(seq, plan))
+        obj.finetune_loss(params, TINY, one(seq, plan), [1])
         tr.evaluate(params, TINY, [LabeledUtterance(seq, 2)])
         predictor = oracle.make_frozen_predictor(params, TINY)
         predictor(seq, frozenset({0, 1}), 4)
+
+
+class TestGroups:
+    def test_no_leakage_between_utterances(self):
+        # in the style of acceptance criterion 3: perturbing any frame of
+        # one utterance moves no hidden row or loss of another
+        from bertplm import objective as obj
+
+        worst = 0.0
+        for trial in range(20):
+            rng = stream(22, "leak", trial)
+            params = enc.init_params(TINY, rng, init_std=0.1)
+            bound = enc.bind_params(params)
+            lengths = rng.integers(2, 9, size=int(rng.integers(2, 5)))
+            seqs = [random_sequence(int(n), 6, rng, f"g{i}")
+                    for i, n in enumerate(lengths)]
+            plans = [obj.sample_mask_plan(s, 0, 0.5, 0.999, rng) for s in seqs]
+            group = enc.Group(seqs, plans)
+            base = enc.encode(bound, TINY, group).data
+            base_losses = obj._plm_losses(bound, TINY, group, "mean", None).data
+            t_len = group.length
+            for j, seq in enumerate(seqs):
+                for frame in range(seq.length):
+                    frames = seq.frames.copy()
+                    frames[frame] = rng.dirichlet(np.ones(6))
+                    moved = list(seqs)
+                    moved[j] = PhonemePosteriorSequence(frames)
+                    group2 = enc.Group(moved, plans)
+                    out = enc.encode(bound, TINY, group2).data
+                    losses = obj._plm_losses(bound, TINY, group2, "mean",
+                                             None).data
+                    others = [b for b in range(len(seqs)) if b != j]
+                    for b in others:
+                        rows = slice(b * t_len, b * t_len + seqs[b].length)
+                        worst = max(worst, float(np.abs(
+                            out[rows] - base[rows]).max()),
+                            abs(float(losses[b] - base_losses[b])))
+        assert worst <= 1e-12
+
+    def test_members_compute_what_they_compute_alone(self):
+        from bertplm import objective as obj
+
+        params = enc.init_params(TINY, stream(23, "init"), init_std=0.1)
+        bound = enc.bind_params(params)
+        rng = stream(23, "s")
+        seqs = [random_sequence(n, 6, rng) for n in (4, 9, 6)]
+        plans = [obj.sample_mask_plan(s, 0, 0.5, 0.999, rng) for s in seqs]
+        together = enc.encode(bound, TINY, enc.Group(seqs, plans)).data
+        for b, (seq, plan) in enumerate(zip(seqs, plans)):
+            alone = enc.encode(bound, TINY, one(seq, plan)).data
+            rows = together[b * 9:b * 9 + seq.length]
+            assert np.abs(rows - alone).max() <= 1e-12
+
+    def test_padding_attends_only_to_itself(self):
+        seqs = [random_sequence(n, 6, stream(24, "s", n)) for n in (2, 4)]
+        group = enc.Group(seqs, [MaskPlan.full_context(2),
+                                 MaskPlan((0, 3), (1, 2))])
+        allowed = group.attention_mask().allowed
+        assert allowed.shape == (2, 4, 4)
+        np.testing.assert_array_equal(allowed[0, :2, :2], True)
+        np.testing.assert_array_equal(allowed[0, :2, 2:], False)
+        np.testing.assert_array_equal(allowed[0, 2:], [[0, 0, 1, 0],
+                                                       [0, 0, 0, 1]])
+        np.testing.assert_array_equal(
+            allowed[1], enc.AttentionMask.from_plan(group.plans[1]).allowed)
+        np.testing.assert_array_equal(group.target_rows, [5, 6])
+        np.testing.assert_array_equal(group.target_bounds, [0, 0, 2])
+        assert group.frames.shape == (8, 6)
+        np.testing.assert_array_equal(group.frames[2:4], 0.0)
+
+    def test_group_needs_one_partitioning_plan_per_sequence(self):
+        seq = random_sequence(3, 6, stream(25, "s"))
+        with pytest.raises(ad.ContractError):
+            enc.Group([seq], [])
+        with pytest.raises(ad.ContractError):
+            enc.Group([seq], [MaskPlan.full_context(2)])
+        with pytest.raises(ad.ShapeError):
+            enc.Group([seq, random_sequence(3, 5, stream(25, "t"))],
+                      [MaskPlan.full_context(3)] * 2)
+
+    def test_group_dropout_draws_each_member_alone(self):
+        config = enc.EncoderConfig(vocab_size=6, layers=1, d_model=8, d_ff=12,
+                                   heads=2, max_seq_len=16, dropout=0.3)
+        seqs = [random_sequence(n, 6, stream(26, "s", n)) for n in (3, 5)]
+        group = enc.Group(seqs, [MaskPlan.full_context(s.length) for s in seqs])
+        drop = enc.GroupDropout(0.3, [stream(26, "d", b) for b in range(2)],
+                                group)
+        rows = drop.rows(ad.constant(np.ones((10, 8)))).data.reshape(2, 5, 8)
+        weights = drop.weights(ad.constant(np.ones((4, 5, 5))), 2).data
+        weights = weights.reshape(2, 2, 5, 5)
+        for b, n in enumerate((3, 5)):
+            rng = stream(26, "d", b)
+            kept = ad.keep_mask(0.3, rng, (n, 8))
+            np.testing.assert_array_equal(rows[b, :n], kept / 0.7)
+            kept = ad.keep_mask(0.3, rng, (2, n, n))
+            np.testing.assert_array_equal(weights[:, b, :n, :n], kept / 0.7)
+        np.testing.assert_array_equal(rows[0, 3:], 1.0 / 0.7)  # padding kept
+        np.testing.assert_array_equal(weights[:, 0, 3:], 1.0 / 0.7)

@@ -159,7 +159,7 @@ class TestFrozenPredictor:
 
     def test_all_but_one_matches_direct_forward(self):
         from bertplm import autodiff as ad
-        from bertplm.encoder import bind_params, encode, predict_phonemes
+        from bertplm.encoder import Group, bind_params, encode, predict_phonemes
         from bertplm.objective import MaskPlan
 
         params = init_params(self.CONFIG, stream(31, "init"))
@@ -169,7 +169,7 @@ class TestFrozenPredictor:
 
         tape = ad.Tape()
         bound = bind_params(params, tape)
-        hidden = encode(bound, self.CONFIG, seq, MaskPlan((0,), (1,)))
+        hidden = encode(bound, self.CONFIG, Group([seq], [MaskPlan((0,), (1,))]))
         logits = predict_phonemes(ad.gather_rows(hidden, [1]), bound["embed"])
         expected = ad.log_softmax(logits).data[0, int(seq.frames[1].argmax())]
         assert value == float(expected)
@@ -178,7 +178,7 @@ class TestFrozenPredictor:
         from itertools import combinations
 
         from bertplm import autodiff as ad
-        from bertplm.encoder import bind_params, encode, predict_phonemes
+        from bertplm.encoder import Group, bind_params, encode, predict_phonemes
         from bertplm.objective import MaskPlan
 
         params = init_params(self.CONFIG, stream(33, "init"))
@@ -188,7 +188,7 @@ class TestFrozenPredictor:
             for context in combinations(range(4), size):
                 plan = MaskPlan.from_context_set(context, 4)
                 bound = bind_params(params, ad.Tape())
-                hidden = encode(bound, self.CONFIG, seq, plan)
+                hidden = encode(bound, self.CONFIG, Group([seq], [plan]))
                 logits = predict_phonemes(
                     ad.gather_rows(hidden, plan.target_idx), bound["embed"])
                 log_probs = ad.log_softmax(logits).data

@@ -159,6 +159,17 @@ class TestCheckpoint:
                            match="entry name is not valid UTF-8 .at byte offset 10."):
             tr.load_checkpoint(path)
 
+    def test_repeated_entry_name_reports_offset(self, tmp_path):
+        path = tmp_path / "twice.ckpt"
+        text = b"profile = tiny\n"
+        entry = struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 2) \
+            + struct.pack("<2f", 0.5, 1.5)
+        path.write_bytes(tr.CHECKPOINT_MAGIC + struct.pack("<I", 2) + entry
+                         + entry + struct.pack("<I", len(text)) + text)
+        with pytest.raises(tr.DataError, match=(
+                f"entry 'w' appears twice .at byte offset {8 + len(entry)}.")):
+            tr.load_checkpoint(path)
+
     def test_trailing_bytes_after_config_rejected(self, tmp_path):
         path, _ = self._saved(tmp_path)
         size = path.stat().st_size
@@ -304,10 +315,10 @@ class TestPretrain:
         trained = []
         original = tr.bert_plm_loss
 
-        def spy(params, config, seq, plan, **kwargs):
+        def spy(params, config, group, **kwargs):
             if kwargs.get("want_grads"):
-                trained.append(seq.utterance_id)
-            return original(params, config, seq, plan, **kwargs)
+                trained.extend(seq.utterance_id for seq in group.sequences)
+            return original(params, config, group, **kwargs)
 
         monkeypatch.setattr(tr, "bert_plm_loss", spy)
         cfg = small_config(epochs=2, batch_size=1, heldout_fraction=0.0)
@@ -317,6 +328,27 @@ class TestPretrain:
         # a minibatch left empty by skips takes no step and logs no row
         assert ckpt.step == 2 * len(normal)
         assert sum(1 for r in log.records if r[1] == "train") == ckpt.step
+
+    def test_epoch_rows_count_skipped_utterances(self):
+        grammar = default_grammar()
+        sil = grammar.vocab.sil_index
+        normal = [u.sequence for u in generate_corpus(grammar, 5, seed=17)]
+        frames = np.zeros((4, grammar.vocab.size))
+        frames[:, sil] = 1.0
+        silent = [PhonemePosteriorSequence(frames.copy(), utterance_id=f"sil{i}")
+                  for i in range(3)]
+        cfg = small_config(epochs=2, batch_size=3, heldout_fraction=0.0)
+        log = tr.ProgressLog()
+        ckpt = tr.pretrain(normal + silent, cfg, seed=17, sil_index=sil,
+                           log=log)
+        rows = [(r[0], r[2], r[3]) for r in log.records if r[1] == "epoch"]
+        assert [(metric, value) for _, metric, value in rows] \
+            == [("skipped", 3), ("skipped", 3)]
+        # each epoch's row follows its last train row
+        last_train = [i for i, r in enumerate(log.records) if r[1] == "train"]
+        epoch_rows = [i for i, r in enumerate(log.records) if r[1] == "epoch"]
+        assert epoch_rows[-1] == last_train[-1] + 1
+        assert rows[-1][0] == ckpt.step
 
     def test_progress_log_format(self, tmp_path):
         grammar = default_grammar()
@@ -331,8 +363,27 @@ class TestPretrain:
             step, split, metric, value = line.split("\t")
             int(step)
             float(value)
-            assert split in ("train", "heldout")
-            assert metric == "plm_loss"
+            assert (split, metric) in {("train", "plm_loss"),
+                                       ("heldout", "plm_loss"),
+                                       ("epoch", "skipped")}
+
+
+class TestLengthGroups:
+    def test_greedy_over_sorted_lengths(self):
+        lengths = [30, 10, 12, 10, 31, 100, 25]
+        groups = tr.length_groups(lengths, max_seq_len=64)
+        # sorted: 10 (1), 10 (3), 12 (2), 25 (6), 30 (0), 31 (4), 100 (5)
+        assert groups == [[1, 3, 2], [6, 0], [4], [5]]
+        for group in groups:
+            longest = max(lengths[i] for i in group)
+            assert len(group) == 1 or len(group) * longest <= 64
+        assert sorted(i for g in groups for i in g) == list(range(7))
+        # a group may pad to exactly max_seq_len frames
+        assert tr.length_groups([16, 32, 32], 64) == [[0, 1], [2]]
+
+    def test_every_utterance_alone_when_nothing_fits_twice(self):
+        assert tr.length_groups([40, 33, 64], 64) == [[1], [0], [2]]
+        assert tr.length_groups([], 64) == []
 
 
 class TestFinetuneEvaluate:
@@ -350,7 +401,7 @@ class TestFinetuneEvaluate:
 
     def test_evaluate_confusion_equals_taped_predictions(self):
         from bertplm import autodiff as ad
-        from bertplm.encoder import (EncoderConfig, attentive_pool,
+        from bertplm.encoder import (EncoderConfig, Group, attentive_pool,
                                      bind_params, encode)
         from bertplm.objective import MaskPlan
 
@@ -367,10 +418,10 @@ class TestFinetuneEvaluate:
         for utt in utts:
             plan = MaskPlan.full_context(utt.sequence.length)
             bound = bind_params(params, ad.Tape())
-            hidden = encode(bound, config, utt.sequence, plan)
+            hidden = encode(bound, config, Group([utt.sequence], [plan]))
             pooled = attentive_pool(hidden, bound["pool_query"],
-                                    plan.context_idx)
-            expected[utt.label, int((params["classifier"] @ pooled.data)
+                                    [plan.context_idx])
+            expected[utt.label, int((params["classifier"] @ pooled.data[0])
                                     .argmax())] += 1
         confusion = tr.evaluate(params, config, utts).confusion
         np.testing.assert_array_equal(confusion, expected)
@@ -396,18 +447,21 @@ class TestFinetuneEvaluate:
         plans = []
         original = tr.finetune_loss
 
-        def spy(params, config, utterance, plan, **kwargs):
-            plans.append(plan)
-            return original(params, config, utterance, plan, **kwargs)
+        def spy(params, config, group, labels, **kwargs):
+            plans.extend(group.plans)
+            return original(params, config, group, labels, **kwargs)
 
         monkeypatch.setattr(tr, "finetune_loss", spy)
         cfg = small_config(finetune_epochs=1, batch_size=2, val_fraction=0.0)
+        log = tr.ProgressLog()
         ckpt, metrics = tr.finetune(None, train, [], cfg, seed=4, sil_index=0,
-                                    classes=2)
+                                    classes=2, log=log)
         assert metrics is None
         assert ckpt.step == 2  # 4 training utterances after 1 for validation
         assert len(plans) == 4
         assert all(p.k == 0 and p.context_idx == (0, 1, 2) for p in plans)
+        assert sorted(r[2:] for r in log.records if r[1] == "epoch") \
+            == [("fallback_full_context", 4)]
         from bertplm.config import encoder_config
         fresh = init_params(encoder_config(cfg, 4), stream(4, "ft-init"),
                             classes=2)

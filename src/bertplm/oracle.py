@@ -54,18 +54,20 @@ def _guard(t_len: int, c: int) -> None:
 
 
 def perm_plm_expectation(p: SetPredictor, seq: PhonemePosteriorSequence,
-                         c: int) -> float:
+                         c: int, memo: dict | None = None) -> float:
     """(1/T!) sum over orders z of sum_{t>c} log p(x_{z_t} | x_{z_<t}).
 
     Enumerates every factorization order; conditionals are memoized on the
     (context set, target) pair, which is exactly the invariance the check
-    exploits. The enumeration asserts that each (t, S, j) triple appears
-    (t-1)! (T-t)! times: the prefix and suffix orderings around a fixed
-    conditional.
+    exploits. A caller may pass ``memo`` to share those conditionals with
+    another enumeration of the same sequence. The enumeration asserts that
+    each (t, S, j) triple appears (t-1)! (T-t)! times: the prefix and suffix
+    orderings around a fixed conditional.
     """
     t_len = seq.length
     _guard(t_len, c)
-    memo: dict[tuple[frozenset, int], float] = {}
+    if memo is None:
+        memo = {}
     counts: dict[tuple[int, frozenset, int], int] = {}
     terms = []
     for order in permutations(range(t_len)):
@@ -87,22 +89,36 @@ def perm_plm_expectation(p: SetPredictor, seq: PhonemePosteriorSequence,
 
 def subset_regression_expectation(p: SetPredictor,
                                   seq: PhonemePosteriorSequence,
-                                  c: int) -> tuple[float, float]:
+                                  c: int, memo: dict | None = None
+                                  ) -> tuple[float, float]:
     """Masked-regression expectation over context subsets, as (exact, paper)
     from one enumeration.
 
     exact:  sum_{k=1..T-c} E_{|S|=T-k} [ (1/k) sum_{j not in S} p(j|S) ]
     paper:  (1/(T-c)) sum_{k=1..T-c} E_{|S|=T-k} [ sum_{j not in S} p(j|S) ]
+
+    Conditionals are memoized on the (context set, target) pair; pass the
+    ``memo`` ``perm_plm_expectation`` filled for the same sequence to read
+    its conditionals instead of asking ``p`` again.
     """
     t_len = seq.length
     _guard(t_len, c)
     positions = set(range(t_len))
+    if memo is None:
+        memo = {}
+
+    def score(context: frozenset, target: int) -> float:
+        value = memo.get((context, target))
+        if value is None:
+            value = memo[context, target] = p(seq, context, target)
+        return value
+
     exact_k, paper_k = [], []
     for k in range(1, t_len - c + 1):
         totals = []
         for context in combinations(range(t_len), t_len - k):
             context_set = frozenset(context)
-            totals.append(math.fsum(p(seq, context_set, j)
+            totals.append(math.fsum(score(context_set, j)
                                     for j in positions - context_set))
         exact_k.append(math.fsum(total / k for total in totals) / len(totals))
         paper_k.append(math.fsum(totals) / len(totals))
@@ -149,33 +165,46 @@ def make_frozen_predictor(params: dict[str, np.ndarray],
 
     For a context set S the mask plan targets the whole complement; the
     log-probability of position j is the log-softmax of its tied logits at
-    the argmax phoneme of the true posterior row. One forward pass per
-    distinct S serves every j outside S, because a target row attends only
-    to S and itself, never to other targets. Scores are cached on the
+    the argmax phoneme of the true posterior row. One plan per S serves
+    every j outside S, because a target row attends only to S and itself,
+    never to other targets. The first query for a sequence scores every
+    context set that leaves a target (all 2^T - 1 proper subsets of its
+    positions) as one group in one forward pass. Scores are cached on the
     sequence's frames, not its id, so two sequences that share an id never
     share scores. The parameters are bound once, without a tape, when the
     predictor is made.
     """
-    cache: dict[tuple[tuple[int, ...], bytes, frozenset],
-                dict[int, float]] = {}
+    cache: dict[tuple[tuple[int, ...], bytes],
+                dict[frozenset, dict[int, float]]] = {}
     bound = bind_params(params)
+
+    def score_every_context(seq: PhonemePosteriorSequence
+                            ) -> dict[frozenset, dict[int, float]]:
+        contexts = [frozenset(s) for size in range(seq.length)
+                    for s in combinations(range(seq.length), size)]
+        plans = [MaskPlan.from_context_set(s, seq.length) for s in contexts]
+        group = Group([seq] * len(plans), plans)
+        hidden = encode(bound, config, group)
+        logits = predict_phonemes(
+            ad.gather_rows(hidden, group.target_rows), bound["embed"])
+        log_probs = ad.log_softmax(logits).data
+        true_phoneme = seq.frames.argmax(axis=1)
+        bounds = group.target_bounds
+        table = {}
+        for b, (context, plan) in enumerate(zip(contexts, plans)):
+            rows = log_probs[bounds[b]:bounds[b + 1]]
+            table[context] = {
+                j: float(row[true_phoneme[j]])
+                for j, row in zip(plan.target_idx, rows)}
+        return table
 
     def predictor(seq: PhonemePosteriorSequence, context: frozenset,
                   target: int) -> float:
-        key = (seq.frames.shape, seq.frames.tobytes(), context)
-        scores = cache.get(key)
-        if scores is None:
-            plan = MaskPlan.from_context_set(context, seq.length)
-            hidden = encode(bound, config, Group([seq], [plan]))
-            logits = predict_phonemes(
-                ad.gather_rows(hidden, plan.target_idx), bound["embed"])
-            log_probs = ad.log_softmax(logits).data
-            scores = {}
-            for row, j in enumerate(plan.target_idx):
-                true_phoneme = int(seq.frames[j].argmax())
-                scores[j] = float(log_probs[row, true_phoneme])
-            cache[key] = scores
-        return scores[target]
+        key = (seq.frames.shape, seq.frames.tobytes())
+        table = cache.get(key)
+        if table is None:
+            table = cache[key] = score_every_context(seq)
+        return table[context][target]
 
     return predictor
 
@@ -183,7 +212,11 @@ def make_frozen_predictor(params: dict[str, np.ndarray],
 def verify_theorem(p: SetPredictor, t_len: int, c: int, trials: int,
                    rng: np.random.Generator,
                    vocab_size: int = 4) -> list[TheoremReport]:
-    """Fresh random sequence per trial; report both deviations."""
+    """Fresh random sequence per trial; report both deviations.
+
+    Both sides of a trial share one memo, so each (S, j) is asked of ``p``
+    once per trial.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _guard(t_len, c)
@@ -191,8 +224,9 @@ def verify_theorem(p: SetPredictor, t_len: int, c: int, trials: int,
     for trial in range(trials):
         seq = random_sequence(t_len, vocab_size, rng,
                               utterance_id=f"trial-{t_len}-{c}-{trial}")
-        lhs = perm_plm_expectation(p, seq, c)
-        rhs_exact, rhs_paper = subset_regression_expectation(p, seq, c)
+        memo: dict[tuple[frozenset, int], float] = {}
+        lhs = perm_plm_expectation(p, seq, c, memo)
+        rhs_exact, rhs_paper = subset_regression_expectation(p, seq, c, memo)
         reports.append(TheoremReport(dev_exact=abs(lhs - rhs_exact),
                                      dev_paper=abs(lhs - rhs_paper)))
     return reports

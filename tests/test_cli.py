@@ -418,6 +418,19 @@ class TestVerifyTheorem:
             assert float(dev_exact) <= 1e-9
             assert int(trials) == 4
 
+    def test_benchmark_size_run_passes(self, capsys):
+        # T up to 6 is the largest the verify benchmark runs; the frozen
+        # predictor scores 63 context sets per sequence in one pass there
+        code = cli.main(["verify-theorem", "--max-T", "6", "--trials", "1"])
+        assert code == cli.EXIT_OK
+        out = capsys.readouterr().out
+        header, *rows = [l for l in out.splitlines() if l and "ok:" not in l]
+        pairs = [tuple(int(v) for v in row.split("\t")[:2]) for row in rows]
+        # 15 (T, c) rows
+        assert pairs == [(t, c) for t in range(2, 7) for c in range(1, t)]
+        for row in rows:
+            assert float(row.split("\t")[2]) <= 1e-9
+
 
 class TestGradCheck:
     def test_quick_profile_passes(self, capsys):

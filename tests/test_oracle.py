@@ -215,3 +215,120 @@ class TestFrozenPredictor:
         for report in oracle.verify_theorem(p, t_len=4, c=2, trials=3,
                                             rng=stream(32, "vt"), vocab_size=5):
             assert report.dev_exact <= 1e-9
+
+
+def taped_scores(params, config, seq, context):
+    """{j: score} from a taped group-of-one forward for one context set."""
+    from bertplm import autodiff as ad
+    from bertplm.encoder import Group, bind_params, encode, predict_phonemes
+    from bertplm.objective import MaskPlan
+
+    plan = MaskPlan.from_context_set(context, seq.length)
+    bound = bind_params(params, ad.Tape())
+    hidden = encode(bound, config, Group([seq], [plan]))
+    logits = predict_phonemes(ad.gather_rows(hidden, plan.target_idx),
+                              bound["embed"])
+    log_probs = ad.log_softmax(logits).data
+    return {j: float(log_probs[row, int(seq.frames[j].argmax())])
+            for row, j in enumerate(plan.target_idx)}
+
+
+class TestBatchedFrozenPredictor:
+    CONFIG = TestFrozenPredictor.CONFIG
+
+    def test_every_context_set_at_t6_equals_a_taped_forward(self):
+        from itertools import combinations
+
+        params = init_params(self.CONFIG, stream(40, "init"))
+        p = oracle.make_frozen_predictor(params, self.CONFIG)
+        seq = oracle.random_sequence(6, 5, stream(40, "s"), "t6")
+        checked = 0
+        for size in range(1, 6):
+            for context in combinations(range(6), size):
+                context = frozenset(context)
+                for j, expected in taped_scores(params, self.CONFIG, seq,
+                                                context).items():
+                    assert p(seq, context, j) == expected
+                checked += 1
+        assert checked == 2**6 - 2
+
+    def test_spot_checks_at_perm_limit(self):
+        t_len = oracle.PERM_LIMIT
+        params = init_params(self.CONFIG, stream(41, "init"))
+        p = oracle.make_frozen_predictor(params, self.CONFIG)
+        seq = oracle.random_sequence(t_len, 5, stream(41, "s"), "t8")
+        everything = frozenset(range(t_len))
+        for context in (frozenset({0}), frozenset({7}), frozenset({2, 5}),
+                        frozenset({1, 3, 4, 6}), everything - {0},
+                        everything - {3}, everything - {7}):
+            for j, expected in taped_scores(params, self.CONFIG, seq,
+                                            context).items():
+                assert p(seq, context, j) == expected
+
+    def test_one_encoder_pass_per_sequence(self, monkeypatch):
+        from itertools import combinations
+
+        calls = []
+        real_encode = oracle.encode
+
+        def counting_encode(*args, **kwargs):
+            calls.append(args[2].size)
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "encode", counting_encode)
+        params = init_params(self.CONFIG, stream(42, "init"))
+        p = oracle.make_frozen_predictor(params, self.CONFIG)
+        rng = stream(42, "s")
+        first = oracle.random_sequence(4, 5, rng, "shared")
+        second = oracle.random_sequence(4, 5, rng, "shared")
+
+        def ask_everything(seq):
+            for size in range(1, 4):
+                for context in combinations(range(4), size):
+                    context = frozenset(context)
+                    for j in set(range(4)) - context:
+                        p(seq, context, j)
+
+        ask_everything(first)
+        assert calls == [2**4 - 1]
+        ask_everything(first)
+        assert calls == [2**4 - 1]
+        ask_everything(second)
+        assert calls == [2**4 - 1, 2**4 - 1]
+
+    def test_empty_context_equals_a_taped_forward(self):
+        params = init_params(self.CONFIG, stream(43, "init"))
+        p = oracle.make_frozen_predictor(params, self.CONFIG)
+        seq = oracle.random_sequence(3, 5, stream(43, "s"), "empty")
+        expected = taped_scores(params, self.CONFIG, seq, frozenset())
+        for j in range(3):
+            assert p(seq, frozenset(), j) == expected[j]
+
+
+class TestSharedMemo:
+    def test_each_conditional_is_asked_once_per_trial(self):
+        inner = oracle.random_set_predictor(50)
+        asked = []
+
+        def counting(seq, context, target):
+            asked.append((seq.utterance_id, context, target))
+            return inner(seq, context, target)
+
+        t_len, c = 5, 2
+        reports = oracle.verify_theorem(counting, t_len, c, trials=1,
+                                        rng=stream(50, "vt"))
+        assert reports[0].dev_exact <= 1e-12
+        assert len(asked) == len(set(asked))
+        # every (S, j) with c <= |S| <= T-1 and j outside S
+        distinct = sum(math.comb(t_len, size) * (t_len - size)
+                       for size in range(c, t_len))
+        assert len(asked) == distinct
+
+    def test_shared_memo_changes_no_expectation(self):
+        p = oracle.random_set_predictor(51)
+        seq = oracle.random_sequence(4, 4, stream(51, "s"), "own")
+        shared = {}
+        lhs = oracle.perm_plm_expectation(p, seq, 1, shared)
+        assert lhs == oracle.perm_plm_expectation(p, seq, 1)
+        assert oracle.subset_regression_expectation(p, seq, 1, shared) == \
+            oracle.subset_regression_expectation(p, seq, 1)

@@ -2,16 +2,19 @@
 
 The primitive set is deliberately small: exactly what a relative-position
 Transformer encoder and its losses need. There is no general broadcasting
-engine; ``add`` supports the (..., d) + (d,) and (h, rows, d) + (h, 1, d)
-bias cases and everything else requires matching shapes.
+engine: ``add`` takes identical shapes or a (..., d) + (d,) bias, ``matmul``
+2-D @ 2-D or 3-D @ 3-D stacks, and every other op matching shapes.
+``split_heads`` and ``merge_heads`` move between (rows, heads*e) features
+and (heads, rows, e) stacks, so every parameter is a matrix or a vector.
 
 Batches add no axis. The encoder folds a group of padded utterances into
 the ranks a single utterance already uses: position-wise ops see (B*T, d)
 rows, attention sees (heads*B, T, .) stacks, and ``segment_sum`` turns
 per-row loss terms into one loss per utterance. So every VJP handles
-exactly the shapes it did for one utterance. ``dropout`` multiplies by a
-boolean mask the caller draws with ``keep_mask``, so that each utterance
-of a group can draw its own.
+exactly the shapes it did for one utterance. The relative shift
+(``rel_position_gather``) is a strided view of its input, with no index
+arrays. ``dropout`` multiplies by a boolean mask the caller draws with
+``keep_mask``, so that each utterance of a group can draw its own.
 
 Each primitive checks its operands' shapes and its contract, then calls its
 one forward kernel: a numpy function (``np.matmul``, ``np.add``, ...) or a
@@ -238,37 +241,25 @@ def _swap_last(x: Array) -> Array:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; 3-D operands are stacks of matrices (head batching).
-
-    Accepted rank pairs: 2@2, 2@3, 3@2, 3@3. The leading (stack) dimension
-    must match when both operands carry one.
-    """
+    """Matrix product: 2-D @ 2-D, or 3-D @ 3-D stacks of matrices of equal
+    length, one product per stack element (head batching)."""
     a, b = _lift(a), _lift(b)
     ad, bd = a.data, b.data
-    if ad.ndim not in (2, 3) or bd.ndim not in (2, 3):
-        raise ShapeError(f"matmul requires 2-D/3-D operands, got {a.dims} @ {b.dims}")
+    if ad.ndim not in (2, 3) or bd.ndim != ad.ndim:
+        raise ShapeError(f"matmul requires 2-D @ 2-D or 3-D @ 3-D operands, "
+                         f"got {a.dims} @ {b.dims}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.dims} @ {b.dims}")
-    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
+    if ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul stack dims differ: {a.dims} @ {b.dims}")
-
-    def vjp_a(g: Array) -> Array:
-        ga = g @ _swap_last(bd)
-        return ga.sum(axis=0) if ga.ndim > ad.ndim else ga
-
-    def vjp_b(g: Array) -> Array:
-        gb = _swap_last(ad) @ g
-        return gb.sum(axis=0) if gb.ndim > bd.ndim else gb
-
-    return _apply(np.matmul, (a, b), np.matmul(ad, bd),
-                  [(a, vjp_a), (b, vjp_b)])
+    return _apply(np.matmul, (a, b), np.matmul(ad, bd), [
+        (a, lambda g: g @ _swap_last(bd)),
+        (b, lambda g: _swap_last(ad) @ g),
+    ])
 
 
 def add(a, b) -> Tensor:
-    """Elementwise sum with two bias-broadcast cases.
-
-    Shapes: identical; (..., d) + (d,); (h, rows, d) + (h, 1, d).
-    """
+    """Elementwise sum of identical shapes, or (..., d) + (d,) bias."""
     a, b = _lift(a), _lift(b)
     if a.dims == b.dims:
         return _apply(np.add, (a, b), np.add(a.data, b.data), [
@@ -280,12 +271,6 @@ def add(a, b) -> Tensor:
         return _apply(np.add, (a, b), np.add(a.data, b.data), [
             (a, lambda g: g),
             (b, lambda g: g.sum(axis=axes)),
-        ])
-    if (a.data.ndim == 3 and b.data.ndim == 3 and b.dims[1] == 1
-            and a.dims[0] == b.dims[0] and a.dims[2] == b.dims[2]):
-        return _apply(np.add, (a, b), np.add(a.data, b.data), [
-            (a, lambda g: g),
-            (b, lambda g: g.sum(axis=1, keepdims=True)),
         ])
     raise ShapeError(f"add shapes incompatible: {a.dims} + {b.dims}")
 
@@ -506,27 +491,19 @@ def masked_fill(x, mask, value: float) -> Tensor:
                   [(x, lambda g: np.where(m, 0.0, g))])
 
 
-# offset->pairwise index grids for the longest T seen so far; a shorter T
-# reads a corner of them
-_REL_INDEX_CACHE: list[tuple[Array, Array]] = []
+def _rel_view(x: Array) -> Array:
+    """(..., T, T) view of (..., T, 2T-1) offset scores at [..., i, i-j+T-1]:
+    row i starts one row and one column after row i - 1, and j steps back
+    one column."""
+    t_len = x.shape[-2]
+    row, col = x.strides[-2:]
+    return np.lib.stride_tricks.as_strided(
+        x[..., 0, t_len - 1:], shape=x.shape[:-1] + (t_len,),
+        strides=x.strides[:-2] + (row + col, -col))
 
 
-def _rel_indices(t_len: int) -> tuple[Array, Array]:
-    """(rows, cols) with cols[i, j] = i - j + T - 1, as read-only views."""
-    if not _REL_INDEX_CACHE or _REL_INDEX_CACHE[0][0].shape[0] < t_len:
-        rows = np.arange(t_len)[:, None]
-        cols = rows - np.arange(t_len)[None, :] + t_len - 1
-        rows = np.broadcast_to(rows, (t_len, t_len)).copy()
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        _REL_INDEX_CACHE[:] = [(rows, cols)]
-    rows, cols = _REL_INDEX_CACHE[0]
-    longest = rows.shape[0]
-    return rows[:t_len, :t_len], cols[:t_len, longest - t_len:]
-
-
-def _fwd_rel_position_gather(x: Array, rows: Array, cols: Array) -> Array:
-    return x[..., rows, cols]
+def _fwd_rel_position_gather(x: Array) -> Array:
+    return _rel_view(x).copy()
 
 
 def rel_position_gather(x) -> Tensor:
@@ -534,7 +511,8 @@ def rel_position_gather(x) -> Tensor:
 
     Column o of the input holds the score for relative offset o - (T-1), so
     out[..., i, j] = x[..., i, i - j + T - 1]. Each output reads its own
-    input entry, so the backward pass scatters without accumulating.
+    input entry, so the backward pass writes the gradient through the same
+    view of a zero array, without accumulating.
     """
     x = _lift(x)
     if x.data.ndim not in (2, 3):
@@ -542,16 +520,31 @@ def rel_position_gather(x) -> Tensor:
     t_len = x.dims[-2]
     if x.dims[-1] != 2 * t_len - 1:
         raise ShapeError(f"expected (..., T, 2T-1) offset scores, got {x.dims}")
-    rows, cols = _rel_indices(t_len)
     shape = x.dims
 
     def vjp(g: Array) -> Array:
         out = np.zeros(shape)
-        out[..., rows, cols] = g
+        _rel_view(out)[...] = g
         return out
 
-    return _apply(_fwd_rel_position_gather, (x, rows, cols),
-                  _fwd_rel_position_gather(x.data, rows, cols), [(x, vjp)])
+    return _apply(_fwd_rel_position_gather, (x,),
+                  _fwd_rel_position_gather(x.data), [(x, vjp)])
+
+
+def _fwd_split_heads(x: Array, heads: int) -> Array:
+    rows, width = x.shape[-2:]
+    return np.ascontiguousarray(np.swapaxes(
+        x.reshape(x.shape[:-2] + (rows, heads, width // heads)), -3, -2))
+
+
+def split_heads(x, heads: int) -> Tensor:
+    """(R, h*e) -> (h, R, e): head h takes feature columns h*e .. (h+1)*e - 1;
+    the inverse of ``merge_heads``."""
+    x = _lift(x)
+    if x.data.ndim != 2 or heads < 1 or x.dims[1] % heads:
+        raise ShapeError(f"split_heads expects (R, {heads}*e), got {x.dims}")
+    return _apply(_fwd_split_heads, (x, heads), _fwd_split_heads(x.data, heads),
+                  [(x, _fwd_merge_heads)])
 
 
 def _fwd_merge_heads(x: Array) -> Array:
@@ -561,16 +554,14 @@ def _fwd_merge_heads(x: Array) -> Array:
 
 
 def merge_heads(x) -> Tensor:
-    """(h, T, e) -> (T, h*e): concatenate per-head outputs along features."""
+    """(h, T, e) -> (T, h*e): concatenate per-head outputs along features;
+    the inverse of ``split_heads``."""
     x = _lift(x)
     if x.data.ndim != 3:
         raise ShapeError(f"merge_heads expects (h, T, e), got {x.dims}")
-    h, t_len, e = x.dims
-
-    def vjp(g: Array) -> Array:
-        return np.ascontiguousarray(g.reshape(t_len, h, e).transpose(1, 0, 2))
-
-    return _apply(_fwd_merge_heads, (x,), _fwd_merge_heads(x.data), [(x, vjp)])
+    heads = x.dims[0]
+    return _apply(_fwd_merge_heads, (x,), _fwd_merge_heads(x.data),
+                  [(x, lambda g: _fwd_split_heads(g, heads))])
 
 
 def _fwd_sum_all(a: Array, rank: int) -> Array:

@@ -388,7 +388,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (cp.CorpusFormatError, cp.GenerationError, tr.DataError,
-            tr.TrainingError, FileNotFoundError) as exc:
+            tr.TrainingError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -64,12 +64,11 @@ class EncoderConfig:
 
 def param_shapes(config: EncoderConfig,
                  classes: int | None = None) -> dict[str, tuple[int, ...]]:
-    """Canonical name -> shape map for every learnable array.
-
-    Attention projections are stacked over heads in the leading axis; the
-    output projection concatenates head features row-wise, so wo is (d, d).
-    """
-    d, dh, nh = config.d_model, config.head_dim, config.heads
+    """Canonical name -> shape map for every learnable array, each a matrix
+    or a vector. The attention projections wq, wk, wv and wr are (d, d) with
+    head h in columns h*dh .. (h+1)*dh - 1, as are the (d,) u/v biases; wo
+    takes head h's features in rows h*dh .. (h+1)*dh - 1."""
+    d = config.d_model
     shapes: dict[str, tuple[int, ...]] = {
         "embed": (config.vocab_size, d),
         "mask_vec": (d,),
@@ -77,13 +76,10 @@ def param_shapes(config: EncoderConfig,
     }
     for i in range(config.layers):
         prefix = f"layer{i}"
-        shapes[f"{prefix}.wq"] = (nh, d, dh)
-        shapes[f"{prefix}.wk"] = (nh, d, dh)
-        shapes[f"{prefix}.wv"] = (nh, d, dh)
-        shapes[f"{prefix}.wr"] = (nh, d, dh)
-        shapes[f"{prefix}.wo"] = (d, d)
-        shapes[f"{prefix}.u_bias"] = (nh, 1, dh)
-        shapes[f"{prefix}.v_bias"] = (nh, 1, dh)
+        for key in ("wq", "wk", "wv", "wr", "wo"):
+            shapes[f"{prefix}.{key}"] = (d, d)
+        shapes[f"{prefix}.u_bias"] = (d,)
+        shapes[f"{prefix}.v_bias"] = (d,)
         shapes[f"{prefix}.ln1.gamma"] = (d,)
         shapes[f"{prefix}.ln1.beta"] = (d,)
         shapes[f"{prefix}.ln2.gamma"] = (d,)
@@ -100,12 +96,19 @@ def param_shapes(config: EncoderConfig,
 def init_params(config: EncoderConfig, rng: np.random.Generator,
                 classes: int | None = None,
                 init_std: float = 0.02) -> dict[str, np.ndarray]:
+    """N(0, init_std^2) draws in ``param_shapes`` order, but ones for
+    layer-norm scales and zeros for shifts and FFN biases. A projection is
+    drawn as (heads, d, dh) and draw h laid into head h's columns."""
     params = {}
     for name, shape in param_shapes(config, classes).items():
         if name.endswith((".gamma",)):
             params[name] = np.ones(shape)
         elif name.endswith((".beta", ".b1", ".b2")):
             params[name] = np.zeros(shape)
+        elif name.endswith((".wq", ".wk", ".wv", ".wr")):
+            params[name] = rng.normal(scale=init_std, size=(
+                config.heads, shape[0], config.head_dim)
+            ).transpose(1, 0, 2).reshape(shape)
         else:
             params[name] = rng.normal(scale=init_std, size=shape)
     return params
@@ -126,21 +129,20 @@ class AttentionMask:
             raise ValueError("attention mask has an all-blocked row")
 
     @classmethod
+    def from_context(cls, real_row: np.ndarray,
+                     is_context: np.ndarray) -> "AttentionMask":
+        """The mask of every utterance at once, from (..., T) booleans: a
+        real row sees the context columns, and every row sees itself."""
+        t_len = is_context.shape[-1]
+        return cls((real_row[..., :, None] & is_context[..., None, :])
+                   | np.eye(t_len, dtype=bool))
+
+    @classmethod
     def from_plan(cls, plan: "MaskPlan") -> "AttentionMask":
         t_len = len(plan.context_idx) + len(plan.target_idx)
-        allowed = np.zeros((t_len, t_len), dtype=bool)
-        context = np.asarray(plan.context_idx, dtype=np.intp)
-        targets = np.asarray(plan.target_idx, dtype=np.intp)
-        allowed[:, context] = True          # everyone sees the context
-        allowed[targets, :] = False
-        allowed[np.ix_(targets, context)] = True
-        allowed[targets, targets] = True    # targets also see themselves
-        return cls(allowed)
-
-
-@lru_cache(maxsize=512)
-def _mask_for_plan(plan: "MaskPlan") -> AttentionMask:
-    return AttentionMask.from_plan(plan)
+        is_context = np.zeros(t_len, dtype=bool)
+        is_context[list(plan.context_idx)] = True
+        return cls.from_context(np.ones(t_len, dtype=bool), is_context)
 
 
 class Group:
@@ -200,14 +202,11 @@ class Group:
     def attention_mask(self) -> AttentionMask:
         """Each plan's mask on its utterance's block; a padding row sees
         only itself."""
-        t_len = self.length
-        allowed = np.zeros((self.size, t_len, t_len), dtype=bool)
-        for b, (plan, n) in enumerate(zip(self.plans, self.lengths)):
-            allowed[b, :n, :n] = _mask_for_plan(plan).allowed
-            if n < t_len:
-                pad = np.arange(n, t_len)
-                allowed[b, pad, pad] = True
-        return AttentionMask(allowed)
+        real_row = np.arange(self.length) < np.asarray(self.lengths)[:, None]
+        is_context = np.zeros(self.size * self.length, dtype=bool)
+        is_context[np.concatenate(self.context_rows)] = True
+        return AttentionMask.from_context(
+            real_row, is_context.reshape(self.size, self.length))
 
 
 class GroupDropout:
@@ -323,18 +322,22 @@ def rel_attention_block(x: Tensor, mask: AttentionMask,
         relative_sinusoids(t_len, config.d_model, config.max_seq_len),
         check=False)
     blocked = np.concatenate([~allowed] * heads)   # (heads*B, T, T)
-    # (heads, B*T, e) values regrouped as one (T, e) stack per head and
-    # utterance
-    stacked = (stacks, t_len, dh)
 
-    q = ad.matmul(x, layer_params["wq"])            # (heads, B*T, dh)
-    k = ad.reshape(ad.matmul(x, layer_params["wk"]), stacked)
-    v = ad.reshape(ad.matmul(x, layer_params["wv"]), stacked)
-    r = ad.matmul(rel_table, layer_params["wr"])    # (heads, 2T-1, dh)
-    content = ad.matmul(ad.reshape(ad.add(q, layer_params["u_bias"]), stacked),
+    def stacked(rows: Tensor) -> Tensor:
+        """(B*T, d) rows as one (T, dh) stack per head and utterance."""
+        return ad.reshape(ad.split_heads(rows, heads), (stacks, t_len, dh))
+
+    q = ad.matmul(x, layer_params["wq"])            # (B*T, d)
+    k = stacked(ad.matmul(x, layer_params["wk"]))
+    v = stacked(ad.matmul(x, layer_params["wv"]))
+    r = ad.split_heads(ad.matmul(rel_table, layer_params["wr"]), heads)
+    content = ad.matmul(stacked(ad.add(q, layer_params["u_bias"])),
                         ad.transpose(k))
+    # (heads, B*T, 2T-1) offset scores, one (T, 2T-1) stack per head and
+    # utterance
     by_offset = ad.reshape(
-        ad.matmul(ad.add(q, layer_params["v_bias"]), ad.transpose(r)),
+        ad.matmul(ad.split_heads(ad.add(q, layer_params["v_bias"]), heads),
+                  ad.transpose(r)),
         (stacks, t_len, 2 * t_len - 1))
     scores = ad.scale(ad.add(content, ad.rel_position_gather(by_offset)),
                       1.0 / math.sqrt(dh))

@@ -50,6 +50,12 @@ class TestMatmul:
         with pytest.raises(ad.ShapeError):
             ad.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("a, b", [((4, 3), (2, 3, 5)), ((2, 4, 3), (3, 5)),
+                                      ((2, 4, 3), (3, 3, 5))])
+    def test_mixed_ranks_and_stack_lengths_rejected(self, a, b):
+        with pytest.raises(ad.ShapeError):
+            ad.matmul(np.zeros(a), np.zeros(b))
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -323,12 +329,13 @@ class TestPrimitives:
         np.testing.assert_array_equal(grads[x.node_id].data, 1.0 - mask)
 
     def test_rel_position_gather(self):
-        t_len = 3
-        x = np.arange(15.0).reshape(3, 5)
-        out = ad.rel_position_gather(x)
-        expected = np.array([[x[i, i - j + t_len - 1] for j in range(t_len)]
-                             for i in range(t_len)])
-        np.testing.assert_array_equal(out.data, expected)
+        for t_len in (3, 1):
+            x = np.arange(t_len * (2.0 * t_len - 1)).reshape(t_len, -1)
+            out = ad.rel_position_gather(x)
+            expected = np.array([[x[i, i - j + t_len - 1]
+                                  for j in range(t_len)]
+                                 for i in range(t_len)])
+            np.testing.assert_array_equal(out.data, expected)
 
     def test_rel_position_gather_gradient(self):
         rng = stream(9, "rel")
@@ -384,6 +391,36 @@ class TestPrimitives:
         np.testing.assert_array_equal(a, b)
         kept = a[a != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7)
+
+    @pytest.mark.parametrize("a, b", [((2, 4, 3), (2, 1, 3)), ((4, 3), (4,)),
+                                      ((3,), (4, 3))])
+    def test_add_takes_only_equal_shapes_or_a_trailing_bias(self, a, b):
+        with pytest.raises(ad.ShapeError):
+            ad.add(np.zeros(a), np.zeros(b))
+
+    def test_split_heads_inverts_merge_heads(self):
+        x = np.arange(24.0).reshape(4, 6)
+        heads = ad.split_heads(x, 3)
+        assert heads.dims == (3, 4, 2)
+        np.testing.assert_array_equal(heads.data[1], x[:, 2:4])
+        assert ad.merge_heads(heads).data.tobytes() == x.tobytes()
+        stack = stream(12, "heads").normal(size=(3, 4, 2))
+        assert ad.split_heads(ad.merge_heads(stack), 3).data.tobytes() \
+            == stack.tobytes()
+        with pytest.raises(ad.ShapeError):
+            ad.split_heads(x, 4)
+
+    def test_split_heads_gradient(self):
+        rng = stream(13, "heads")
+        weights = rng.normal(size=(3, 5, 2))
+
+        def build(p):
+            return ad.sum_all(ad.mul(ad.gelu(ad.split_heads(p["x"], 3)),
+                                     ad.constant(weights)))
+
+        err = ad.finite_diff_check(build, {"x": rng.normal(size=(5, 6))},
+                                   eps=1e-5)
+        assert err <= 1e-8
 
     def test_mixing_tapes_rejected(self):
         t1, t2 = ad.Tape(), ad.Tape()
@@ -444,13 +481,10 @@ def _segments(x):
 #: be stacked)
 KERNEL_CASES = {
     "matmul 2@2": (ad.matmul, lambda h, r, d: [(r, d), (d, r + 1)], (0, 1)),
-    "matmul 2@3": (ad.matmul, lambda h, r, d: [(r, d), (h, d, 2)], (0, 1)),
-    "matmul 3@2": (ad.matmul, lambda h, r, d: [(h, r, d), (d, 3)], (0, 1)),
     "matmul 3@3": (ad.matmul, lambda h, r, d: [(h, r, d), (h, d, r)], (0, 1)),
     "add same": (ad.add, lambda h, r, d: [(h, r, d), (h, r, d)], (0, 1)),
     "add bias 2-D": (ad.add, lambda h, r, d: [(r, d), (d,)], (0, 1)),
     "add bias 3-D": (ad.add, lambda h, r, d: [(h, r, d), (d,)], (0, 1)),
-    "add head bias": (ad.add, lambda h, r, d: [(h, r, d), (h, 1, d)], (0, 1)),
     "mul": (ad.mul, lambda h, r, d: [(r, d), (r, d)], (0, 1)),
     "scale": (lambda a: ad.scale(a, 0.3), lambda h, r, d: [(h, r, d)], (0,)),
     "softmax": (ad.softmax, lambda h, r, d: [(h, r, d)], (0,)),
@@ -469,6 +503,8 @@ KERNEL_CASES = {
     "rel_position_gather": (ad.rel_position_gather,
                             lambda h, r, d: [(h, r, 2 * r - 1)], (0,)),
     "merge_heads": (ad.merge_heads, lambda h, r, d: [(h, r, d)], (0,)),
+    "split_heads": (lambda a: ad.split_heads(a, 3),
+                    lambda h, r, d: [(r, 3 * d)], (0,)),
     "sum_all": (ad.sum_all, lambda h, r, d: [(h, r, d)], (0,)),
     "segment_sum": (_segments, lambda h, r, d: [(r + 2, h, d)], (0,)),
     "sum_all scalar": (ad.sum_all, lambda h, r, d: [()], (0,)),
@@ -527,16 +563,3 @@ class TestStackedKernels:
             expected = op(*[ad.constant(o) for o in one]).data
             assert_same_values(got[i].reshape(expected.shape), expected)
 
-
-class TestRelIndices:
-    def test_one_grid_serves_every_length(self, monkeypatch):
-        monkeypatch.setattr(ad, "_REL_INDEX_CACHE", [])
-        for t_len in (4, 9, 2, 9, 7, 1):
-            rows, cols = ad._rel_indices(t_len)
-            i, j = np.meshgrid(np.arange(t_len), np.arange(t_len),
-                               indexing="ij")
-            np.testing.assert_array_equal(rows, i)
-            np.testing.assert_array_equal(cols, i - j + t_len - 1)
-            assert not rows.flags.writeable and not cols.flags.writeable
-        assert len(ad._REL_INDEX_CACHE) == 1
-        assert ad._REL_INDEX_CACHE[0][0].shape == (9, 9)

@@ -128,6 +128,23 @@ class TestExitCodes:
                          "--vocab", str(tmp_path / "nope.txt")])
         assert code == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("argv", [
+        "gen-data --utterances 1 --out D",
+        "pretrain --data C --vocab V --out M --log D --set profile=tiny"
+        " --set epochs=1",
+        "gen-data --utterances 1 --config D --out M",
+    ])
+    def test_directory_for_a_file_is_one_line_data_error(
+            self, small_corpus, tmp_path, capsys, argv):
+        (tmp_path / "D").mkdir()
+        paths = {"D": str(tmp_path / "D"), "C": small_corpus["c.pps"],
+                 "V": small_corpus["v.txt"], "M": str(tmp_path / "m.out")}
+        assert cli.main([paths.get(a, a) for a in argv.split()]) \
+            == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "Is a directory" in err
+
     def test_empty_evaluation_set_is_data_error(self, tmp_path, capsys):
         # error rate is undefined on an empty test set
         from bertplm.config import parse_config
@@ -339,7 +356,9 @@ class TestInputValidation:
     @pytest.mark.parametrize("command", ["evaluate", "finetune"])
     @pytest.mark.parametrize("fault, named", [
         ("one phoneme more", "entry 'embed' has shape"),
-        ("missing entry", "no entry 'layer0.wq'")])
+        ("missing entry", "no entry 'layer0.wq'"),
+        ("head-stacked layout",
+         "entry 'layer0.wq' has shape (2, 16, 8), the model needs (16, 16)")])
     def test_checkpoint_must_fit_the_model(self, small_corpus, tmp_path,
                                            capsys, command, fault, named):
         # evaluate reads a fine-tuned checkpoint, finetune --ckpt a
@@ -355,8 +374,16 @@ class TestInputValidation:
         arrays = dict(saved.arrays)
         if fault == "one phoneme more":
             arrays["embed"] = np.vstack([arrays["embed"], arrays["embed"][:1]])
-        else:
+        elif fault == "missing entry":
             del arrays["layer0.wq"]
+        else:
+            # the layout before projections became (d, d) matrices and the
+            # u/v biases d-vectors
+            for name, value in saved.arrays.items():
+                if name.endswith((".wq", ".wk", ".wv", ".wr")):
+                    arrays[name] = value.reshape(16, 2, 8).transpose(1, 0, 2)
+                elif name.endswith(("u_bias", "v_bias")):
+                    arrays[name] = value.reshape(2, 1, 8)
         tr.save_checkpoint(ckpt, arrays, saved.config, saved.step)
         capsys.readouterr()
         out = tmp_path / "ft.ckpt"

@@ -66,12 +66,13 @@ def ref_block(x, allowed, lp, config):
     sinus = ref_sinusoids(t_len, d, config.max_seq_len)
     attn_out = np.zeros((t_len, d))
     for h in range(config.heads):
-        q = x @ lp["wq"][h]
-        k = x @ lp["wk"][h]
-        v = x @ lp["wv"][h]
-        r = sinus @ lp["wr"][h]
-        u_bias = lp["u_bias"][h, 0]
-        v_bias = lp["v_bias"][h, 0]
+        cols = slice(h * dh, (h + 1) * dh)
+        q = x @ lp["wq"][:, cols]
+        k = x @ lp["wk"][:, cols]
+        v = x @ lp["wv"][:, cols]
+        r = sinus @ lp["wr"][:, cols]
+        u_bias = lp["u_bias"][cols]
+        v_bias = lp["v_bias"][cols]
         out_h = np.zeros((t_len, dh))
         for i in range(t_len):
             exps, idx = [], []
@@ -93,7 +94,50 @@ def ref_block(x, allowed, lp, config):
     return ref_layer_norm(y + ffn, lp["ln2.gamma"], lp["ln2.beta"])
 
 
+def ref_mask(plan):
+    """Context rows see the context; target rows see the context and
+    themselves."""
+    t_len = len(plan.context_idx) + len(plan.target_idx)
+    allowed = np.zeros((t_len, t_len), dtype=bool)
+    context = np.asarray(plan.context_idx, dtype=np.intp)
+    targets = np.asarray(plan.target_idx, dtype=np.intp)
+    allowed[:, context] = True
+    allowed[targets, :] = False
+    allowed[np.ix_(targets, context)] = True
+    allowed[targets, targets] = True
+    return allowed
+
+
 # ---------------------------------------------------------------------------
+
+
+class TestInitParams:
+    def test_every_parameter_is_a_matrix_or_a_vector(self):
+        shapes = enc.param_shapes(TINY, classes=3)
+        assert {len(s) for s in shapes.values()} == {1, 2}
+        assert shapes["layer1.wr"] == (16, 16)
+        assert shapes["layer1.v_bias"] == (16,)
+
+    def test_head_blocks_equal_a_per_head_draw(self):
+        # the projections were once stored as (heads, d, dh) stacks: the
+        # same seed lays the same draws into head h's columns
+        params = enc.init_params(TINY, stream(5, "init"))
+        rng = stream(5, "init")
+        heads, d, dh = TINY.heads, TINY.d_model, TINY.head_dim
+        for name, shape in enc.param_shapes(TINY).items():
+            if name.endswith((".gamma", ".beta", ".b1", ".b2")):
+                continue
+            if name.endswith((".wq", ".wk", ".wv", ".wr")):
+                stack = rng.normal(scale=0.02, size=(heads, d, dh))
+                for h in range(heads):
+                    assert params[name][:, h * dh:(h + 1) * dh].tobytes() \
+                        == stack[h].tobytes(), name
+            elif name.endswith(("u_bias", "v_bias")):
+                stack = rng.normal(scale=0.02, size=(heads, 1, dh))
+                assert params[name].tobytes() == stack.tobytes(), name
+            else:
+                drawn = rng.normal(scale=0.02, size=shape)
+                assert params[name].tobytes() == drawn.tobytes(), name
 
 
 class TestEmbedPosteriors:
@@ -464,6 +508,24 @@ class TestGroups:
         np.testing.assert_array_equal(group.target_bounds, [0, 0, 2])
         assert group.frames.shape == (8, 6)
         np.testing.assert_array_equal(group.frames[2:4], 0.0)
+
+    def test_masks_follow_the_four_assignment_reference(self):
+        from bertplm import objective as obj
+
+        rng = stream(26, "masks")
+        for trial in range(50):
+            lengths = rng.integers(1, 9, size=int(rng.integers(1, 6)))
+            seqs = [random_sequence(int(n), 6, rng) for n in lengths]
+            plans = [obj.sample_mask_plan(s, 0, 0.6, 0.999, rng) for s in seqs]
+            group = enc.Group(seqs, plans)
+            allowed = group.attention_mask().allowed
+            t_len = group.length
+            for b, (plan, n) in enumerate(zip(plans, lengths)):
+                expected = np.eye(t_len, dtype=bool)
+                expected[:n, :n] = ref_mask(plan)
+                np.testing.assert_array_equal(allowed[b], expected)
+                np.testing.assert_array_equal(
+                    enc.AttentionMask.from_plan(plan).allowed, ref_mask(plan))
 
     def test_group_needs_one_partitioning_plan_per_sequence(self):
         seq = random_sequence(3, 6, stream(25, "s"))

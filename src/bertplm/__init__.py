@@ -3,7 +3,8 @@ posterior sequences through a masked-regression objective whose expectation
 equals partial permutation language modeling.
 
 Submodules:
-    autodiff   dense float64 tensors with reverse-mode differentiation
+    autodiff   dense float32/float64 tensors with reverse-mode
+               differentiation (float32 training, float64 verification)
     rng        splittable, counter-based random streams
     corpus     phoneme posterior sequences, synthetic channel, corpus files
     encoder    relative-position Transformer with mask-plan attention

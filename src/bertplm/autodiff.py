@@ -1,4 +1,13 @@
-"""Dense float64 tensors with reverse-mode differentiation on an explicit tape.
+"""Dense float32 or float64 tensors with reverse-mode differentiation on an
+explicit tape.
+
+An op computes in its operands' dtype: float32 tensors stay float32 through
+every kernel and VJP, and float64 ones float64, so the dtype of a pass is the
+dtype its parameters are bound at (``encoder.bind_params``). The constants an
+op makes itself (the backward seed, zero gradients, dropout scales) follow
+their operand's dtype, because under NumPy 2's promotion rules a float64
+array, even a 0-d one, would upcast a float32 operand and everything after it.
+Python floats are weak scalars and never upcast.
 
 The primitive set is deliberately small: exactly what a relative-position
 Transformer encoder and its losses need. There is no general broadcasting
@@ -68,10 +77,12 @@ class ContractError(RuntimeError):
 
 
 class Tensor:
-    """Immutable dense float64 value, optionally bound to a tape node.
+    """Immutable dense value, optionally bound to a tape node.
 
-    Extended-precision (longdouble) arrays are passed through unchanged;
-    the finite-difference checker uses them for its reference evaluations.
+    Float64, float32 and extended-precision (longdouble) arrays are passed
+    through unchanged: float32 is the training compute dtype, and the
+    finite-difference checker uses longdouble for its reference evaluations.
+    Any other dtype (integers, booleans) becomes float64.
     Creation rejects NaN/Inf unless ``check=False``, which ops pass for their
     own outputs; gradient sanity is enforced separately by the trainer.
     """
@@ -81,7 +92,8 @@ class Tensor:
     def __init__(self, values, tape: "Tape | None" = None,
                  node_id: int | None = None, check: bool = True):
         data = np.asarray(values)
-        if data.dtype != np.float64 and data.dtype != np.longdouble:
+        if (data.dtype != np.float64 and data.dtype != np.float32
+                and data.dtype != np.longdouble):
             data = data.astype(np.float64)
         if not data.flags["C_CONTIGUOUS"]:
             data = np.ascontiguousarray(data)
@@ -176,7 +188,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
         raise ContractError("backward already consumed this tape")
     tape.used = True
     nodes = tape.nodes
-    slots: dict[int, Array] = {loss.node_id: np.ones(())}
+    slots: dict[int, Array] = {loss.node_id: np.ones((), loss.data.dtype)}
     kept: dict[int, Array] = {loss.node_id: slots[loss.node_id]}
     for node_id in range(len(nodes) - 1, -1, -1):
         node, nodes[node_id] = nodes[node_id], None
@@ -439,7 +451,7 @@ def gather_rows(x, idx) -> Tensor:
     shape = x.dims
 
     def vjp(g: Array) -> Array:
-        out = np.zeros(shape)
+        out = np.zeros(shape, g.dtype)
         np.add.at(out, index, g)
         return out
 
@@ -470,7 +482,7 @@ def fill_rows(x, idx, v) -> Tensor:
         return gx
 
     def vjp_v(g: Array) -> Array:
-        return g[index].sum(axis=0) if index.size else np.zeros(d)
+        return g[index].sum(axis=0) if index.size else np.zeros(d, g.dtype)
 
     return _apply(_fwd_fill_rows, (x, index, v),
                   _fwd_fill_rows(x.data, index, v.data),
@@ -523,7 +535,7 @@ def rel_position_gather(x) -> Tensor:
     shape = x.dims
 
     def vjp(g: Array) -> Array:
-        out = np.zeros(shape)
+        out = np.zeros(shape, g.dtype)
         _rel_view(out)[...] = g
         return out
 
@@ -643,10 +655,10 @@ def dropout(x, rate: float, kept: Array) -> Tensor:
         raise ShapeError(f"dropout mask {kept.shape} does not match {x.dims}")
     if x.tape is not None and x.tape.calls is not None:
         raise ContractError("dropout cannot run on a recording tape")
-    scale = 1.0 - rate
-    keep = kept / scale
+    scale, dtype = 1.0 - rate, x.data.dtype
+    keep = np.divide(kept, scale, dtype=dtype)
     return _apply(np.multiply, (x, keep), np.multiply(x.data, keep),
-                  [(x, lambda g: g * (kept / scale))])
+                  [(x, lambda g: g * np.divide(kept, scale, dtype=dtype))])
 
 
 # ---------------------------------------------------------------------------
@@ -666,21 +678,6 @@ FD_CHUNK = 16
 
 def _central(hi, lo, eps):
     return (hi - lo) / (2 * eps)
-
-
-def _fd_slope(loss_at: Callable[[], Tensor], buffer: Array, flat_index: int,
-              eps) -> float:
-    """Central difference through one entry of the parameter buffer that
-    ``loss_at`` reads, by two full evaluations: the reference the stacked
-    replay reproduces."""
-    flat = buffer.reshape(-1)
-    saved = flat[flat_index]
-    flat[flat_index] = saved + eps
-    hi = loss_at().data.reshape(())
-    flat[flat_index] = saved - eps
-    lo = loss_at().data.reshape(())
-    flat[flat_index] = saved
-    return float(_central(hi, lo, eps))
 
 
 class _Recording:

@@ -12,6 +12,9 @@ orderings of the same context set equivalent.
 The encoder runs on a ``Group``: utterances padded to one length and stacked
 along the rows, each with its own attention mask, so one pass (and one tape)
 serves them all. A single utterance is a group of one.
+
+A pass computes in the dtype its parameters are bound at (``bind_params``):
+the frames and the offset table it reads are cast to that dtype too.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ NEG_INF = float("-inf")
 
 class SequenceLengthError(ValueError):
     """Sequence longer than the configured maximum."""
+
+
+class ParameterRangeError(OverflowError):
+    """A finite parameter lies outside the range of the dtype it is bound
+    at."""
 
 
 @dataclass(frozen=True)
@@ -240,14 +248,15 @@ class GroupDropout:
         return ad.dropout(x, self.rate, kept.reshape(x.dims))
 
 
-# one (2 * max_seq_len - 1, width) table per (width, max_seq_len); every
-# shorter T reads a slice of it
-_SINUSOID_CACHE: dict[tuple[int, int], np.ndarray] = {}
+# one (2 * max_seq_len - 1, width) table per (width, max_seq_len, dtype);
+# every shorter T reads a slice of it
+_SINUSOID_CACHE: dict[tuple[int, int, np.dtype], np.ndarray] = {}
 
 
-def relative_sinusoids(t_len: int, width: int, max_seq_len: int) -> np.ndarray:
+def relative_sinusoids(t_len: int, width: int, max_seq_len: int,
+                       dtype=np.float64) -> np.ndarray:
     """(2T-1, width) sinusoidal embeddings of offsets -(T-1) .. T-1, as a
-    read-only view.
+    read-only view, computed in float64 and cast to ``dtype``.
 
     Frequencies span geometrically from 1 down to ~1/(2 * max_seq_len), so
     even the slowest component varies across the offsets the model can see;
@@ -256,7 +265,7 @@ def relative_sinusoids(t_len: int, width: int, max_seq_len: int) -> np.ndarray:
     """
     if not 1 <= t_len <= max_seq_len:
         raise SequenceLengthError(f"T={t_len} outside 1 .. {max_seq_len}")
-    key = (width, max_seq_len)
+    key = (width, max_seq_len, np.dtype(dtype))
     table = _SINUSOID_CACHE.get(key)
     if table is None:
         offsets = np.arange(-(max_seq_len - 1), max_seq_len, dtype=np.float64)
@@ -266,6 +275,7 @@ def relative_sinusoids(t_len: int, width: int, max_seq_len: int) -> np.ndarray:
         table = np.empty((2 * max_seq_len - 1, width))
         table[:, 0::2] = np.sin(angles)
         table[:, 1::2] = np.cos(angles)
+        table = table.astype(dtype, copy=False)
         table.setflags(write=False)
         _SINUSOID_CACHE[key] = table
     return table[max_seq_len - t_len:max_seq_len + t_len - 1]
@@ -273,11 +283,12 @@ def relative_sinusoids(t_len: int, width: int, max_seq_len: int) -> np.ndarray:
 
 def embed_posteriors(embedding: Tensor, seq) -> Tensor:
     """Row t of the output is sum_v frames[t, v] * embedding[v], for a
-    sequence or a group."""
+    sequence or a group, with the frames cast to the embedding's dtype."""
     if seq.vocab_size != embedding.dims[0]:
         raise ad.ShapeError(
             f"sequence V={seq.vocab_size} != embedding rows {embedding.dims[0]}")
-    return ad.matmul(ad.constant(seq.frames, check=False), embedding)
+    frames = np.asarray(seq.frames, dtype=embedding.data.dtype)
+    return ad.matmul(ad.constant(frames, check=False), embedding)
 
 
 def apply_mask_plan(embeddings: Tensor, group: Group, mask_vec: Tensor) -> Tensor:
@@ -319,7 +330,8 @@ def rel_attention_block(x: Tensor, mask: AttentionMask,
     heads, dh = config.heads, config.head_dim
     stacks = heads * size
     rel_table = ad.constant(
-        relative_sinusoids(t_len, config.d_model, config.max_seq_len),
+        relative_sinusoids(t_len, config.d_model, config.max_seq_len,
+                           x.data.dtype),
         check=False)
     blocked = np.concatenate([~allowed] * heads)   # (heads*B, T, T)
 
@@ -365,14 +377,28 @@ def rel_attention_block(x: Tensor, mask: AttentionMask,
                          layer_params["ln2.gamma"], layer_params["ln2.beta"])
 
 
-def bind_params(params: dict[str, np.ndarray],
-                tape: ad.Tape | None = None) -> dict[str, Tensor]:
-    """Every parameter array as a leaf on the tape; without a tape, as a
-    plain tensor, so a forward-only pass records nothing."""
+def bind_params(params: dict[str, np.ndarray], tape: ad.Tape | None = None,
+                dtype=np.float64) -> dict[str, Tensor]:
+    """Every parameter array, cast to ``dtype``, as a leaf on the tape;
+    without a tape, as a plain tensor, so a forward-only pass records
+    nothing. The pass, its gradients included, computes in ``dtype``: float64
+    arrays bind at float64 without a copy, and the trainer binds its float64
+    master parameters at float32.
+
+    A finite entry beyond ``dtype``'s range raises ``ParameterRangeError``.
+    """
+    cast = {}
+    with np.errstate(over="raise"):
+        for name, array in params.items():
+            try:
+                cast[name] = np.asarray(array, dtype=dtype)
+            except FloatingPointError:
+                raise ParameterRangeError(
+                    f"parameter {name!r} overflows {np.dtype(dtype).name}"
+                ) from None
     if tape is None:
-        return {name: Tensor(array, check=False)
-                for name, array in params.items()}
-    return {name: tape.leaf(array, check=False) for name, array in params.items()}
+        return {name: Tensor(array, check=False) for name, array in cast.items()}
+    return {name: tape.leaf(array, check=False) for name, array in cast.items()}
 
 
 _LAYER_KEYS = ("wq", "wk", "wv", "wr", "wo", "u_bias", "v_bias",

@@ -15,7 +15,10 @@ averaging is the default; the plain sum over targets is available through
 which is exactly the gap quantified by the oracle module).
 
 Both losses score a ``Group`` of utterances in one pass and report the sum
-of their per-utterance losses; a single utterance is a group of one.
+of their per-utterance losses; a single utterance is a group of one. A loss
+computes in the dtype it binds the parameters at (float64 unless the caller
+asks otherwise), its targets, counts and labels included, and returns its
+gradients in that dtype.
 """
 
 from __future__ import annotations
@@ -109,15 +112,18 @@ def soft_cross_entropy(logits: Tensor, target_dists: np.ndarray,
     ``segment_sum``), one run of every row by default. An empty run scores 0.
 
     Each row's value is bounded below by the entropy of its target, with
-    equality exactly when the prediction matches the target.
+    equality exactly when the prediction matches the target. The targets and
+    the inverse counts take the logits' dtype.
     """
-    targets = np.asarray(target_dists, dtype=np.float64)
+    dtype = logits.data.dtype
+    targets = np.asarray(target_dists, dtype=dtype)
     if targets.shape != logits.dims:
         raise ad.ShapeError(
             f"targets {targets.shape} do not match logits {logits.dims}")
     edges = [0, targets.shape[0]] if bounds is None else bounds
     counts = np.diff(edges)
-    inverse = np.array([1.0 / k if k else 0.0 for k in counts.tolist()])
+    inverse = np.array([1.0 / k if k else 0.0 for k in counts.tolist()],
+                       dtype=dtype)
     per_run_sum = ad.scale(ad.segment_sum(
         ad.mul(ad.constant(targets, check=False), ad.log_softmax(logits)),
         edges), -1.0)
@@ -131,13 +137,14 @@ def _masked_regression(hidden: Tensor, embed: Tensor, group: Group,
     summed for "sum". An utterance without targets scores 0; (B,)."""
     rows = group.target_rows
     if not rows.size:
-        return ad.constant(np.zeros(group.size))
+        return ad.constant(np.zeros(group.size, hidden.data.dtype))
     logits = predict_phonemes(ad.gather_rows(hidden, rows), embed)
     frames = np.concatenate([seq.frames[list(plan.target_idx)] for seq, plan
                              in zip(group.sequences, group.plans)])
     loss = soft_cross_entropy(logits, frames, group.target_bounds)
     if weighting == "sum":
-        ks = np.array([float(plan.k) for plan in group.plans])
+        ks = np.array([float(plan.k) for plan in group.plans],
+                      dtype=hidden.data.dtype)
         loss = ad.mul(loss, ad.constant(ks, check=False))
     return loss
 
@@ -163,13 +170,14 @@ def _plm_term(bound: dict[str, Tensor], config: EncoderConfig,
                                   weighting, rngs))
 
 
-def _loss_and_grads(params: dict[str, np.ndarray], want_grads: bool, build):
+def _loss_and_grads(params: dict[str, np.ndarray], want_grads: bool, build,
+                    dtype):
     """Evaluate ``build(bound) -> (cls or None, plm, total)``, each (B,) per
-    utterance, on a fresh tape only when gradients are requested; report
-    their sums and backpropagate the summed total to a name->gradient dict
-    then."""
+    utterance, with the parameters bound at ``dtype``, on a fresh tape only
+    when gradients are requested; report their sums and backpropagate the
+    summed total to a name->gradient dict then."""
     tape = ad.Tape() if want_grads else None
-    bound = bind_params(params, tape)
+    bound = bind_params(params, tape, dtype)
     cls, plm, total = build(bound)
     loss = ad.sum_all(total)
     breakdown = LossBreakdown(
@@ -186,21 +194,22 @@ def _loss_and_grads(params: dict[str, np.ndarray], want_grads: bool, build):
 
 def bert_plm_loss(params: dict[str, np.ndarray], config: EncoderConfig,
                   group: Group, weighting: str = "mean", drop_rngs=None,
-                  want_grads: bool = False):
+                  want_grads: bool = False, dtype=np.float64):
     """Masked-regression loss against the original posterior rows, summed
     over the group's utterances.
 
     Gradient flows to every encoder parameter, including the mask vector.
     Dropout runs exactly when ``drop_rngs`` (one generator per utterance)
     is given. Returns a LossBreakdown, plus a name->gradient dict of the
-    summed loss when requested.
+    summed loss when requested; the pass and its gradients compute in
+    ``dtype``.
     """
 
     def build(bound):
         losses = _plm_losses(bound, config, group, weighting, drop_rngs)
         return None, losses, losses
 
-    return _loss_and_grads(params, want_grads, build)
+    return _loss_and_grads(params, want_grads, build, dtype)
 
 
 def _finetune_losses(bound: dict[str, Tensor], config: EncoderConfig,
@@ -212,7 +221,7 @@ def _finetune_losses(bound: dict[str, Tensor], config: EncoderConfig,
 
     pooled = attentive_pool(hidden, bound["pool_query"], group.context_rows)
     logits = ad.matmul(pooled, ad.transpose(bound["classifier"]))
-    one_hot = np.zeros((group.size, classes))
+    one_hot = np.zeros((group.size, classes), hidden.data.dtype)
     one_hot[np.arange(group.size), list(labels)] = 1.0
     cls = ad.scale(ad.segment_sum(
         ad.mul(ad.constant(one_hot, check=False), ad.log_softmax(logits)),
@@ -239,14 +248,15 @@ def _finetune_term(bound: dict[str, Tensor], config: EncoderConfig,
 def finetune_loss(params: dict[str, np.ndarray], config: EncoderConfig,
                   group: Group, labels, lam: float = 1.0,
                   weighting: str = "mean", drop_rngs=None,
-                  want_grads: bool = False):
+                  want_grads: bool = False, dtype=np.float64):
     """Classification loss plus lam times the masked loss, one forward pass,
     summed over the group's utterances (``labels`` holds one label each).
 
     The classifier pools over context positions only (target rows carry the
     mask vector, not content), so the masked frames act as input dropout.
     An utterance whose plan has no target adds no masked loss. Dropout runs
-    exactly when ``drop_rngs`` is given.
+    exactly when ``drop_rngs`` is given. The pass and its gradients compute
+    in ``dtype``.
     """
     if "classifier" not in params:
         raise ad.ContractError("fine-tuning requires a classifier head")
@@ -263,4 +273,4 @@ def finetune_loss(params: dict[str, np.ndarray], config: EncoderConfig,
         return _finetune_losses(bound, config, group, labels, lam, weighting,
                                 drop_rngs)
 
-    return _loss_and_grads(params, want_grads, build)
+    return _loss_and_grads(params, want_grads, build, dtype)

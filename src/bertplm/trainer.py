@@ -10,6 +10,12 @@ target: pre-training skips it, fine-tuning trains it with nothing masked.
 All shuffling, plan sampling, dropout and init draw from named substreams of
 one seed, which makes checkpoints bitwise reproducible.
 
+Training, held-out and evaluation passes compute in float32
+(``COMPUTE_DTYPE``): each pass binds the parameters at float32, and the
+float32 gradients of a step's groups are summed and averaged in float64. The
+parameters and the Adam moments are float64 master copies, so the optimizer
+state never rounds to float32.
+
 Checkpoint format (.ckpt): magic "CKP1"; u32 entry count; per entry u16 name
 length, name bytes (UTF-8), u8 rank, rank u32 dims, then little-endian f32
 payload; finally a u32-length-prefixed UTF-8 dump of the resolved config,
@@ -33,8 +39,9 @@ from .config import (Config, ConfigError, config_text, encoder_config,
                      parse_config_text)
 from .corpus import (SIL_THRESHOLD, ByteReader, CorpusFormatError,
                      LabeledUtterance, PhonemePosteriorSequence, read_corpus)
-from .encoder import (EncoderConfig, Group, attentive_pool, bind_params,
-                      encode, init_params, param_shapes)
+from .encoder import (EncoderConfig, Group, ParameterRangeError,
+                      attentive_pool, bind_params, encode, init_params,
+                      param_shapes)
 from .objective import (MaskPlan, SamplingError, bert_plm_loss,
                         finetune_loss, sample_mask_plan)
 from .rng import stream
@@ -43,6 +50,15 @@ CHECKPOINT_MAGIC = b"CKP1"
 MAX_RANK = 64  # numpy arrays have at most 64 dimensions
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+#: entries of one parameter that ``adam_step`` averages, checks and steps
+#: together: the chunk's six float64 rows (parameter, moments, gradient sum,
+#: two scratch rows) take 1.5 MB, inside a 2 MB L2 cache; on such a core
+#: 2^14 and 2^15 ran fastest, 2^12 and 2^17 slower
+ADAM_CHUNK = 1 << 15
+
+#: the dtype training, held-out and evaluation passes compute in
+COMPUTE_DTYPE = np.float32
 
 
 class TrainingError(RuntimeError):
@@ -71,25 +87,57 @@ class OptimState:
 
 def adam_step(params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray],
-              state: OptimState) -> None:
-    """Bias-corrected Adam update, in place; missing gradients count as 0."""
+              state: OptimState, count: int = 1) -> None:
+    """Bias-corrected Adam update, in place, on the mean gradient: each
+    entry of ``grads`` is a sum over ``count`` examples, and a missing one
+    counts as 0. A float32 sum is widened to float64 before the division,
+    as if it had been copied into a float64 array first. A non-finite mean
+    gradient raises ``TrainingError`` and
+    stops training; the parameters before it, in name order, and its chunks
+    before the offending one have then been stepped.
+
+    Each parameter is walked in chunks of ``ADAM_CHUNK`` entries, and each
+    chunk is averaged, checked and stepped while it is in cache. Per entry
+    the operations and their order are those of dividing the whole sum by
+    ``count`` and then stepping, so the result is bitwise the same. The
+    parameters and moments must be C-contiguous, as ``OptimState`` makes
+    them.
+    """
     state.step += 1
     correction1 = 1.0 - ADAM_BETA1 ** state.step
     correction2 = 1.0 - ADAM_BETA2 ** state.step
+    lr = state.lr
+    mean, scratch = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
     for name in sorted(params):
-        grad = grads.get(name)
-        if grad is None:
-            grad = np.zeros_like(params[name])
-        elif not np.all(np.isfinite(grad)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        params[name] -= state.lr * (m / correction1) / (
-            np.sqrt(v / correction2) + ADAM_EPS)
+        arrays = (params[name], state.m[name], state.v[name])
+        if not all(a.flags.c_contiguous for a in arrays):
+            raise ValueError(f"adam_step needs C-contiguous arrays for {name!r}")
+        param, m, v = (a.reshape(-1) for a in arrays)
+        total = grads.get(name)
+        if total is not None:
+            total = np.ascontiguousarray(total).reshape(-1)
+        for lo in range(0, param.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, param.size)
+            g, t = mean[:hi - lo], scratch[:hi - lo]
+            if total is None:
+                g.fill(0.0)
+            else:
+                np.divide(total[lo:hi], count, out=g, dtype=np.float64)
+                if not np.isfinite(g).all():
+                    raise TrainingError(
+                        f"non-finite gradient for parameter {name!r}")
+            m_part, v_part = m[lo:hi], v[lo:hi]
+            m_part *= ADAM_BETA1
+            m_part += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+            v_part *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=t)
+            v_part += np.multiply(t, g, out=t)
+            np.divide(v_part, correction2, out=t)
+            np.sqrt(t, out=t)
+            t += ADAM_EPS
+            np.divide(m_part, correction1, out=g)
+            g *= lr
+            param[lo:hi] -= np.divide(g, t, out=g)
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +156,21 @@ class Checkpoint:
 def _write_entry(out, name: str, array: np.ndarray) -> None:
     encoded = name.encode("utf-8")
     dims = array.shape
+    try:
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(array, dtype="<f4")
+    except FloatingPointError:
+        raise TrainingError(f"checkpoint entry {name!r} overflows float32"
+                            ) from None
     out.write(struct.pack("<H", len(encoded)) + encoded
               + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
-    out.write(np.ascontiguousarray(array, dtype="<f4"))
+    out.write(payload)
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], config: Config,
                     step: int, optim: OptimState | None = None) -> None:
-    """Atomic write, one entry at a time: temp file then rename."""
+    """Atomic write, one entry at a time: temp file then rename. An entry
+    beyond float32's range raises ``TrainingError`` and leaves no file."""
     entries: dict[str, np.ndarray] = dict(sorted(params.items()))
     if optim is not None:
         for name, arr in sorted(optim.m.items()):
@@ -126,11 +181,15 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: Config,
     text = config_text(config).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as out:
-        out.write(CHECKPOINT_MAGIC + struct.pack("<I", len(entries)))
-        for name, arr in entries.items():
-            _write_entry(out, name, np.asarray(arr, dtype=np.float64))
-        out.write(struct.pack("<I", len(text)) + text)
+    try:
+        with open(tmp, "wb") as out:
+            out.write(CHECKPOINT_MAGIC + struct.pack("<I", len(entries)))
+            for name, arr in entries.items():
+                _write_entry(out, name, np.asarray(arr, dtype=np.float64))
+            out.write(struct.pack("<I", len(text)) + text)
+    except TrainingError:
+        tmp.unlink()
+        raise
     tmp.replace(path)
 
 
@@ -312,16 +371,13 @@ def length_groups(lengths, max_seq_len: int) -> list[list[int]]:
     return groups
 
 
-def _accumulate(grads_acc: dict[str, np.ndarray],
-                grads: dict[str, np.ndarray]) -> None:
-    """Add one group's gradients into the minibatch sums. The first group's
-    arrays become the sums: no two entries of a loss's gradient dict share
-    memory, so adding into them in place is safe."""
-    for name, grad in grads.items():
-        if name in grads_acc:
-            grads_acc[name] += grad
-        else:
-            grads_acc[name] = grad
+def _scored(fn, *args, **kwargs):
+    """``fn`` (a loss, or ``bind_params``) called at ``COMPUTE_DTYPE``; a
+    master parameter beyond that dtype's range stops training."""
+    try:
+        return fn(*args, dtype=COMPUTE_DTYPE, **kwargs)
+    except ParameterRangeError as exc:
+        raise TrainingError(str(exc)) from None
 
 
 def _train_steps(params, optim: OptimState, order, batch_size: int,
@@ -333,8 +389,13 @@ def _train_steps(params, optim: OptimState, order, batch_size: int,
     skip it. A minibatch's kept utterances run as ``length_groups``, one
     tape each: ``group_grads(indices, group)`` gives the group's summed
     (loss, grads). The step averages the gradients over the kept
-    utterances; a minibatch with nothing kept takes no step.
+    utterances; a minibatch with nothing kept takes no step. Several groups'
+    gradients are added in float64, into one array per parameter that every
+    step reuses; one group's gradient goes to ``adam_step`` as it is, and
+    the step widens it to float64 before averaging, so every sum and mean
+    is float64 either way.
     """
+    buffers: dict[str, np.ndarray] = {}
     for start in range(0, len(order), batch_size):
         kept = []
         for idx in order[start:start + batch_size]:
@@ -343,7 +404,7 @@ def _train_steps(params, optim: OptimState, order, batch_size: int,
                 kept.append((int(idx), *planned))
         if not kept:
             continue
-        grads_acc: dict[str, np.ndarray] = {}
+        sums: dict[str, np.ndarray] = {}
         losses = []
         for members in length_groups([seq.length for _, seq, _ in kept],
                                      max_seq_len):
@@ -352,11 +413,19 @@ def _train_steps(params, optim: OptimState, order, batch_size: int,
                           [plan for *_, plan in chosen])
             loss, grads = group_grads([idx for idx, *_ in chosen], group)
             losses.append(loss)
-            _accumulate(grads_acc, grads)
+            for name, grad in grads.items():
+                held = sums.get(name)
+                if held is None:
+                    sums[name] = grad
+                elif held is buffers.get(name):
+                    held += grad
+                else:
+                    if name not in buffers:
+                        buffers[name] = np.empty_like(params[name])
+                    sums[name] = np.add(held, grad, out=buffers[name],
+                                        dtype=np.float64)
             del grads   # free this group's arrays before the next group runs
-        for grad in grads_acc.values():
-            grad /= len(kept)
-        adam_step(params, grads_acc, optim)
+        adam_step(params, sums, optim, len(kept))
         yield losses, len(kept)
 
 
@@ -368,8 +437,8 @@ def _mean_plm_loss(params, enc_config, cfg, pairs) -> float:
                                  enc_config.max_seq_len):
         group = Group([pairs[m][0] for m in members],
                       [pairs[m][1] for m in members])
-        losses.append(bert_plm_loss(params, enc_config, group,
-                                    weighting=cfg.plm_weighting).plm_loss)
+        losses.append(_scored(bert_plm_loss, params, enc_config, group,
+                              weighting=cfg.plm_weighting).plm_loss)
     return float(np.sum(losses)) / len(pairs)
 
 
@@ -427,8 +496,9 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
                 return None
 
         def group_grads(indices, group):
-            breakdown, grads = bert_plm_loss(
-                params, enc_config, group, weighting=cfg.plm_weighting,
+            breakdown, grads = _scored(
+                bert_plm_loss, params, enc_config, group,
+                weighting=cfg.plm_weighting,
                 drop_rngs=[stream(seed, "drop", epoch, idx)
                            for idx in indices],
                 want_grads=True)
@@ -454,7 +524,7 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
 def evaluate(params: dict[str, np.ndarray], enc_config: EncoderConfig,
              utterances: list[LabeledUtterance]) -> EvalMetrics:
     """Argmax intent prediction with nothing masked, one forward pass per
-    length group."""
+    length group, computed in ``COMPUTE_DTYPE``."""
     if "classifier" not in params:
         raise DataError("checkpoint has no classifier head")
     classes = params["classifier"].shape[0]
@@ -462,7 +532,7 @@ def evaluate(params: dict[str, np.ndarray], enc_config: EncoderConfig,
         if not 0 <= utt.label < classes:
             raise DataError(f"label {utt.label} out of range ({classes} classes)")
     confusion = np.zeros((classes, classes), dtype=np.int64)
-    bound = bind_params(params)
+    bound = _scored(bind_params, params)
     for members in length_groups([u.sequence.length for u in utterances],
                                  enc_config.max_seq_len):
         seqs = [utterances[m].sequence for m in members]
@@ -538,8 +608,9 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
             return seq, plan
 
         def group_grads(indices, group):
-            breakdown, grads = finetune_loss(
-                params, enc_config, group, [train[i].label for i in indices],
+            breakdown, grads = _scored(
+                finetune_loss, params, enc_config, group,
+                [train[i].label for i in indices],
                 lam=cfg.finetune_lambda, weighting=cfg.plm_weighting,
                 drop_rngs=[stream(seed, "ft-drop", epoch, idx)
                            for idx in indices],

@@ -187,6 +187,20 @@ class TestBackward:
         assert ad.finite_diff_check(build, params, eps=1e-5) <= 1e-6
 
 
+def fd_slope(loss_at, buffer, flat_index, eps) -> float:
+    """Central difference through one entry of the parameter buffer that
+    ``loss_at`` reads, by two full evaluations: the reference the stacked
+    replay of ``finite_diff_check`` reproduces."""
+    flat = buffer.reshape(-1)
+    saved = flat[flat_index]
+    flat[flat_index] = saved + eps
+    hi = loss_at().data.reshape(())
+    flat[flat_index] = saved - eps
+    lo = loss_at().data.reshape(())
+    flat[flat_index] = saved
+    return float(ad._central(hi, lo, eps))
+
+
 class TestFiniteDiffCheck:
     def test_linear_function_is_exact(self):
         rng = stream(7, "lin")
@@ -270,8 +284,8 @@ class TestFiniteDiffCheck:
             frozen = {n: ad.Tensor(b, check=False) for n, b in buffers.items()}
             indices = range(leaf.data.size)
             replayed = np.array(list(record.slopes(name, indices, eps)))
-            full = np.array([ad._fd_slope(lambda: build(frozen), buffers[name],
-                                          i, eps) for i in indices])
+            full = np.array([fd_slope(lambda: build(frozen), buffers[name],
+                                      i, eps) for i in indices])
             assert replayed.tobytes() == full.tobytes(), name
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])

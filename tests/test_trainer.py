@@ -60,6 +60,69 @@ class TestAdam:
         assert all(b < a + 1e-12 for a, b in zip(warm, warm[1:]))
         assert norms[-1] < 0.1 * norms[0]
 
+    @staticmethod
+    def average_then_step(params, sums, state, count):
+        """The two-pass step the fused one replaced: divide every sum by
+        ``count``, then update each whole parameter."""
+        grads = {name: grad / count for name, grad in sums.items()}
+        state.step += 1
+        correction1 = 1.0 - tr.ADAM_BETA1 ** state.step
+        correction2 = 1.0 - tr.ADAM_BETA2 ** state.step
+        for name in sorted(params):
+            grad = grads.get(name)
+            if grad is None:
+                grad = np.zeros_like(params[name])
+            elif not np.all(np.isfinite(grad)):
+                raise tr.TrainingError(
+                    f"non-finite gradient for parameter {name!r}")
+            m = state.m[name]
+            v = state.v[name]
+            m *= tr.ADAM_BETA1
+            m += (1.0 - tr.ADAM_BETA1) * grad
+            v *= tr.ADAM_BETA2
+            v += (1.0 - tr.ADAM_BETA2) * grad * grad
+            params[name] -= state.lr * (m / correction1) / (
+                np.sqrt(v / correction2) + tr.ADAM_EPS)
+
+    @pytest.mark.parametrize("chunk", [7, 64, 1 << 15])
+    def test_fused_step_equals_average_then_step(self, monkeypatch, chunk):
+        monkeypatch.setattr(tr, "ADAM_CHUNK", chunk)
+        rng = stream(2, "fused")
+        shapes = {"a": (13, 11), "b": (64,), "c": (3,), "skipped": (5, 5),
+                  "big": (40, 1700)}
+        start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        runs = []
+        for step in (self.average_then_step, tr.adam_step):
+            params = {name: p.copy() for name, p in start.items()}
+            state = tr.OptimState.for_params(params, lr=3e-2)
+            for i in range(4):
+                sums = {name: rng_i.normal(size=p.shape) * 10.0 ** (i - 2)
+                        for name, p in params.items() if name != "skipped"
+                        for rng_i in [stream(2, "sums", i, name)]}
+                step(params, sums, state, 1 + i % 3)
+            runs.append((params, state))
+        (p_ref, s_ref), (p_new, s_new) = runs
+        assert s_new.step == s_ref.step == 4
+        for name in shapes:
+            for ref, new in ((p_ref, p_new), (s_ref.m, s_new.m),
+                             (s_ref.v, s_new.v)):
+                assert new[name].tobytes() == ref[name].tobytes(), name
+
+    def test_fused_step_leaves_the_sums_alone(self):
+        params = {"w": np.ones(5)}
+        sums = {"w": np.arange(5.0)}
+        tr.adam_step(params, sums, tr.OptimState.for_params(params, 0.1), 4)
+        np.testing.assert_array_equal(sums["w"], np.arange(5.0))
+
+    def test_non_finite_sum_in_a_later_chunk_aborts(self, monkeypatch):
+        monkeypatch.setattr(tr, "ADAM_CHUNK", 4)
+        params = {"w": np.ones(10)}
+        sums = {"w": np.ones(10)}
+        sums["w"][9] = np.inf
+        with pytest.raises(tr.TrainingError, match="'w'"):
+            tr.adam_step(params, sums, tr.OptimState.for_params(params, 0.1),
+                         2)
+
     def test_nan_gradient_aborts_with_name(self):
         params = {"good": np.ones(2), "bad": np.ones(2)}
         state = tr.OptimState.for_params(params, lr=0.1)

@@ -47,14 +47,15 @@ the kernel call that made it (kernel, arguments with arrays for tensors, the
 node ids of its taped inputs) and its output array; ``backward`` leaves that
 log alone. ``finite_diff_check`` records the loss once per precision. For
 each parameter it then replays only the kernel calls downstream of it, on
-chunks of up to ``FD_CHUNK`` perturbed copies stacked along a new leading
-axis: each replayed value is shaped (2n, 1, ..., 1, *recorded shape), padded
-to one rank so that the recorded operands broadcast against it, and each
-kernel runs once per chunk. Per copy this is the arithmetic of a full
-forward pass on the same inputs: stacked matmuls run one GEMM per slice,
-row reductions run along a contiguous last axis, and ``sum_all`` reduces
-one contiguous run per copy. So each replayed loss is bitwise the loss that
-pass would give.
+chunks of perturbed copies stacked along a new leading axis, as many as
+``FD_STACK_ENTRIES`` allows for the largest replayed value (but at least
+``FD_MIN_CHUNK``): each replayed value is shaped (2n, 1, ..., 1, *recorded
+shape), padded to one rank so that the recorded operands broadcast against
+it, and each kernel runs once per chunk. Per copy this is the arithmetic of
+a full forward pass on the same inputs: stacked matmuls run one GEMM per
+slice, row reductions run along a contiguous last axis, and ``sum_all``
+reduces one contiguous run per copy. So each replayed loss is bitwise the
+loss that pass would give.
 """
 
 from __future__ import annotations
@@ -670,10 +671,17 @@ def dropout(x, rate: float, kept: Array) -> Tensor:
 FD_EPS_MIN, FD_EPS_MAX = 1e-7, 1e-3
 
 
-#: perturbed entries of one parameter replayed together, so every downstream
-#: value is stacked up to 2 * FD_CHUNK deep; larger chunks ran no faster and
-#: raised peak memory, since each kernel's temporaries grow with the stack
-FD_CHUNK = 16
+#: a parameter's entries are replayed n at a time, as 2n stacked copies of
+#: every value downstream of it. n is the most that keeps the largest such
+#: stack within FD_STACK_ENTRIES entries, so small problems replay in long
+#: chunks and pay less per-kernel overhead while each stack stays cache
+#: sized; but never below FD_MIN_CHUNK, under which the per-kernel overhead
+#: dominates. Measured on the grad-check problems: --quick (largest values
+#: 96-176 entries, n 46-85) ran its slopes 1.2x faster than at n = 16 with
+#: the same time at twice the budget, and the full problem (largest 768 and
+#: 1,536 entries) ran 1.2x slower at n = 10 than at n = 16 or 21
+FD_STACK_ENTRIES = 2 ** 14
+FD_MIN_CHUNK = 16
 
 
 def _central(hi, lo, eps):
@@ -695,8 +703,10 @@ class _Recording:
         parameter ``name``.
 
         Only the kernel calls that read the parameter, directly or through
-        earlier calls, run again, each once per chunk of at most
-        ``FD_CHUNK`` entries; every other operand comes from the tape.
+        earlier calls, run again, each once per chunk of entries; a chunk
+        of n stacks 2n copies of each replayed value, and n is as large as
+        ``FD_STACK_ENTRIES`` allows for the largest of them, but at least
+        ``FD_MIN_CHUNK``. Every other operand comes from the tape.
         """
         leaf_id, loss_id = self.leaves[name].node_id, self.loss.node_id
         calls = self.tape.calls
@@ -715,9 +725,11 @@ class _Recording:
         drops: list[list[int]] = [[] for _ in steps]
         for src, k in last_use.items():
             drops[k].append(src)
+        largest = max(math.prod(shape) for *_, shape in steps)
+        per_chunk = max(FD_MIN_CHUNK, FD_STACK_ENTRIES // (2 * largest))
         slopes: list[float] = []
-        for start in range(0, indices.size, FD_CHUNK):
-            chunk = indices[start:start + FD_CHUNK]
+        for start in range(0, indices.size, per_chunk):
+            chunk = indices[start:start + per_chunk]
             losses = self._stacked_losses(leaf_id, steps, drops, chunk, eps)
             n = chunk.size
             slopes.extend(float(s) for s in _central(losses[:n], losses[n:],
@@ -769,10 +781,13 @@ def finite_diff_check(build_loss: Callable[[dict[str, Tensor]], Tensor],
     error is |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|). A non-finite
     gradient entry or slope makes the result ``math.inf``.
 
-    The slopes come from a stacked replay: for each parameter, chunks of at
-    most ``FD_CHUNK`` entries are perturbed together as copies stacked
-    along a leading axis, and only the kernel calls downstream of that
-    parameter run again, once per chunk. A parameter the loss never reads
+    The slopes come from a stacked replay: for each parameter, chunks of n
+    entries are perturbed together as 2n copies stacked along a leading
+    axis, and only the kernel calls downstream of that parameter run again,
+    once per chunk. n is the most that keeps 2n copies of the largest
+    downstream value within ``FD_STACK_ENTRIES`` entries, but at least
+    ``FD_MIN_CHUNK``: 46 to 85 at ``grad-check --quick``, and the floor of
+    16 at the full ``grad-check`` size. A parameter the loss never reads
     runs nothing and has slope 0. Each copy's loss is bitwise the loss a
     full forward pass would give.
 

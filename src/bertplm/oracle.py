@@ -16,13 +16,24 @@ relative positional encoding guarantees for the production encoder).
 The exact form reproduces the permutation expectation to rounding error;
 the sum form generally differs by a per-k linear weighting, vanishing only
 at k=1 (c = T-1). Both deviations are reported rather than assumed.
+
+A trial asks the predictor once for each conditional p(j | S) either side
+reads (j outside S, c <= |S| <= T-1) and stores the answers in one
+(2^T, T) score table, indexed by the bitmask of S. The subset side reads
+the table directly. The permutation side still enumerates all T! orders,
+but once per T rather than once per trial: it counts how often each
+(t, S, j) occurs, checks the counts against the (t-1)! (T-t)! orderings
+around a fixed conditional, and caches them. Its sum weights each table
+entry by its count and is exactly rounded, which is bitwise the
+``math.fsum`` over every order's terms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -37,7 +48,7 @@ from .rng import stream_key
 #: evaluator (sequence, context index set, target index) -> log-probability
 SetPredictor = Callable[[PhonemePosteriorSequence, frozenset, int], float]
 
-PERM_LIMIT = 8  # 8! = 40320 orders; beyond that enumeration is pointless
+PERM_LIMIT = 10  # 10! = 3,628,800 orders, counted once per T
 
 
 @dataclass
@@ -53,43 +64,115 @@ def _guard(t_len: int, c: int) -> None:
         raise ValueError(f"cutting point c={c} outside (0, {t_len})")
 
 
+@functools.cache
+def _subsets(t_len: int) -> list[list[tuple[int, frozenset, MaskPlan]]]:
+    """(bitmask, set, mask plan targeting the rest) for every proper subset
+    of range(t_len), listed by size in ``combinations`` order."""
+    return [[(sum(1 << j for j in inside), frozenset(inside),
+              MaskPlan.from_context_set(inside, t_len))
+             for inside in combinations(range(t_len), size)]
+            for size in range(t_len)]
+
+
+def score_table(p: SetPredictor, seq: PhonemePosteriorSequence,
+                c: int) -> np.ndarray:
+    """Every conditional either expectation reads at cutting point c.
+
+    Row S (as a bitmask) of the (2^T, T) table holds p(seq, S, j) for each
+    j outside S, for every S with c <= |S| <= T-1; every other entry is
+    NaN. ``p`` is asked once per entry.
+    """
+    table = np.full((1 << seq.length, seq.length), np.nan)
+    for subsets in _subsets(seq.length)[c:]:
+        for mask, context, plan in subsets:
+            table[mask, plan.target_idx] = [p(seq, context, j)
+                                            for j in plan.target_idx]
+    return table
+
+
+def _led_by(lead: int, rest: np.ndarray) -> np.ndarray:
+    """The orders of range(n + 1) that start with ``lead``, from ``rest``,
+    the orders of range(n)."""
+    return np.column_stack([np.full(len(rest), lead, np.int8),
+                            rest + (rest >= lead)])
+
+
+def _orders(n: int) -> np.ndarray:
+    """Every order of range(n), one int8 row each, lexicographically."""
+    orders = np.zeros((1, 0), dtype=np.int8)
+    for size in range(1, n + 1):
+        orders = np.concatenate([_led_by(lead, orders)
+                                 for lead in range(size)])
+    return orders
+
+
+@functools.cache
+def _order_counts(t_len: int) -> np.ndarray:
+    """How often each (t, S, j) occurs over all T! factorization orders z:
+    entry [t-1, S, j] counts the orders with {z_1..z_{t-1}} = S (S as a
+    bitmask) and z_t = j.
+
+    The orders are enumerated as int arrays, one chunk per leading
+    position. The counts are checked against the prefix and suffix
+    orderings around a fixed conditional: each (t, S, j) that occurs
+    occurs (t-1)! (T-t)! times, and C(T, t-1) (T-t+1) of them occur.
+    """
+    size = 1 << t_len
+    counts = np.zeros((t_len, size * t_len), dtype=np.int64)
+    rest = _orders(t_len - 1)
+    for lead in range(t_len):
+        order = _led_by(lead, rest)
+        prefix = np.zeros(len(rest), dtype=np.int32)
+        for t in range(t_len):
+            target = order[:, t]
+            counts[t] += np.bincount(prefix * t_len + target,
+                                     minlength=size * t_len)
+            prefix |= np.left_shift(1, target, dtype=np.int32)
+    counts = counts.reshape(t_len, size, t_len)
+    for t in range(1, t_len + 1):
+        occurring = counts[t - 1][counts[t - 1] > 0]
+        expected = math.factorial(t - 1) * math.factorial(t_len - t)
+        assert np.all(occurring == expected), f"multiplicity != {expected}"
+        assert occurring.size == math.comb(t_len, t - 1) * (t_len - t + 1)
+    return counts
+
+
+def _exact_dot(counts: np.ndarray, values: np.ndarray) -> float:
+    """sum(counts * values), exactly rounded, for integer counts < 2**26.
+
+    Each value splits into two halves of at most 26 significant bits
+    (Veltkamp), so every count * half is exact and ``math.fsum`` rounds
+    the whole sum once.
+    """
+    scaled = values * 134217729.0  # 2**27 + 1
+    high = scaled - (scaled - values)
+    low = values - high
+    return math.fsum((counts * high).tolist() + (counts * low).tolist())
+
+
 def perm_plm_expectation(p: SetPredictor, seq: PhonemePosteriorSequence,
-                         c: int, memo: dict | None = None) -> float:
+                         c: int, table: np.ndarray | None = None) -> float:
     """(1/T!) sum over orders z of sum_{t>c} log p(x_{z_t} | x_{z_<t}).
 
-    Enumerates every factorization order; conditionals are memoized on the
-    (context set, target) pair, which is exactly the invariance the check
-    exploits. A caller may pass ``memo`` to share those conditionals with
-    another enumeration of the same sequence. The enumeration asserts that
-    each (t, S, j) triple appears (t-1)! (T-t)! times: the prefix and suffix
-    orderings around a fixed conditional.
+    Every factorization order is counted (``_order_counts``, once per T);
+    each conditional p(j | S) enters the sum as many times as orders reach
+    it past the cutting point, read from ``table`` (``score_table``, which
+    is filled from ``p`` when not given). The sum is exactly rounded, as
+    ``math.fsum`` over every order's terms would be.
     """
     t_len = seq.length
     _guard(t_len, c)
-    if memo is None:
-        memo = {}
-    counts: dict[tuple[int, frozenset, int], int] = {}
-    terms = []
-    for order in permutations(range(t_len)):
-        for t in range(c + 1, t_len + 1):
-            context = frozenset(order[:t - 1])
-            target = order[t - 1]
-            key = (context, target)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = p(seq, context, target)
-            terms.append(value)
-            triple = (t, context, target)
-            counts[triple] = counts.get(triple, 0) + 1
-    for (t, _, _), count in counts.items():
-        expected = math.factorial(t - 1) * math.factorial(t_len - t)
-        assert count == expected, f"multiplicity {count} != {expected}"
-    return math.fsum(terms) / math.factorial(t_len)
+    if table is None:
+        table = score_table(p, seq, c)
+    counts = _order_counts(t_len)[c:].sum(axis=0)
+    reached = np.nonzero(counts)
+    total = _exact_dot(counts[reached], table[reached])
+    return total / math.factorial(t_len)
 
 
 def subset_regression_expectation(p: SetPredictor,
                                   seq: PhonemePosteriorSequence,
-                                  c: int, memo: dict | None = None
+                                  c: int, table: np.ndarray | None = None
                                   ) -> tuple[float, float]:
     """Masked-regression expectation over context subsets, as (exact, paper)
     from one enumeration.
@@ -97,29 +180,17 @@ def subset_regression_expectation(p: SetPredictor,
     exact:  sum_{k=1..T-c} E_{|S|=T-k} [ (1/k) sum_{j not in S} p(j|S) ]
     paper:  (1/(T-c)) sum_{k=1..T-c} E_{|S|=T-k} [ sum_{j not in S} p(j|S) ]
 
-    Conditionals are memoized on the (context set, target) pair; pass the
-    ``memo`` ``perm_plm_expectation`` filled for the same sequence to read
-    its conditionals instead of asking ``p`` again.
+    Conditionals are read from ``table`` by the bitmask of S
+    (``score_table``, which is filled from ``p`` when not given).
     """
     t_len = seq.length
     _guard(t_len, c)
-    positions = set(range(t_len))
-    if memo is None:
-        memo = {}
-
-    def score(context: frozenset, target: int) -> float:
-        value = memo.get((context, target))
-        if value is None:
-            value = memo[context, target] = p(seq, context, target)
-        return value
-
+    if table is None:
+        table = score_table(p, seq, c)
     exact_k, paper_k = [], []
     for k in range(1, t_len - c + 1):
-        totals = []
-        for context in combinations(range(t_len), t_len - k):
-            context_set = frozenset(context)
-            totals.append(math.fsum(score(context_set, j)
-                                    for j in positions - context_set))
+        totals = [math.fsum(table[mask, plan.target_idx].tolist())
+                  for mask, _, plan in _subsets(t_len)[t_len - k]]
         exact_k.append(math.fsum(total / k for total in totals) / len(totals))
         paper_k.append(math.fsum(totals) / len(totals))
     return math.fsum(exact_k), math.fsum(paper_k) / (t_len - c)
@@ -137,13 +208,24 @@ def random_set_predictor(seed: int) -> SetPredictor:
     (id, S, j).
 
     Order-invariant by construction: the key hashes the sorted context set.
+    Each call draws the first double of ``Philox(key=stream_key(...))``
+    from one bit generator the predictor keeps, reset to that key at
+    counter 0 with an empty buffer, which is the state a fresh
+    ``Philox(key=...)`` starts in.
     """
     low, high = -5.0, -0.05
+    bit_generator = np.random.Philox(key=0)
+    generator = np.random.Generator(bit_generator)
+    zeros = np.zeros(4, dtype=np.uint64)
 
     def predictor(seq: PhonemePosteriorSequence, context: frozenset,
                   target: int) -> float:
         key = stream_key(seed, seq.utterance_id, tuple(sorted(context)), target)
-        unit = np.random.Generator(np.random.Philox(key=key)).random()
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": key},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        unit = generator.random()
         return low + (high - low) * unit
 
     return predictor
@@ -169,42 +251,49 @@ def make_frozen_predictor(params: dict[str, np.ndarray],
     every j outside S, because a target row attends only to S and itself,
     never to other targets. The first query for a sequence scores every
     context set that leaves a target (all 2^T - 1 proper subsets of its
-    positions) as one group in one forward pass. Scores are cached on the
-    sequence's frames, not its id, so two sequences that share an id never
-    share scores. The parameters are bound once, without a tape, when the
-    predictor is made.
+    positions) as one group in one forward pass; each score is bitwise the
+    one a taped group of one gives for its plan. Only the last sequence's
+    scores are kept, keyed on its frames, not its id, so two sequences that
+    share an id never share scores. The parameters are bound once, without
+    a tape, when the predictor is made.
     """
-    cache: dict[tuple[tuple[int, ...], bytes],
-                dict[frozenset, dict[int, float]]] = {}
+    last_key: tuple[tuple[int, ...], bytes] | None = None
+    last_scores: dict[frozenset, dict[int, float]] = {}
     bound = bind_params(params)
 
     def score_every_context(seq: PhonemePosteriorSequence
                             ) -> dict[frozenset, dict[int, float]]:
-        contexts = [frozenset(s) for size in range(seq.length)
-                    for s in combinations(range(seq.length), size)]
-        plans = [MaskPlan.from_context_set(s, seq.length) for s in contexts]
-        group = Group([seq] * len(plans), plans)
+        subsets = [entry for level in _subsets(seq.length) for entry in level]
+        group = Group([seq] * len(subsets), [plan for *_, plan in subsets])
         hidden = encode(bound, config, group)
-        logits = predict_phonemes(
-            ad.gather_rows(hidden, group.target_rows), bound["embed"])
-        log_probs = ad.log_softmax(logits).data
-        true_phoneme = seq.frames.argmax(axis=1)
+        target_rows = group.target_rows
+        targets = ad.gather_rows(hidden, target_rows)
+        # the last T plans have one target each; a group of one scores such
+        # a plan as a one-row product, which BLAS computes as a
+        # vector-matrix product that can round differently from a GEMM row
+        single = len(target_rows) - seq.length
+        logits = np.concatenate(
+            [predict_phonemes(ad.gather_rows(targets, range(single)),
+                              bound["embed"]).data]
+            + [predict_phonemes(ad.gather_rows(targets, [r]),
+                                bound["embed"]).data
+               for r in range(single, len(target_rows))])
+        log_probs = ad.log_softmax(ad.constant(logits)).data
+        positions = target_rows % seq.length
+        picked = log_probs[np.arange(len(positions)),
+                           seq.frames.argmax(axis=1)[positions]].tolist()
         bounds = group.target_bounds
-        table = {}
-        for b, (context, plan) in enumerate(zip(contexts, plans)):
-            rows = log_probs[bounds[b]:bounds[b + 1]]
-            table[context] = {
-                j: float(row[true_phoneme[j]])
-                for j, row in zip(plan.target_idx, rows)}
-        return table
+        return {context: dict(zip(plan.target_idx,
+                                  picked[bounds[b]:bounds[b + 1]]))
+                for b, (_, context, plan) in enumerate(subsets)}
 
     def predictor(seq: PhonemePosteriorSequence, context: frozenset,
                   target: int) -> float:
+        nonlocal last_key, last_scores
         key = (seq.frames.shape, seq.frames.tobytes())
-        table = cache.get(key)
-        if table is None:
-            table = cache[key] = score_every_context(seq)
-        return table[context][target]
+        if key != last_key:
+            last_key, last_scores = key, score_every_context(seq)
+        return last_scores[context][target]
 
     return predictor
 
@@ -214,8 +303,8 @@ def verify_theorem(p: SetPredictor, t_len: int, c: int, trials: int,
                    vocab_size: int = 4) -> list[TheoremReport]:
     """Fresh random sequence per trial; report both deviations.
 
-    Both sides of a trial share one memo, so each (S, j) is asked of ``p``
-    once per trial.
+    Both sides of a trial read one ``score_table``, so each (S, j) is asked
+    of ``p`` once per trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -224,9 +313,9 @@ def verify_theorem(p: SetPredictor, t_len: int, c: int, trials: int,
     for trial in range(trials):
         seq = random_sequence(t_len, vocab_size, rng,
                               utterance_id=f"trial-{t_len}-{c}-{trial}")
-        memo: dict[tuple[frozenset, int], float] = {}
-        lhs = perm_plm_expectation(p, seq, c, memo)
-        rhs_exact, rhs_paper = subset_regression_expectation(p, seq, c, memo)
+        table = score_table(p, seq, c)
+        lhs = perm_plm_expectation(p, seq, c, table)
+        rhs_exact, rhs_paper = subset_regression_expectation(p, seq, c, table)
         reports.append(TheoremReport(dev_exact=abs(lhs - rhs_exact),
                                      dev_paper=abs(lhs - rhs_paper)))
     return reports

@@ -290,16 +290,21 @@ class TestFiniteDiffCheck:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_chunked_slopes_equal_one_chunk(self, monkeypatch, dtype):
+        """With no floor, a budget of 1 replays one entry per chunk and 2**10
+        replays 3 to 5 (the largest downstream values of these parameters
+        hold 96 to 144 entries)."""
         params, builds = grad_check_problem(3, quick=True)
         record = ad._Recording(builds["bert_plm_loss"], params, dtype)
         eps = dtype(1e-5)
+        monkeypatch.setattr(ad, "FD_MIN_CHUNK", 1)
         for name in ("embed", "mask_vec", "layer0.wq", "layer0.ffn.b2"):
             indices = range(record.leaves[name].data.size)
-            monkeypatch.setattr(ad, "FD_CHUNK", 10 ** 6)
+            monkeypatch.setattr(ad, "FD_STACK_ENTRIES", 10 ** 9)
             whole = np.array(record.slopes(name, indices, eps))
-            monkeypatch.setattr(ad, "FD_CHUNK", 3)
-            chunked = np.array(record.slopes(name, indices, eps))
-            assert chunked.tobytes() == whole.tobytes(), name
+            for budget in (1, 2 ** 10):
+                monkeypatch.setattr(ad, "FD_STACK_ENTRIES", budget)
+                chunked = np.array(record.slopes(name, indices, eps))
+                assert chunked.tobytes() == whole.tobytes(), (name, budget)
 
     def test_recording_tape_rejects_dropout(self):
         tape = ad.Tape(record=True)

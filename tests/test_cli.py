@@ -169,7 +169,7 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
 
     @pytest.mark.parametrize("argv", [
-        "verify-theorem --max-T 9",
+        "verify-theorem --max-T 11",
         "verify-theorem --trials 0",
         "grad-check --quick --eps 1",
         "ablate-mask --ratios 0.1,0" + ABLATION_INPUTS,

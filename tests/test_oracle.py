@@ -1,13 +1,15 @@
 import math
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bertplm import oracle
 from bertplm.encoder import EncoderConfig, init_params
-from bertplm.rng import stream
+from bertplm.rng import stream, stream_key
 
 LOG4 = math.log(4.0)
 
@@ -96,7 +98,7 @@ class TestEnumeration:
 
     def test_factorial_guard(self):
         p = oracle.uniform_predictor(4)
-        seq = oracle.random_sequence(9, 4, stream(4, "u"))
+        seq = oracle.random_sequence(oracle.PERM_LIMIT + 1, 4, stream(4, "u"))
         with pytest.raises(ValueError):
             oracle.perm_plm_expectation(p, seq, c=1)
 
@@ -265,6 +267,18 @@ class TestBatchedFrozenPredictor:
                                             context).items():
                 assert p(seq, context, j) == expected
 
+    def test_single_target_plans_equal_a_taped_forward(self):
+        # a group of one with one target multiplies a single row, which BLAS
+        # rounds as a vector-matrix product, not as a row of a GEMM
+        params = init_params(self.CONFIG, stream(44, "init"))
+        p = oracle.make_frozen_predictor(params, self.CONFIG)
+        for trial in range(10):
+            seq = oracle.random_sequence(6, 5, stream(44, "s", trial), "one")
+            for j in range(6):
+                context = frozenset(range(6)) - {j}
+                expected = taped_scores(params, self.CONFIG, seq, context)
+                assert p(seq, context, j) == expected[j], (trial, j)
+
     def test_one_encoder_pass_per_sequence(self, monkeypatch):
         from itertools import combinations
 
@@ -296,6 +310,26 @@ class TestBatchedFrozenPredictor:
         ask_everything(second)
         assert calls == [2**4 - 1, 2**4 - 1]
 
+    def test_only_the_last_sequence_is_kept(self, monkeypatch):
+        calls = []
+        real_encode = oracle.encode
+
+        def counting_encode(*args, **kwargs):
+            calls.append(args[2].size)
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "encode", counting_encode)
+        params = init_params(self.CONFIG, stream(45, "init"))
+        p = oracle.make_frozen_predictor(params, self.CONFIG)
+        rng = stream(45, "s")
+        first = oracle.random_sequence(3, 5, rng, "first")
+        second = oracle.random_sequence(3, 5, rng, "second")
+        context = frozenset({0})
+        value = p(first, context, 1)
+        p(second, context, 1)
+        assert p(first, context, 1) == value
+        assert calls == [2**3 - 1] * 3
+
     def test_empty_context_equals_a_taped_forward(self):
         params = init_params(self.CONFIG, stream(43, "init"))
         p = oracle.make_frozen_predictor(params, self.CONFIG)
@@ -324,11 +358,143 @@ class TestSharedMemo:
                        for size in range(c, t_len))
         assert len(asked) == distinct
 
-    def test_shared_memo_changes_no_expectation(self):
-        p = oracle.random_set_predictor(51)
-        seq = oracle.random_sequence(4, 4, stream(51, "s"), "own")
-        shared = {}
-        lhs = oracle.perm_plm_expectation(p, seq, 1, shared)
-        assert lhs == oracle.perm_plm_expectation(p, seq, 1)
-        assert oracle.subset_regression_expectation(p, seq, 1, shared) == \
-            oracle.subset_regression_expectation(p, seq, 1)
+
+def walk_perm_expectation(p, seq, c):
+    """The walk the table form replaced: every order's terms, one by one,
+    summed with ``math.fsum``."""
+    memo, terms = {}, []
+    for order in permutations(range(seq.length)):
+        for t in range(c + 1, seq.length + 1):
+            key = (frozenset(order[:t - 1]), order[t - 1])
+            if key not in memo:
+                memo[key] = p(seq, *key)
+            terms.append(memo[key])
+    return math.fsum(terms) / math.factorial(seq.length)
+
+
+def walk_subset_expectation(p, seq, c):
+    """The subset enumeration the table form replaced, over frozensets."""
+    t_len = seq.length
+    exact_k, paper_k = [], []
+    for k in range(1, t_len - c + 1):
+        totals = []
+        for context in combinations(range(t_len), t_len - k):
+            context = frozenset(context)
+            totals.append(math.fsum(p(seq, context, j) for j in range(t_len)
+                                    if j not in context))
+        exact_k.append(math.fsum(total / k for total in totals) / len(totals))
+        paper_k.append(math.fsum(totals) / len(totals))
+    return math.fsum(exact_k), math.fsum(paper_k) / (t_len - c)
+
+
+def assert_equals_the_walk(p, seq):
+    for c in range(1, seq.length):
+        table = oracle.score_table(p, seq, c)
+        lhs = walk_perm_expectation(p, seq, c)
+        rhs = walk_subset_expectation(p, seq, c)
+        assert oracle.perm_plm_expectation(p, seq, c).hex() == lhs.hex(), c
+        assert oracle.perm_plm_expectation(p, seq, c, table).hex() == lhs.hex()
+        for ours, theirs in zip(oracle.subset_regression_expectation(p, seq, c),
+                                rhs):
+            assert ours.hex() == theirs.hex(), c
+        for ours, theirs in zip(
+                oracle.subset_regression_expectation(p, seq, c, table), rhs):
+            assert ours.hex() == theirs.hex(), c
+
+
+class TestTableForm:
+    @pytest.mark.parametrize("t_len", range(2, 9))
+    def test_random_predictor_expectations_equal_the_walk(self, t_len):
+        p = oracle.random_set_predictor(60 + t_len)
+        seq = oracle.random_sequence(t_len, 4, stream(60, "walk", t_len),
+                                     f"walk-{t_len}")
+        assert_equals_the_walk(p, seq)
+
+    @pytest.mark.parametrize("t_len", range(2, 7))
+    def test_frozen_predictor_expectations_equal_the_walk(self, t_len):
+        config = TestFrozenPredictor.CONFIG
+        p = oracle.make_frozen_predictor(init_params(config, stream(61, "init")),
+                                         config)
+        seq = oracle.random_sequence(t_len, config.vocab_size,
+                                     stream(61, "walk", t_len), "walk")
+        assert_equals_the_walk(p, seq)
+
+    @pytest.mark.parametrize("t_len", range(2, 7))
+    def test_order_counts_equal_a_count_over_permutations(self, t_len):
+        expected = np.zeros((t_len, 2**t_len, t_len), dtype=np.int64)
+        for order in permutations(range(t_len)):
+            for t in range(1, t_len + 1):
+                mask = sum(1 << j for j in order[:t - 1])
+                expected[t - 1, mask, order[t - 1]] += 1
+        assert np.array_equal(oracle._order_counts(t_len), expected)
+
+    def test_table_holds_exactly_the_conditionals_asked(self):
+        inner = oracle.random_set_predictor(62)
+        asked = {}
+
+        def recording(seq, context, target):
+            asked[context, target] = inner(seq, context, target)
+            return asked[context, target]
+
+        t_len, c = 5, 2
+        seq = oracle.random_sequence(t_len, 4, stream(62, "s"), "table")
+        table = oracle.score_table(recording, seq, c)
+        for mask in range(2**t_len):
+            context = frozenset(j for j in range(t_len) if mask >> j & 1)
+            for j in range(t_len):
+                if (context, j) in asked:
+                    assert table[mask, j] == asked[context, j]
+                else:
+                    assert np.isnan(table[mask, j])
+                    assert j in context or len(context) < c
+
+    def test_exact_dot_is_exactly_rounded(self):
+        rng = stream(63, "dot")
+        values = rng.uniform(-5.0, -0.05, size=200)
+        counts = rng.integers(1, 2**25, size=200).astype(np.float64)
+        exact = sum(Fraction(int(n)) * Fraction(v)
+                    for n, v in zip(counts, values))
+        assert oracle._exact_dot(counts, values) == float(exact)
+
+    def test_theorem_holds_at_perm_limit(self):
+        t_len = oracle.PERM_LIMIT
+        p = oracle.random_set_predictor(64)
+        for c in (1, t_len - 1):
+            report = oracle.verify_theorem(p, t_len, c, trials=1,
+                                           rng=stream(64, "vt", c))[0]
+            assert report.dev_exact <= 1e-9
+
+
+class TestReusedPhilox:
+    LOW, HIGH = -5.0, -0.05
+
+    def fresh(self, seed, seq, context, target):
+        key = stream_key(seed, seq.utterance_id, tuple(sorted(context)),
+                         target)
+        unit = np.random.Generator(np.random.Philox(key=key)).random()
+        return self.LOW + (self.HIGH - self.LOW) * unit
+
+    def test_every_conditional_equals_a_fresh_generator(self):
+        p = oracle.random_set_predictor(70)
+        seq = oracle.random_sequence(6, 4, stream(70, "s"), "philox")
+        checked = 0
+        for size in range(6):
+            for context in combinations(range(6), size):
+                context = frozenset(context)
+                for j in set(range(6)) - context:
+                    assert p(seq, context, j) == self.fresh(70, seq, context, j)
+                    checked += 1
+        assert checked == 6 * 2**5
+
+    def test_interleaved_predictors_keep_their_own_values(self):
+        first, second = (oracle.random_set_predictor(71),
+                         oracle.random_set_predictor(72))
+        seq = oracle.random_sequence(4, 4, stream(71, "s"), "interleaved")
+        for size in range(4):
+            for context in combinations(range(4), size):
+                context = frozenset(context)
+                for j in set(range(4)) - context:
+                    a, b = first(seq, context, j), second(seq, context, j)
+                    assert a == self.fresh(71, seq, context, j)
+                    assert b == self.fresh(72, seq, context, j)
+                    assert first(seq, context, j) == a

@@ -177,6 +177,19 @@ class Group:
         self.size = len(self.sequences)
         self.length = max(self.lengths)
         self.vocab_size = self.sequences[0].vocab_size
+        plans = list(enumerate(self.plans))
+        #: every plan's targets as rows, utterance by utterance
+        self.target_rows = np.concatenate([self.rows(b, plan.target_idx)
+                                           for b, plan in plans])
+        #: utterance b's targets are entries bounds[b] .. bounds[b+1] - 1 of
+        #: ``target_rows``
+        self.target_bounds = np.concatenate(
+            ([0], np.cumsum([plan.k for plan in self.plans])))
+        #: each plan's context frames as rows
+        self.context_rows = tuple(self.rows(b, plan.context_idx)
+                                  for b, plan in plans)
+        for rows in (self.target_rows, self.target_bounds, *self.context_rows):
+            rows.flags.writeable = False
 
     def rows(self, b: int, idx) -> np.ndarray:
         """Row numbers of utterance b's frames ``idx``."""
@@ -189,23 +202,6 @@ class Group:
         for b, seq in enumerate(self.sequences):
             out[b, :seq.length] = seq.frames
         return out.reshape(-1, self.vocab_size)
-
-    @property
-    def target_rows(self) -> np.ndarray:
-        """Every plan's targets as rows, utterance by utterance."""
-        return np.concatenate([self.rows(b, plan.target_idx)
-                               for b, plan in enumerate(self.plans)])
-
-    @property
-    def target_bounds(self) -> np.ndarray:
-        """Utterance b's targets are entries bounds[b] .. bounds[b+1] - 1 of
-        ``target_rows``."""
-        return np.concatenate(([0], np.cumsum([p.k for p in self.plans])))
-
-    @property
-    def context_rows(self) -> list[np.ndarray]:
-        return [self.rows(b, plan.context_idx)
-                for b, plan in enumerate(self.plans)]
 
     def attention_mask(self) -> AttentionMask:
         """Each plan's mask on its utterance's block; a padding row sees

@@ -11,10 +11,13 @@ All shuffling, plan sampling, dropout and init draw from named substreams of
 one seed, which makes checkpoints bitwise reproducible.
 
 Training, held-out and evaluation passes compute in float32
-(``COMPUTE_DTYPE``): each pass binds the parameters at float32, and the
-float32 gradients of a step's groups are summed and averaged in float64. The
-parameters and the Adam moments are float64 master copies, so the optimizer
-state never rounds to float32.
+(``COMPUTE_DTYPE``), and the float32 gradients of a step's groups are summed
+and averaged in float64. The parameters and the Adam moments are float64
+master copies, so the optimizer state never rounds to float32. A training
+loop casts its masters to a float32 compute copy once, at the start;
+``adam_step`` writes each stepped chunk into it, and the training, held-out
+and validation passes bind that copy without a cast. A master value beyond
+float32's range stops training at the step that produced it.
 
 Checkpoint format (.ckpt): magic "CKP1"; u32 entry count; per entry u16 name
 length, name bytes (UTF-8), u8 rank, rank u32 dims, then little-endian f32
@@ -23,7 +26,8 @@ after which nothing may follow. Optimizer moments are stored under "adam.m."
 / "adam.v." name prefixes and the step counter as the scalar entry "step".
 Checkpoints are written and read one entry at a time (the format does not
 depend on it), so neither side holds the whole payload; an entry holding a
-NaN or an infinity is a data error.
+NaN or an infinity is a data error. A loaded entry is the stored float32
+array, read-only; fine-tuning widens its own copy to float64.
 """
 
 from __future__ import annotations
@@ -85,47 +89,82 @@ class OptimState:
                    step=0, lr=lr)
 
 
+def _cast_into(out: np.ndarray, values: np.ndarray, name: str) -> None:
+    """``values`` cast into ``out``; a value beyond the range of ``out``'s
+    dtype raises ``TrainingError``."""
+    try:
+        with np.errstate(over="raise"):
+            np.copyto(out, values)
+    except FloatingPointError:
+        raise TrainingError(f"parameter {name!r} overflows {out.dtype.name}"
+                            ) from None
+
+
+def compute_copy(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Each master parameter cast to ``COMPUTE_DTYPE``: the copy training
+    passes bind and ``adam_step`` keeps current. A value beyond float32's
+    range raises ``TrainingError``."""
+    copy = {}
+    for name, master in params.items():
+        copy[name] = np.empty(master.shape, dtype=COMPUTE_DTYPE)
+        _cast_into(copy[name], master, name)
+    return copy
+
+
 def adam_step(params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray],
-              state: OptimState, count: int = 1) -> None:
-    """Bias-corrected Adam update, in place, on the mean gradient: each
-    entry of ``grads`` is a sum over ``count`` examples, and a missing one
-    counts as 0. A float32 sum is widened to float64 before the division,
-    as if it had been copied into a float64 array first. A non-finite mean
-    gradient raises ``TrainingError`` and
-    stops training; the parameters before it, in name order, and its chunks
-    before the offending one have then been stepped.
+              state: OptimState, count: int = 1,
+              last: dict[str, np.ndarray] | None = None,
+              compute: dict[str, np.ndarray] | None = None) -> None:
+    """Bias-corrected Adam update, in place, on the mean gradient: the
+    gradient of ``count`` examples is the sum of ``grads`` and, when given,
+    ``last`` (a step's last group), and a missing entry counts as 0. The two
+    are added in float64, and a lone float32 sum is widened to float64
+    before the division, so every sum and mean is float64. A non-finite
+    mean gradient raises ``TrainingError`` and stops training; the
+    parameters before it, in name order, and its chunks before the
+    offending one have then been stepped.
 
     Each parameter is walked in chunks of ``ADAM_CHUNK`` entries, and each
-    chunk is averaged, checked and stepped while it is in cache. Per entry
-    the operations and their order are those of dividing the whole sum by
-    ``count`` and then stepping, so the result is bitwise the same. The
-    parameters and moments must be C-contiguous, as ``OptimState`` makes
-    them.
+    chunk is summed, averaged, checked and stepped while it is in cache. Per
+    entry the operations and their order are those of adding ``last`` into
+    a float64 copy of ``grads``, dividing the whole sum by ``count`` and
+    then stepping, so the result is bitwise the same. With ``compute``
+    (``compute_copy``'s arrays), each stepped chunk is also cast into the
+    parameter's compute copy; a value beyond its range raises
+    ``TrainingError``. The parameters, moments and compute copies must be
+    C-contiguous, as ``OptimState`` and ``compute_copy`` make them.
     """
     state.step += 1
     correction1 = 1.0 - ADAM_BETA1 ** state.step
     correction2 = 1.0 - ADAM_BETA2 ** state.step
     lr = state.lr
+    last = last or {}
     mean, scratch = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
     for name in sorted(params):
-        arrays = (params[name], state.m[name], state.v[name])
+        arrays = [params[name], state.m[name], state.v[name]]
+        if compute is not None:
+            arrays.append(compute[name])
         if not all(a.flags.c_contiguous for a in arrays):
             raise ValueError(f"adam_step needs C-contiguous arrays for {name!r}")
-        param, m, v = (a.reshape(-1) for a in arrays)
-        total = grads.get(name)
-        if total is not None:
-            total = np.ascontiguousarray(total).reshape(-1)
+        param, m, v, *copy = (a.reshape(-1) for a in arrays)
+        added = [np.ascontiguousarray(total).reshape(-1)
+                 for total in (grads.get(name), last.get(name))
+                 if total is not None]
         for lo in range(0, param.size, ADAM_CHUNK):
             hi = min(lo + ADAM_CHUNK, param.size)
             g, t = mean[:hi - lo], scratch[:hi - lo]
-            if total is None:
-                g.fill(0.0)
+            if len(added) == 2:
+                np.add(added[0][lo:hi], added[1][lo:hi], out=g,
+                       dtype=np.float64)
+                g /= count
+            elif added:
+                np.divide(added[0][lo:hi], count, out=g, dtype=np.float64)
             else:
-                np.divide(total[lo:hi], count, out=g, dtype=np.float64)
-                if not np.isfinite(g).all():
-                    raise TrainingError(
-                        f"non-finite gradient for parameter {name!r}")
+                g.fill(0.0)
+            if added and not np.isfinite(g).all():
+                raise TrainingError(
+                    f"non-finite gradient for parameter {name!r}")
             m_part, v_part = m[lo:hi], v[lo:hi]
             m_part *= ADAM_BETA1
             m_part += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
@@ -138,6 +177,8 @@ def adam_step(params: dict[str, np.ndarray],
             np.divide(m_part, correction1, out=g)
             g *= lr
             param[lo:hi] -= np.divide(g, t, out=g)
+            if copy:
+                _cast_into(copy[0][lo:hi], param[lo:hi], name)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +226,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: Config,
         with open(tmp, "wb") as out:
             out.write(CHECKPOINT_MAGIC + struct.pack("<I", len(entries)))
             for name, arr in entries.items():
-                _write_entry(out, name, np.asarray(arr, dtype=np.float64))
+                _write_entry(out, name, arr)
             out.write(struct.pack("<I", len(text)) + text)
     except TrainingError:
         tmp.unlink()
@@ -217,7 +258,8 @@ def _read_entries(reader: ByteReader) -> tuple[dict[str, np.ndarray], Config]:
         if not finite.all():
             raise CorpusFormatError(f"entry {name!r} holds a non-finite value",
                                     start + 4 * int(finite.argmin()))
-        entries[name] = data.astype(np.float64).reshape(dims)
+        entries[name] = data.astype(np.float32, copy=False).reshape(dims)
+        entries[name].flags.writeable = False
     (text_len,) = reader.unpack("<I")
     config = parse_config_text(reader.text(text_len, "config text"))
     reader.end()
@@ -225,7 +267,8 @@ def _read_entries(reader: ByteReader) -> tuple[dict[str, np.ndarray], Config]:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read one entry at a time from the file (never the whole payload)."""
+    """Read one entry at a time from the file (never the whole payload).
+    Every entry comes back as stored: a read-only float32 array."""
     with ByteReader(path) as reader:
         magic = reader.magic(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -371,16 +414,7 @@ def length_groups(lengths, max_seq_len: int) -> list[list[int]]:
     return groups
 
 
-def _scored(fn, *args, **kwargs):
-    """``fn`` (a loss, or ``bind_params``) called at ``COMPUTE_DTYPE``; a
-    master parameter beyond that dtype's range stops training."""
-    try:
-        return fn(*args, dtype=COMPUTE_DTYPE, **kwargs)
-    except ParameterRangeError as exc:
-        raise TrainingError(str(exc)) from None
-
-
-def _train_steps(params, optim: OptimState, order, batch_size: int,
+def _train_steps(params, compute, optim: OptimState, order, batch_size: int,
                  max_seq_len: int, plan_for, group_grads):
     """One epoch of minibatch Adam over ``order``, yielding each step's
     per-group loss sums and kept-utterance count right after the step.
@@ -388,12 +422,13 @@ def _train_steps(params, optim: OptimState, order, batch_size: int,
     ``plan_for(idx)`` gives utterance idx's (sequence, plan), or None to
     skip it. A minibatch's kept utterances run as ``length_groups``, one
     tape each: ``group_grads(indices, group)`` gives the group's summed
-    (loss, grads). The step averages the gradients over the kept
-    utterances; a minibatch with nothing kept takes no step. Several groups'
-    gradients are added in float64, into one array per parameter that every
-    step reuses; one group's gradient goes to ``adam_step`` as it is, and
-    the step widens it to float64 before averaging, so every sum and mean
-    is float64 either way.
+    (loss, grads), computed on ``compute``. The step averages the gradients
+    over the kept utterances; a minibatch with nothing kept takes no step.
+    The groups before the last are added in float64, into one array per
+    parameter that every step reuses (a single one is kept as it is), and
+    ``adam_step`` adds the last group's gradients into that sum chunk by
+    chunk, so a step of at most two groups allocates no float64 sum. The
+    step keeps ``compute`` equal to ``params`` cast to ``COMPUTE_DTYPE``.
     """
     buffers: dict[str, np.ndarray] = {}
     for start in range(0, len(order), batch_size):
@@ -404,14 +439,19 @@ def _train_steps(params, optim: OptimState, order, batch_size: int,
                 kept.append((int(idx), *planned))
         if not kept:
             continue
-        sums: dict[str, np.ndarray] = {}
-        losses = []
-        for members in length_groups([seq.length for _, seq, _ in kept],
-                                     max_seq_len):
+
+        def scored(members):
             chosen = [kept[m] for m in members]
             group = Group([seq for _, seq, _ in chosen],
                           [plan for *_, plan in chosen])
-            loss, grads = group_grads([idx for idx, *_ in chosen], group)
+            return group_grads([idx for idx, *_ in chosen], group)
+
+        *before, final = length_groups([seq.length for _, seq, _ in kept],
+                                       max_seq_len)
+        sums: dict[str, np.ndarray] = {}
+        losses = []
+        for members in before:
+            loss, grads = scored(members)
             losses.append(loss)
             for name, grad in grads.items():
                 held = sums.get(name)
@@ -425,7 +465,10 @@ def _train_steps(params, optim: OptimState, order, batch_size: int,
                     sums[name] = np.add(held, grad, out=buffers[name],
                                         dtype=np.float64)
             del grads   # free this group's arrays before the next group runs
-        adam_step(params, sums, optim, len(kept))
+        loss, last = scored(final)
+        losses.append(loss)
+        adam_step(params, sums, optim, len(kept), last, compute)
+        del sums, last   # free the step's gradients before the caller runs
         yield losses, len(kept)
 
 
@@ -437,8 +480,9 @@ def _mean_plm_loss(params, enc_config, cfg, pairs) -> float:
                                  enc_config.max_seq_len):
         group = Group([pairs[m][0] for m in members],
                       [pairs[m][1] for m in members])
-        losses.append(_scored(bert_plm_loss, params, enc_config, group,
-                              weighting=cfg.plm_weighting).plm_loss)
+        losses.append(bert_plm_loss(params, enc_config, group,
+                                    weighting=cfg.plm_weighting,
+                                    dtype=COMPUTE_DTYPE).plm_loss)
     return float(np.sum(losses)) / len(pairs)
 
 
@@ -479,9 +523,10 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
 
     params = init_params(enc_config, stream(seed, "init"))
     optim = OptimState.for_params(params, lr=cfg.lr)
+    compute = compute_copy(params)
     if held_pairs:
         log.log(0, "heldout", "plm_loss",
-                _mean_plm_loss(params, enc_config, cfg, held_pairs))
+                _mean_plm_loss(compute, enc_config, cfg, held_pairs))
 
     for epoch in range(cfg.epochs):
         skipped = []
@@ -496,16 +541,15 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
                 return None
 
         def group_grads(indices, group):
-            breakdown, grads = _scored(
-                bert_plm_loss, params, enc_config, group,
-                weighting=cfg.plm_weighting,
+            breakdown, grads = bert_plm_loss(
+                compute, enc_config, group, weighting=cfg.plm_weighting,
                 drop_rngs=[stream(seed, "drop", epoch, idx)
                            for idx in indices],
-                want_grads=True)
+                want_grads=True, dtype=COMPUTE_DTYPE)
             return breakdown.plm_loss, grads
 
         order = stream(seed, "shuffle", epoch).permutation(len(train))
-        for losses, count in _train_steps(params, optim, order,
+        for losses, count in _train_steps(params, compute, optim, order,
                                           cfg.batch_size, cfg.max_seq_len,
                                           plan_for, group_grads):
             log.log(optim.step, "train", "plm_loss",
@@ -513,7 +557,7 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
         log.log(optim.step, "epoch", "skipped", len(skipped))
         if held_pairs:
             log.log(optim.step, "heldout", "plm_loss",
-                    _mean_plm_loss(params, enc_config, cfg, held_pairs))
+                    _mean_plm_loss(compute, enc_config, cfg, held_pairs))
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, params, cfg, optim.step, optim)
     if optim.step == 0:
@@ -532,7 +576,10 @@ def evaluate(params: dict[str, np.ndarray], enc_config: EncoderConfig,
         if not 0 <= utt.label < classes:
             raise DataError(f"label {utt.label} out of range ({classes} classes)")
     confusion = np.zeros((classes, classes), dtype=np.int64)
-    bound = _scored(bind_params, params)
+    try:
+        bound = bind_params(params, dtype=COMPUTE_DTYPE)
+    except ParameterRangeError as exc:
+        raise TrainingError(str(exc)) from None
     for members in length_groups([u.sequence.length for u in utterances],
                                  enc_config.max_seq_len):
         seqs = [utterances[m].sequence for m in members]
@@ -580,8 +627,9 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
             if params[name].shape != arr.shape:
                 raise DataError(f"checkpoint classifier has "
                                 f"{arr.shape[0]} classes, the data {classes}")
-            params[name] = arr.copy()
+            params[name] = arr.astype(np.float64)
     optim = OptimState.for_params(params, lr=cfg.lr)
+    compute = compute_copy(params)
 
     order = stream(seed, "ft-split").permutation(len(train_utts))
     n_val = max(1, int(len(train_utts) * cfg.val_fraction)) \
@@ -589,8 +637,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     val = [train_utts[i] for i in order[:n_val]]
     train = [train_utts[i] for i in order[n_val:]]
 
-    best_error = float("inf")
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_error = float("inf")   # the first epoch's parameters replace it
     patience_left = cfg.patience
 
     for epoch in range(cfg.finetune_epochs):
@@ -608,18 +655,17 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
             return seq, plan
 
         def group_grads(indices, group):
-            breakdown, grads = _scored(
-                finetune_loss, params, enc_config, group,
-                [train[i].label for i in indices],
+            breakdown, grads = finetune_loss(
+                compute, enc_config, group, [train[i].label for i in indices],
                 lam=cfg.finetune_lambda, weighting=cfg.plm_weighting,
                 drop_rngs=[stream(seed, "ft-drop", epoch, idx)
                            for idx in indices],
-                want_grads=True)
+                want_grads=True, dtype=COMPUTE_DTYPE)
             return breakdown.total, grads
 
         order = stream(seed, "ft-shuffle", epoch).permutation(len(train))
         epoch_losses, epoch_count = [], 0
-        for losses, count in _train_steps(params, optim, order,
+        for losses, count in _train_steps(params, compute, optim, order,
                                           cfg.batch_size, cfg.max_seq_len,
                                           plan_for, group_grads):
             epoch_losses += losses
@@ -629,7 +675,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
                     float(np.sum(epoch_losses)) / epoch_count)
         log.log(optim.step, "epoch", "fallback_full_context", len(fallbacks))
         if val:
-            val_error = evaluate(params, enc_config, val).error_rate
+            val_error = evaluate(compute, enc_config, val).error_rate
             log.log(optim.step, "val", "error_rate", val_error)
             if val_error < best_error - 1e-12:
                 best_error = val_error

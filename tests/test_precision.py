@@ -1,7 +1,8 @@
 """Which passes compute in float32 and which in float64.
 
-Training, held-out and evaluation passes bind the float64 master parameters
-at float32; the gradient sums, the parameters and the Adam moments stay
+Training, held-out and evaluation passes compute at float32: a training
+loop binds the float32 copy of its float64 master parameters that each Adam
+step writes; the gradient sums, the parameters and the Adam moments stay
 float64. The finite-difference check, the oracle's frozen predictor and
 ``grad-check`` stay float64, so the theorem and gradient criteria never
 weaken with the training dtype.
@@ -156,56 +157,96 @@ class TestFloat32Pass:
             assert np.abs(g32[name] - want).max() <= 1e-4 * scale, name
 
 
+def small_training(monkeypatch, spy_step):
+    """Pre-train a one-layer model on twelve utterances, four per step (two
+    groups), then fine-tune it two per step (one group), with ``adam_step``
+    replaced by ``spy_step(step, params, grads, state, count, last,
+    compute)`` (``step`` is the real one); returns both checkpoints."""
+    grammar = default_grammar()
+    corpus = generate_corpus(grammar, 12, seed=56)
+    cfg = parse_config(None, {"profile": "tiny", "layers": "1", "d": "16",
+                              "d_ff": "24", "heads": "2", "epochs": "1",
+                              "finetune_epochs": "1", "batch_size": "4",
+                              "max_seq_len": "64"})
+    adam_step = tr.adam_step
+
+    def step(params, grads, state, count=1, last=None, compute=None):
+        spy_step(adam_step, params, grads, state, count, last, compute)
+
+    monkeypatch.setattr(tr, "adam_step", step)
+    ckpt = tr.pretrain([u.sequence for u in corpus], cfg, seed=56,
+                       sil_index=grammar.vocab.sil_index)
+    tuned, _ = tr.finetune(ckpt, corpus, [], replace(cfg, batch_size=2),
+                           seed=56, sil_index=grammar.vocab.sil_index,
+                           classes=grammar.num_classes)
+    return ckpt, tuned
+
+
 class TestMasterCopies:
     def test_sums_params_and_moments_stay_float64(self, monkeypatch):
-        """Pre-training steps of four utterances run as two groups, whose
-        gradients are summed in float64; fine-tuning steps of two run as
-        one group, whose float32 gradient ``adam_step`` widens itself."""
-        grammar = default_grammar()
-        corpus = generate_corpus(grammar, 12, seed=56)
-        cfg = parse_config(None, {"profile": "tiny", "layers": "1", "d": "16",
-                                  "d_ff": "24", "heads": "2", "epochs": "1",
-                                  "finetune_epochs": "1", "batch_size": "4",
-                                  "max_seq_len": "64"})
-        groups, steps = [], []
-        adam_step = tr.adam_step
+        """Pre-training steps of four utterances run as two groups: the
+        first group's float32 gradient reaches ``adam_step`` as the sum and
+        the second as ``last``, which the step adds in float64. Fine-tuning
+        steps of two run as one group, passed as ``last`` alone. The losses
+        bind the compute copy that the step is given. The pre-training
+        checkpoint holds the float64 masters and moments, nothing else."""
+        groups, binds, steps = [], [], []
 
-        def checked_step(params, sums, state, count=1):
+        def checked_step(adam_step, params, grads, state, count, last,
+                         compute):
             masters = [*params.values(), *state.m.values(), *state.v.values()]
             assert {a.dtype for a in masters} == {np.dtype(np.float64)}
-            if len(groups) == 1:
-                assert all(sums[name] is grad
+            if len(groups) == 2:
+                assert all(grads[name] is grad
                            for name, grad in groups[0].items())
             else:
-                assert {a.dtype for a in sums.values()} == {
-                    np.dtype(np.float64)}
+                assert grads == {}
+            assert all(last[name] is grad
+                       for name, grad in groups[-1].items())
+            assert all(bound is compute for bound in binds)
             steps.append(len(groups))
             groups.clear()
-            adam_step(params, sums, state, count)
+            binds.clear()
+            adam_step(params, grads, state, count, last, compute)
 
         def checked(loss):
-            def wrapped(*args, **kwargs):
+            def wrapped(params, *args, **kwargs):
                 assert kwargs["dtype"] is np.float32
-                result = loss(*args, **kwargs)
+                result = loss(params, *args, **kwargs)
                 if kwargs.get("want_grads"):
                     grads = result[1]
                     assert {g.dtype for g in grads.values()} == {
                         np.dtype(np.float32)}
                     groups.append(dict(grads))
+                    binds.append(params)
                 return result
             return wrapped
 
-        monkeypatch.setattr(tr, "adam_step", checked_step)
         monkeypatch.setattr(tr, "bert_plm_loss", checked(obj.bert_plm_loss))
         monkeypatch.setattr(tr, "finetune_loss", checked(obj.finetune_loss))
-        ckpt = tr.pretrain([u.sequence for u in corpus], cfg, seed=56,
-                           sil_index=grammar.vocab.sil_index)
-        tuned, _ = tr.finetune(ckpt, corpus, [], replace(cfg, batch_size=2),
-                               seed=56, sil_index=grammar.vocab.sil_index,
-                               classes=grammar.num_classes)
-        assert 1 in steps and max(steps) >= 2
+        ckpt, tuned = small_training(monkeypatch, checked_step)
+        assert 1 in steps and max(steps) == 2
+        assert ckpt.optim.m.keys() == ckpt.optim.v.keys() == ckpt.arrays.keys()
         for arrays in (ckpt.arrays, ckpt.optim.m, ckpt.optim.v, tuned.arrays):
             assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
+
+    def test_compute_copy_is_the_masters_at_float32(self, monkeypatch):
+        """After every step of ``pretrain`` and ``finetune`` the compute
+        copy is bitwise the float64 masters cast to float32."""
+        stepped = []
+
+        def checked_step(adam_step, params, grads, state, count, last,
+                         compute):
+            adam_step(params, grads, state, count, last, compute)
+            assert compute.keys() == params.keys()
+            for name, master in params.items():
+                assert compute[name].dtype == np.float32
+                assert compute[name].tobytes() == \
+                    master.astype(np.float32).tobytes(), name
+            stepped.append("classifier" in params)
+
+        small_training(monkeypatch, checked_step)
+        assert False in stepped and True in stepped
 
     def test_float32_sum_steps_as_its_float64_copy(self):
         rng = stream(62, "widen")
@@ -299,13 +340,28 @@ class TestOverflowingCast:
             tr.save_checkpoint(path, params, parse_config(None, {}), 1)
         assert list(tmp_path.iterdir()) == []
 
-    # an Adam step moves each parameter by about lr, so after the first step
-    # the masters hold finite values near 1e300 that float32 cannot: the
-    # held-out pass binds them first, or, without a held-out slice, the
-    # checkpoint writer
+    def test_adam_step_names_the_parameter(self):
+        params = {"a": np.ones(3), "b": np.ones(3)}
+        compute = tr.compute_copy(params)
+        state = tr.OptimState.for_params(params, lr=1e300)
+        with pytest.raises(tr.TrainingError,
+                           match="parameter 'a' overflows float32"):
+            tr.adam_step(params, {"a": np.ones(3)}, state, compute=compute)
+
+    def test_compute_copy_names_the_parameter(self):
+        params = init_params(CONFIG, stream(63, "init"))
+        params["mask_vec"][1] = -1e39
+        with pytest.raises(tr.TrainingError,
+                           match="parameter 'mask_vec' overflows float32"):
+            tr.compute_copy(params)
+
+    # an Adam step moves each parameter by about lr, so the first step puts
+    # finite values near 1e300 into the masters, which float32 cannot hold:
+    # the step stops there, while writing the compute copy, before any
+    # held-out pass or checkpoint write
     @pytest.mark.parametrize("extra, message", [
         ([], "data error: parameter '"),
-        (["--set", "heldout_fraction=0"], "data error: checkpoint entry '")])
+        (["--set", "heldout_fraction=0"], "data error: parameter '")])
     def test_cli_exits_with_one_data_error_line(self, tmp_path, capsys, extra,
                                                 message):
         paths = {name: str(tmp_path / name) for name in ("c.pps", "c.tsv",
@@ -324,5 +380,6 @@ class TestOverflowingCast:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith(message) and "overflows float32" in err
+        assert err.startswith(message)
+        assert err.endswith("' overflows float32\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(paths)

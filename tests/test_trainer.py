@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from bertplm import trainer as tr
 from bertplm.config import parse_config
 from bertplm.corpus import (LabeledUtterance, PhonemePosteriorSequence,
                             default_grammar, generate_corpus)
-from bertplm.encoder import init_params
+from bertplm.encoder import EncoderConfig, init_params
+from bertplm.objective import MaskPlan, bert_plm_loss
 from bertplm.rng import stream
 
 SMALL = {"profile": "tiny", "layers": "1", "d": "16", "d_ff": "24",
@@ -108,6 +110,67 @@ class TestAdam:
                              (s_ref.v, s_new.v)):
                 assert new[name].tobytes() == ref[name].tobytes(), name
 
+    @staticmethod
+    def sum_then_step(params, groups, state, count):
+        """The step before the last group was added inside it: every
+        group's gradients summed in float64 into one array per parameter (a
+        lone group widened to float64), then averaged and stepped."""
+        sums = {}
+        for grads in groups:
+            for name, grad in grads.items():
+                sums[name] = (np.add(sums[name], grad, dtype=np.float64)
+                              if name in sums else grad)
+        TestAdam.average_then_step(
+            params, {name: np.asarray(total, dtype=np.float64)
+                     for name, total in sums.items()}, state, count)
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 15])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_groups", [1, 2, 3])
+    def test_last_group_added_in_the_step_equals_sum_then_step(
+            self, monkeypatch, chunk, dtype, n_groups):
+        """``adam_step(params, before, state, count, last)`` with ``before``
+        the groups before the last as the training loop holds them (none,
+        the first group's arrays, or their float64 sum) is bitwise the old
+        sum-then-step. "first" is missing from the first group, "last" from
+        the last, and "none" from every group."""
+        monkeypatch.setattr(tr, "ADAM_CHUNK", chunk)
+        shapes = {"a": (13, 11), "first": (64,), "last": (40, 900),
+                  "none": (3,)}
+        start = {name: stream(64, "start", name).normal(size=shape)
+                 for name, shape in shapes.items()}
+        runs = []
+        for fused in (False, True):
+            params = {name: p.copy() for name, p in start.items()}
+            state = tr.OptimState.for_params(params, lr=3e-2)
+            for i in range(3):
+                groups = [
+                    {name: stream(64, "g", i, j, name).normal(
+                        size=shapes[name]).astype(dtype) * 10.0 ** (i - 1)
+                     for name in ("a", "first", "last")
+                     if not (name == "first" and j == 0)
+                     and not (name == "last" and j == n_groups - 1)}
+                    for j in range(n_groups)]
+                count = 2 + i
+                if not fused:
+                    self.sum_then_step(params, groups, state, count)
+                    continue
+                before = {} if n_groups == 1 else dict(groups[0])
+                for grads in groups[1:-1]:
+                    for name, grad in grads.items():
+                        before[name] = (
+                            np.add(before[name], grad, dtype=np.float64)
+                            if name in before else grad)
+                tr.adam_step(params, before, state, count, groups[-1])
+            runs.append((params, state))
+        (p_ref, s_ref), (p_new, s_new) = runs
+        assert s_new.step == s_ref.step == 3
+        for name in shapes:
+            for ref, new in ((p_ref, p_new), (s_ref.m, s_new.m),
+                             (s_ref.v, s_new.v)):
+                assert new[name].tobytes() == ref[name].tobytes(), name
+        np.testing.assert_array_equal(p_new["none"], start["none"])
+
     def test_fused_step_leaves_the_sums_alone(self):
         params = {"w": np.ones(5)}
         sums = {"w": np.arange(5.0)}
@@ -150,6 +213,34 @@ class TestCheckpoint:
         assert loaded.optim is not None
         np.testing.assert_array_equal(
             loaded.optim.m["embed"], optim.m["embed"].astype("<f4"))
+
+    def test_loads_read_only_float32_as_stored(self, tmp_path):
+        cfg = small_config()
+        rng = stream(65, "ck")
+        params = {"embed": rng.normal(size=(4, 16)), "w": rng.normal(size=3)}
+        optim = tr.OptimState.for_params(params, lr=cfg.lr)
+        optim.v["w"] += 0.25
+        path = tmp_path / "m.ckpt"
+        tr.save_checkpoint(path, params, cfg, step=3, optim=optim)
+        loaded = tr.load_checkpoint(path)
+        for saved, got in ((params, loaded.arrays), (optim.m, loaded.optim.m),
+                           (optim.v, loaded.optim.v)):
+            assert got.keys() == saved.keys()
+            for name, array in got.items():
+                assert array.dtype == np.float32
+                assert not array.flags.writeable
+                assert array.tobytes() == saved[name].astype("<f4").tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+
+    def test_float32_arrays_save_as_their_float64_copies(self, tmp_path):
+        cfg = small_config()
+        params = {"w": stream(66, "ck").normal(size=(5, 7))}
+        paths = [tmp_path / "wide.ckpt", tmp_path / "narrow.ckpt"]
+        tr.save_checkpoint(paths[0], params, cfg, step=1)
+        tr.save_checkpoint(paths[1], tr.load_checkpoint(paths[0]).arrays, cfg,
+                           step=1)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_writes_the_documented_layout(self, tmp_path):
         from bertplm.config import config_text
@@ -447,6 +538,53 @@ class TestLengthGroups:
     def test_every_utterance_alone_when_nothing_fits_twice(self):
         assert tr.length_groups([40, 33, 64], 64) == [[1], [0], [2]]
         assert tr.length_groups([], 64) == []
+
+
+class TestStepMemory:
+    def test_two_group_step_allocates_no_float64_sum(self):
+        """One step of two single-utterance groups on a model whose P
+        parameters dwarf its activations (d=192, T <= 6).
+
+        Bound, derived before measuring: the step holds the first group's
+        float32 gradients while the second group runs, then both groups'
+        (8P bytes), plus ``adam_step``'s two float64 scratch rows
+        (16 * ADAM_CHUNK bytes), plus the second group's tape and loss
+        arrays, allowed 2P bytes. A float64 sum of the two groups would add
+        8P bytes while it frees the first group's 4P, which exceeds that
+        allowance. Measured beyond the scratch rows: 8.35P, and 12.5P when
+        the step sums both groups into float64 arrays first. The masters,
+        moments and compute copy exist before tracing starts."""
+        config = EncoderConfig(vocab_size=6, layers=1, d_model=192, d_ff=768,
+                               heads=2, max_seq_len=8, dropout=0.0)
+        params = init_params(config, stream(67, "init"))
+        optim = tr.OptimState.for_params(params, lr=1e-3)
+        compute = tr.compute_copy(params)
+        rng = stream(67, "frames")
+        seqs = [PhonemePosteriorSequence(rng.dirichlet(np.ones(6), size=n),
+                                         utterance_id=f"m{n}") for n in (5, 6)]
+        plans = [MaskPlan.from_context_set((0, 2, 3), 5),
+                 MaskPlan.from_context_set((0, 1, 4), 6)]
+        groups = []
+
+        def group_grads(indices, group):
+            groups.append(indices)
+            breakdown, grads = bert_plm_loss(compute, config, group,
+                                             want_grads=True,
+                                             dtype=np.float32)
+            return breakdown.plm_loss, grads
+
+        n_params = sum(p.size for p in params.values())
+        steps = tr._train_steps(params, compute, optim, [0, 1], 2, 8,
+                                lambda i: (seqs[i], plans[i]), group_grads)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            next(steps)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert groups == [[0], [1]] and optim.step == 1
+        assert peak <= 10 * n_params + 16 * tr.ADAM_CHUNK, (peak, n_params)
 
 
 class TestFinetuneEvaluate:

@@ -2,12 +2,13 @@
 explicit tape.
 
 An op computes in its operands' dtype: float32 tensors stay float32 through
-every kernel and VJP, and float64 ones float64, so the dtype of a pass is the
-dtype its parameters are bound at (``encoder.bind_params``). The constants an
-op makes itself (the backward seed, zero gradients, dropout scales) follow
-their operand's dtype, because under NumPy 2's promotion rules a float64
-array, even a 0-d one, would upcast a float32 operand and everything after it.
-Python floats are weak scalars and never upcast.
+every kernel and VJP, and float64 ones float64, so a pass computes in the
+dtype of the parameter arrays it binds (``encoder.bind_params`` takes them as
+they are). The constants an op makes itself (the backward seed, zero
+gradients, dropout scales) follow their operand's dtype, because under NumPy
+2's promotion rules a float64 array, even a 0-d one, would upcast a float32
+operand and everything after it. Python floats are weak scalars and never
+upcast.
 
 The primitive set is deliberately small: exactly what a relative-position
 Transformer encoder and its losses need. There is no general broadcasting

@@ -176,6 +176,8 @@ def _unit_fractions(text: str, flag: str) -> list[float]:
 
 
 def cmd_gen_data(args) -> int:
+    if args.utterances < 1:
+        raise UsageError("--utterances must be at least 1")
     cfg = _resolve_config(args)
     grammar = cp.default_grammar()
     utterances = cp.generate_corpus(grammar, args.utterances, seed=args.seed,

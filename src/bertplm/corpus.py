@@ -200,22 +200,15 @@ def _dirichlet_rows(alphas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     raise GenerationError("Dirichlet sampler kept underflowing to zero")
 
 
-def is_major_sil(frame: np.ndarray, sil_index: int,
-                 tau: float = SIL_THRESHOLD) -> bool:
-    """True iff SIL holds strictly more than tau of the frame's mass.
+def major_sil_frames(frames: np.ndarray, sil_index: int,
+                     tau: float = SIL_THRESHOLD) -> np.ndarray:
+    """Which rows of a (T, V) float64 matrix are major-SIL frames, as a bool
+    vector, with one comparison: SIL holds strictly more than tau of the
+    frame's mass.
 
     Strict inequality keeps a half-volume frame (0.5 SIL / 0.5 phoneme) a
     legitimate prediction target at the default tau = 0.5.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie strictly inside (0, 1)")
-    return float(frame[sil_index]) > tau
-
-
-def major_sil_frames(frames: np.ndarray, sil_index: int,
-                     tau: float = SIL_THRESHOLD) -> np.ndarray:
-    """``is_major_sil`` of every row of a (T, V) float64 matrix, as a bool
-    vector, with one comparison."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie strictly inside (0, 1)")
     return frames[:, sil_index] > tau
@@ -271,7 +264,7 @@ def generate_utterance(grammar: SynthGrammar, class_id: int,
         if not 1 <= len(true_ids) <= max_seq_len:
             continue
         frames = emit_frames(grammar, true_ids, rng)
-        if not any(not is_major_sil(f, sil) for f in frames):
+        if major_sil_frames(frames, sil).all():
             continue  # pre-training needs at least one eligible frame
         return LabeledUtterance(
             PhonemePosteriorSequence(frames, utterance_id=utterance_id),

@@ -13,8 +13,9 @@ The encoder runs on a ``Group``: utterances padded to one length and stacked
 along the rows, each with its own attention mask, so one pass (and one tape)
 serves them all. A single utterance is a group of one.
 
-A pass computes in the dtype its parameters are bound at (``bind_params``):
-the frames and the offset table it reads are cast to that dtype too.
+A pass computes in the dtype of the parameter arrays it is given
+(``bind_params`` binds them as they are): the frames and the offset table it
+reads are cast to that dtype too.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ NEG_INF = float("-inf")
 
 class SequenceLengthError(ValueError):
     """Sequence longer than the configured maximum."""
-
-
-class ParameterRangeError(OverflowError):
-    """A finite parameter lies outside the range of the dtype it is bound
-    at."""
 
 
 @dataclass(frozen=True)
@@ -373,28 +369,17 @@ def rel_attention_block(x: Tensor, mask: AttentionMask,
                          layer_params["ln2.gamma"], layer_params["ln2.beta"])
 
 
-def bind_params(params: dict[str, np.ndarray], tape: ad.Tape | None = None,
-                dtype=np.float64) -> dict[str, Tensor]:
-    """Every parameter array, cast to ``dtype``, as a leaf on the tape;
-    without a tape, as a plain tensor, so a forward-only pass records
-    nothing. The pass, its gradients included, computes in ``dtype``: float64
-    arrays bind at float64 without a copy, and the trainer binds its float64
-    master parameters at float32.
-
-    A finite entry beyond ``dtype``'s range raises ``ParameterRangeError``.
-    """
-    cast = {}
-    with np.errstate(over="raise"):
-        for name, array in params.items():
-            try:
-                cast[name] = np.asarray(array, dtype=dtype)
-            except FloatingPointError:
-                raise ParameterRangeError(
-                    f"parameter {name!r} overflows {np.dtype(dtype).name}"
-                ) from None
+def bind_params(params: dict[str, np.ndarray],
+                tape: ad.Tape | None = None) -> dict[str, Tensor]:
+    """Every parameter array, as it is, as a leaf on the tape; without a
+    tape, as a plain tensor, so a forward-only pass records nothing. Float64
+    and float32 arrays bind without a copy, and the pass, its gradients
+    included, computes in their dtype."""
     if tape is None:
-        return {name: Tensor(array, check=False) for name, array in cast.items()}
-    return {name: tape.leaf(array, check=False) for name, array in cast.items()}
+        return {name: Tensor(array, check=False)
+                for name, array in params.items()}
+    return {name: tape.leaf(array, check=False)
+            for name, array in params.items()}
 
 
 _LAYER_KEYS = ("wq", "wk", "wv", "wr", "wo", "u_bias", "v_bias",

@@ -16,9 +16,8 @@ which is exactly the gap quantified by the oracle module).
 
 Both losses score a ``Group`` of utterances in one pass and report the sum
 of their per-utterance losses; a single utterance is a group of one. A loss
-computes in the dtype it binds the parameters at (float64 unless the caller
-asks otherwise), its targets, counts and labels included, and returns its
-gradients in that dtype.
+computes in the dtype of the parameter arrays it is given, its targets,
+counts and labels included, and returns its gradients in that dtype.
 """
 
 from __future__ import annotations
@@ -170,14 +169,13 @@ def _plm_term(bound: dict[str, Tensor], config: EncoderConfig,
                                   weighting, rngs))
 
 
-def _loss_and_grads(params: dict[str, np.ndarray], want_grads: bool, build,
-                    dtype):
+def _loss_and_grads(params: dict[str, np.ndarray], want_grads: bool, build):
     """Evaluate ``build(bound) -> (cls or None, plm, total)``, each (B,) per
-    utterance, with the parameters bound at ``dtype``, on a fresh tape only
-    when gradients are requested; report their sums and backpropagate the
-    summed total to a name->gradient dict then."""
+    utterance, on a fresh tape only when gradients are requested; report
+    their sums and backpropagate the summed total to a name->gradient dict
+    then."""
     tape = ad.Tape() if want_grads else None
-    bound = bind_params(params, tape, dtype)
+    bound = bind_params(params, tape)
     cls, plm, total = build(bound)
     loss = ad.sum_all(total)
     breakdown = LossBreakdown(
@@ -194,22 +192,21 @@ def _loss_and_grads(params: dict[str, np.ndarray], want_grads: bool, build,
 
 def bert_plm_loss(params: dict[str, np.ndarray], config: EncoderConfig,
                   group: Group, weighting: str = "mean", drop_rngs=None,
-                  want_grads: bool = False, dtype=np.float64):
+                  want_grads: bool = False):
     """Masked-regression loss against the original posterior rows, summed
     over the group's utterances.
 
     Gradient flows to every encoder parameter, including the mask vector.
     Dropout runs exactly when ``drop_rngs`` (one generator per utterance)
     is given. Returns a LossBreakdown, plus a name->gradient dict of the
-    summed loss when requested; the pass and its gradients compute in
-    ``dtype``.
+    summed loss when requested.
     """
 
     def build(bound):
         losses = _plm_losses(bound, config, group, weighting, drop_rngs)
         return None, losses, losses
 
-    return _loss_and_grads(params, want_grads, build, dtype)
+    return _loss_and_grads(params, want_grads, build)
 
 
 def _finetune_losses(bound: dict[str, Tensor], config: EncoderConfig,
@@ -248,15 +245,14 @@ def _finetune_term(bound: dict[str, Tensor], config: EncoderConfig,
 def finetune_loss(params: dict[str, np.ndarray], config: EncoderConfig,
                   group: Group, labels, lam: float = 1.0,
                   weighting: str = "mean", drop_rngs=None,
-                  want_grads: bool = False, dtype=np.float64):
+                  want_grads: bool = False):
     """Classification loss plus lam times the masked loss, one forward pass,
     summed over the group's utterances (``labels`` holds one label each).
 
     The classifier pools over context positions only (target rows carry the
     mask vector, not content), so the masked frames act as input dropout.
     An utterance whose plan has no target adds no masked loss. Dropout runs
-    exactly when ``drop_rngs`` is given. The pass and its gradients compute
-    in ``dtype``.
+    exactly when ``drop_rngs`` is given.
     """
     if "classifier" not in params:
         raise ad.ContractError("fine-tuning requires a classifier head")
@@ -273,4 +269,4 @@ def finetune_loss(params: dict[str, np.ndarray], config: EncoderConfig,
         return _finetune_losses(bound, config, group, labels, lam, weighting,
                                 drop_rngs)
 
-    return _loss_and_grads(params, want_grads, build, dtype)
+    return _loss_and_grads(params, want_grads, build)

@@ -13,11 +13,15 @@ one seed, which makes checkpoints bitwise reproducible.
 Training, held-out and evaluation passes compute in float32
 (``COMPUTE_DTYPE``), and the float32 gradients of a step's groups are summed
 and averaged in float64. The parameters and the Adam moments are float64
-master copies, so the optimizer state never rounds to float32. A training
-loop casts its masters to a float32 compute copy once, at the start;
-``adam_step`` writes each stepped chunk into it, and the training, held-out
-and validation passes bind that copy without a cast. A master value beyond
-float32's range stops training at the step that produced it.
+master copies, so the optimizer state never rounds to float32. This module
+alone picks the compute dtype: the encoder, the losses and ``evaluate``
+compute in the dtype of the arrays they are given, and ``compute_copy`` is
+the one cast of the masters to float32. A training loop makes that copy
+once, at the start; ``adam_step`` writes each stepped chunk into it, and the
+training, held-out and validation passes bind it. The test split is scored
+on the compute copy of the best parameters, and a loaded checkpoint is
+float32 as stored. A master value beyond float32's range stops training at
+the step that produced it.
 
 Checkpoint format (.ckpt): magic "CKP1"; u32 entry count; per entry u16 name
 length, name bytes (UTF-8), u8 rank, rank u32 dims, then little-endian f32
@@ -43,9 +47,8 @@ from .config import (Config, ConfigError, config_text, encoder_config,
                      parse_config_text)
 from .corpus import (SIL_THRESHOLD, ByteReader, CorpusFormatError,
                      LabeledUtterance, PhonemePosteriorSequence, read_corpus)
-from .encoder import (EncoderConfig, Group, ParameterRangeError,
-                      attentive_pool, bind_params, encode, init_params,
-                      param_shapes)
+from .encoder import (EncoderConfig, Group, attentive_pool, bind_params,
+                      encode, init_params, param_shapes)
 from .objective import (MaskPlan, SamplingError, bert_plm_loss,
                         finetune_loss, sample_mask_plan)
 from .rng import stream
@@ -89,14 +92,15 @@ class OptimState:
                    step=0, lr=lr)
 
 
-def _cast_into(out: np.ndarray, values: np.ndarray, name: str) -> None:
+def _cast_into(out: np.ndarray, values: np.ndarray, name: str,
+               kind: str = "parameter") -> None:
     """``values`` cast into ``out``; a value beyond the range of ``out``'s
-    dtype raises ``TrainingError``."""
+    dtype raises ``TrainingError`` naming the ``kind`` and ``name``."""
     try:
         with np.errstate(over="raise"):
             np.copyto(out, values)
     except FloatingPointError:
-        raise TrainingError(f"parameter {name!r} overflows {out.dtype.name}"
+        raise TrainingError(f"{kind} {name!r} overflows {out.dtype.name}"
                             ) from None
 
 
@@ -197,12 +201,8 @@ class Checkpoint:
 def _write_entry(out, name: str, array: np.ndarray) -> None:
     encoded = name.encode("utf-8")
     dims = array.shape
-    try:
-        with np.errstate(over="raise"):
-            payload = np.ascontiguousarray(array, dtype="<f4")
-    except FloatingPointError:
-        raise TrainingError(f"checkpoint entry {name!r} overflows float32"
-                            ) from None
+    payload = np.empty(dims, dtype="<f4")
+    _cast_into(payload, array, name, "checkpoint entry")
     out.write(struct.pack("<H", len(encoded)) + encoded
               + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
     out.write(payload)
@@ -414,14 +414,23 @@ def length_groups(lengths, max_seq_len: int) -> list[list[int]]:
     return groups
 
 
+def _groups(pairs, max_seq_len: int):
+    """The ``length_groups`` of (sequence, plan) ``pairs``, each as its
+    positions into ``pairs`` and the ``Group`` it is scored as."""
+    for members in length_groups([seq.length for seq, _ in pairs],
+                                 max_seq_len):
+        yield members, Group([pairs[m][0] for m in members],
+                             [pairs[m][1] for m in members])
+
+
 def _train_steps(params, compute, optim: OptimState, order, batch_size: int,
                  max_seq_len: int, plan_for, group_grads):
     """One epoch of minibatch Adam over ``order``, yielding each step's
     per-group loss sums and kept-utterance count right after the step.
 
     ``plan_for(idx)`` gives utterance idx's (sequence, plan), or None to
-    skip it. A minibatch's kept utterances run as ``length_groups``, one
-    tape each: ``group_grads(indices, group)`` gives the group's summed
+    skip it. A minibatch's kept utterances run as ``_groups``, one tape
+    each: ``group_grads(indices, group)`` gives the group's summed
     (loss, grads), computed on ``compute``. The step averages the gradients
     over the kept utterances; a minibatch with nothing kept takes no step.
     The groups before the last are added in float64, into one array per
@@ -432,26 +441,19 @@ def _train_steps(params, compute, optim: OptimState, order, batch_size: int,
     """
     buffers: dict[str, np.ndarray] = {}
     for start in range(0, len(order), batch_size):
-        kept = []
+        indices, pairs = [], []
         for idx in order[start:start + batch_size]:
             planned = plan_for(int(idx))
             if planned is not None:
-                kept.append((int(idx), *planned))
-        if not kept:
+                indices.append(int(idx))
+                pairs.append(planned)
+        if not pairs:
             continue
-
-        def scored(members):
-            chosen = [kept[m] for m in members]
-            group = Group([seq for _, seq, _ in chosen],
-                          [plan for *_, plan in chosen])
-            return group_grads([idx for idx, *_ in chosen], group)
-
-        *before, final = length_groups([seq.length for _, seq, _ in kept],
-                                       max_seq_len)
+        *before, final = _groups(pairs, max_seq_len)
         sums: dict[str, np.ndarray] = {}
         losses = []
-        for members in before:
-            loss, grads = scored(members)
+        for members, group in before:
+            loss, grads = group_grads([indices[m] for m in members], group)
             losses.append(loss)
             for name, grad in grads.items():
                 held = sums.get(name)
@@ -465,24 +467,20 @@ def _train_steps(params, compute, optim: OptimState, order, batch_size: int,
                     sums[name] = np.add(held, grad, out=buffers[name],
                                         dtype=np.float64)
             del grads   # free this group's arrays before the next group runs
-        loss, last = scored(final)
+        members, group = final
+        loss, last = group_grads([indices[m] for m in members], group)
         losses.append(loss)
-        adam_step(params, sums, optim, len(kept), last, compute)
+        adam_step(params, sums, optim, len(pairs), last, compute)
         del sums, last   # free the step's gradients before the caller runs
-        yield losses, len(kept)
+        yield losses, len(pairs)
 
 
 def _mean_plm_loss(params, enc_config, cfg, pairs) -> float:
     if not pairs:
         return float("nan")
-    losses = []
-    for members in length_groups([seq.length for seq, _ in pairs],
-                                 enc_config.max_seq_len):
-        group = Group([pairs[m][0] for m in members],
-                      [pairs[m][1] for m in members])
-        losses.append(bert_plm_loss(params, enc_config, group,
-                                    weighting=cfg.plm_weighting,
-                                    dtype=COMPUTE_DTYPE).plm_loss)
+    losses = [bert_plm_loss(params, enc_config, group,
+                            weighting=cfg.plm_weighting).plm_loss
+              for _, group in _groups(pairs, enc_config.max_seq_len)]
     return float(np.sum(losses)) / len(pairs)
 
 
@@ -545,7 +543,7 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
                 compute, enc_config, group, weighting=cfg.plm_weighting,
                 drop_rngs=[stream(seed, "drop", epoch, idx)
                            for idx in indices],
-                want_grads=True, dtype=COMPUTE_DTYPE)
+                want_grads=True)
             return breakdown.plm_loss, grads
 
         order = stream(seed, "shuffle", epoch).permutation(len(train))
@@ -568,7 +566,7 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
 def evaluate(params: dict[str, np.ndarray], enc_config: EncoderConfig,
              utterances: list[LabeledUtterance]) -> EvalMetrics:
     """Argmax intent prediction with nothing masked, one forward pass per
-    length group, computed in ``COMPUTE_DTYPE``."""
+    length group, computed in the dtype of the arrays in ``params``."""
     if "classifier" not in params:
         raise DataError("checkpoint has no classifier head")
     classes = params["classifier"].shape[0]
@@ -576,14 +574,10 @@ def evaluate(params: dict[str, np.ndarray], enc_config: EncoderConfig,
         if not 0 <= utt.label < classes:
             raise DataError(f"label {utt.label} out of range ({classes} classes)")
     confusion = np.zeros((classes, classes), dtype=np.int64)
-    try:
-        bound = bind_params(params, dtype=COMPUTE_DTYPE)
-    except ParameterRangeError as exc:
-        raise TrainingError(str(exc)) from None
-    for members in length_groups([u.sequence.length for u in utterances],
-                                 enc_config.max_seq_len):
-        seqs = [utterances[m].sequence for m in members]
-        group = Group(seqs, [MaskPlan.full_context(s.length) for s in seqs])
+    bound = bind_params(params)
+    pairs = [(u.sequence, MaskPlan.full_context(u.sequence.length))
+             for u in utterances]
+    for members, group in _groups(pairs, enc_config.max_seq_len):
         hidden = encode(bound, enc_config, group)
         pooled = attentive_pool(hidden, bound["pool_query"],
                                 group.context_rows)
@@ -603,7 +597,10 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     random weights; a classifier head is added either way. The checkpoint's
     layers, d, d_ff and heads must equal ``cfg``'s. Returns the best
     (by validation error) parameters and their metrics on the test split,
-    or None for the metrics when there is no test split.
+    or None for the metrics when there is no test split. A positive
+    ``val_fraction`` holds out at least one utterance; at 0, or with a
+    single training utterance, there is no validation split and the last
+    epoch's parameters are returned.
     """
     if not train_utts:
         raise DataError("fine-tuning needs labeled training data")
@@ -632,8 +629,9 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     compute = compute_copy(params)
 
     order = stream(seed, "ft-split").permutation(len(train_utts))
-    n_val = max(1, int(len(train_utts) * cfg.val_fraction)) \
-        if len(train_utts) > 1 else 0
+    n_val = 0
+    if cfg.val_fraction > 0 and len(train_utts) > 1:
+        n_val = max(1, int(len(train_utts) * cfg.val_fraction))
     val = [train_utts[i] for i in order[:n_val]]
     train = [train_utts[i] for i in order[n_val:]]
 
@@ -660,7 +658,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
                 lam=cfg.finetune_lambda, weighting=cfg.plm_weighting,
                 drop_rngs=[stream(seed, "ft-drop", epoch, idx)
                            for idx in indices],
-                want_grads=True, dtype=COMPUTE_DTYPE)
+                want_grads=True)
             return breakdown.total, grads
 
         order = stream(seed, "ft-shuffle", epoch).permutation(len(train))
@@ -691,7 +689,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     checkpoint = Checkpoint(arrays=best_params, config=cfg, step=optim.step)
     if not test_utts:
         return checkpoint, None
-    metrics = evaluate(best_params, enc_config, test_utts)
+    metrics = evaluate(compute_copy(best_params), enc_config, test_utts)
     log.log(optim.step, "test", "error_rate", metrics.error_rate)
     return checkpoint, metrics
 

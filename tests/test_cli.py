@@ -171,6 +171,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         "verify-theorem --max-T 11",
         "verify-theorem --trials 0",
+        "gen-data --utterances 0 --out X",
+        "gen-data --utterances -3 --out X",
         "grad-check --quick --eps 1",
         "ablate-mask --ratios 0.1,0" + ABLATION_INPUTS,
         "ablate-fraction --fractions 1.5" + ABLATION_INPUTS,

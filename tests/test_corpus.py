@@ -55,18 +55,21 @@ class TestVocab:
 
 class TestIsMajorSil:
     def test_one_hot_sil(self):
-        frame = np.zeros(4)
-        frame[0] = 1.0
-        assert cp.is_major_sil(frame, sil_index=0, tau=0.5)
+        frames = np.zeros((1, 4))
+        frames[0, 0] = 1.0
+        assert cp.major_sil_frames(frames, sil_index=0, tau=0.5).tolist() \
+            == [True]
 
     def test_half_volume_frame_is_not_major(self):
         # 0.5 SIL / 0.5 "S": half volume, still a legitimate target
-        frame = np.array([0.5, 0.5, 0.0, 0.0])
-        assert not cp.is_major_sil(frame, sil_index=0, tau=0.5)
+        frames = np.array([[0.5, 0.5, 0.0, 0.0]])
+        assert cp.major_sil_frames(frames, sil_index=0, tau=0.5).tolist() \
+            == [False]
 
     def test_just_above_threshold(self):
-        frame = np.array([0.51, 0.49, 0.0, 0.0])
-        assert cp.is_major_sil(frame, sil_index=0, tau=0.5)
+        frames = np.array([[0.51, 0.49, 0.0, 0.0]])
+        assert cp.major_sil_frames(frames, sil_index=0, tau=0.5).tolist() \
+            == [True]
 
 
 class TestGeneration:
@@ -112,8 +115,8 @@ class TestGeneration:
         for i in range(50):
             utt = cp.generate_utterance(grammar, i % 5, stream(7, "elig", i))
             frames = utt.sequence.frames
-            assert any(not cp.is_major_sil(f, grammar.vocab.sil_index)
-                       for f in frames)
+            assert not cp.major_sil_frames(frames,
+                                           grammar.vocab.sil_index).all()
 
     def test_unknown_class_rejected(self, grammar):
         with pytest.raises(ValueError):

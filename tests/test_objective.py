@@ -361,10 +361,9 @@ class TestGroupEqualsItsMembers:
 class TestSamplePlanReference:
     @staticmethod
     def per_frame(seq, sil_index, rho_max, tau, rng):
-        """The sampler as first written: one is_major_sil call per frame."""
-        from bertplm.corpus import is_major_sil
+        """The sampler as first written: one SIL comparison per frame."""
         eligible = [t for t in range(seq.length)
-                    if not is_major_sil(seq.frames[t], sil_index, tau)]
+                    if not seq.frames[t, sil_index] > tau]
         if not eligible:
             raise obj.SamplingError("every frame is major-SIL")
         budget_max = max(1, math.floor(rho_max * len(eligible)))

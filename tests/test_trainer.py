@@ -569,8 +569,7 @@ class TestStepMemory:
         def group_grads(indices, group):
             groups.append(indices)
             breakdown, grads = bert_plm_loss(compute, config, group,
-                                             want_grads=True,
-                                             dtype=np.float32)
+                                             want_grads=True)
             return breakdown.plm_loss, grads
 
         n_params = sum(p.size for p in params.values())
@@ -658,11 +657,13 @@ class TestFinetuneEvaluate:
         ckpt, metrics = tr.finetune(None, train, [], cfg, seed=4, sil_index=0,
                                     classes=2, log=log)
         assert metrics is None
-        assert ckpt.step == 2  # 4 training utterances after 1 for validation
-        assert len(plans) == 4
+        # val_fraction 0 holds nothing out: all 5 utterances train
+        assert ckpt.step == 3
+        assert len(plans) == 5
         assert all(p.k == 0 and p.context_idx == (0, 1, 2) for p in plans)
         assert sorted(r[2:] for r in log.records if r[1] == "epoch") \
-            == [("fallback_full_context", 4)]
+            == [("fallback_full_context", 5)]
+        assert not [r for r in log.records if r[1] == "val"]
         from bertplm.config import encoder_config
         fresh = init_params(encoder_config(cfg, 4), stream(4, "ft-init"),
                             classes=2)

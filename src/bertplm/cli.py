@@ -393,6 +393,9 @@ def main(argv=None) -> int:
             tr.TrainingError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:   # a size in the input beyond this machine
+        print(f"data error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def entrypoint() -> None:  # console script

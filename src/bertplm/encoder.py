@@ -10,8 +10,10 @@ anywhere; attention scores see only relative offsets, which is what makes
 orderings of the same context set equivalent.
 
 The encoder runs on a ``Group``: utterances padded to one length and stacked
-along the rows, each with its own attention mask, so one pass (and one tape)
-serves them all. A single utterance is a group of one.
+along the rows, so one pass (and one tape) serves them all. A single
+utterance is a group of one. The group builds its padded frames and its
+(B, T, T) ``blocked`` mask once; ``encode`` tiles the mask across heads once
+per pass and hands that one stack to every block.
 
 A pass computes in the dtype of the parameter arrays it is given
 (``bind_params`` binds them as they are): the frames and the offset table it
@@ -22,16 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .objective import MaskPlan
 
 NEG_INF = float("-inf")
 
@@ -118,45 +115,18 @@ def init_params(config: EncoderConfig, rng: np.random.Generator,
     return params
 
 
-@dataclass(frozen=True)
-class AttentionMask:
-    """allowed[..., i, j] is true when position i may attend to position j;
-    a (B, T, T) mask holds one (T, T) mask per utterance of a group."""
-
-    allowed: np.ndarray
-
-    def __post_init__(self):
-        shape = self.allowed.shape
-        if self.allowed.ndim not in (2, 3) or shape[-1] != shape[-2]:
-            raise ValueError("attention mask must be square")
-        if not self.allowed.any(axis=-1).all():
-            raise ValueError("attention mask has an all-blocked row")
-
-    @classmethod
-    def from_context(cls, real_row: np.ndarray,
-                     is_context: np.ndarray) -> "AttentionMask":
-        """The mask of every utterance at once, from (..., T) booleans: a
-        real row sees the context columns, and every row sees itself."""
-        t_len = is_context.shape[-1]
-        return cls((real_row[..., :, None] & is_context[..., None, :])
-                   | np.eye(t_len, dtype=bool))
-
-    @classmethod
-    def from_plan(cls, plan: "MaskPlan") -> "AttentionMask":
-        t_len = len(plan.context_idx) + len(plan.target_idx)
-        is_context = np.zeros(t_len, dtype=bool)
-        is_context[list(plan.context_idx)] = True
-        return cls.from_context(np.ones(t_len, dtype=bool), is_context)
-
-
 class Group:
     """Utterances, each with its mask plan, scored in one pass.
 
     The sequences are padded with zero frames to the longest length T
     (``length``) and folded into the row axis: frame t of utterance b is
-    row b*T + t. Padding rows attend only to themselves and no real row
-    attends to them, so every utterance's rows compute what they would
-    alone. A single utterance is a group of one, with no padding.
+    row b*T + t. The group builds its padded ``frames`` and its
+    ``blocked`` mask in that layout once, read-only, so the loss and the
+    oracle read targets from ``frames`` by row and no caller rebuilds the
+    mask. A real row sees its plan's context columns, every row (padding
+    included) sees itself, and no real row sees padding, so every
+    utterance's rows compute what they would alone. A single utterance is
+    a group of one, with no padding.
     """
 
     def __init__(self, sequences, plans):
@@ -184,29 +154,26 @@ class Group:
         #: each plan's context frames as rows
         self.context_rows = tuple(self.rows(b, plan.context_idx)
                                   for b, plan in plans)
-        for rows in (self.target_rows, self.target_bounds, *self.context_rows):
-            rows.flags.writeable = False
+        #: (size * length, V) posterior rows, zero on padding
+        frames = np.zeros((self.size, self.length, self.vocab_size))
+        for b, seq in enumerate(self.sequences):
+            frames[b, :seq.length] = seq.frames
+        self.frames = frames.reshape(-1, self.vocab_size)
+        #: (size, length, length), true where row i of utterance b may not
+        #: attend to column j
+        real_row = np.arange(self.length) < np.asarray(self.lengths)[:, None]
+        is_context = np.zeros(self.size * self.length, dtype=bool)
+        is_context[np.concatenate(self.context_rows)] = True
+        allowed = (real_row[:, :, None]
+                   & is_context.reshape(self.size, 1, self.length))
+        self.blocked = ~(allowed | np.eye(self.length, dtype=bool))
+        for array in (self.target_rows, self.target_bounds, *self.context_rows,
+                      self.frames, self.blocked):
+            array.flags.writeable = False
 
     def rows(self, b: int, idx) -> np.ndarray:
         """Row numbers of utterance b's frames ``idx``."""
         return b * self.length + np.asarray(idx, dtype=np.intp)
-
-    @property
-    def frames(self) -> np.ndarray:
-        """(size * length, V) posterior rows, zero on padding."""
-        out = np.zeros((self.size, self.length, self.vocab_size))
-        for b, seq in enumerate(self.sequences):
-            out[b, :seq.length] = seq.frames
-        return out.reshape(-1, self.vocab_size)
-
-    def attention_mask(self) -> AttentionMask:
-        """Each plan's mask on its utterance's block; a padding row sees
-        only itself."""
-        real_row = np.arange(self.length) < np.asarray(self.lengths)[:, None]
-        is_context = np.zeros(self.size * self.length, dtype=bool)
-        is_context[np.concatenate(self.context_rows)] = True
-        return AttentionMask.from_context(
-            real_row, is_context.reshape(self.size, self.length))
 
 
 class GroupDropout:
@@ -302,30 +269,28 @@ class AttentionCapture:
     weights: list[np.ndarray] = field(default_factory=list)
 
 
-def rel_attention_block(x: Tensor, mask: AttentionMask,
+def rel_attention_block(x: Tensor, blocked: np.ndarray,
                         layer_params: dict[str, Tensor], config: EncoderConfig,
                         dropout: GroupDropout | None = None,
                         capture: AttentionCapture | None = None) -> Tensor:
     """One encoder block: relative-position attention, then feed-forward.
 
     Per head: score(i,j) = ((q_i + u) . k_j + (q_i + v) . r(i-j)) / sqrt(dh)
-    where r is a learned projection of the sinusoidal offset table. Blocked
-    pairs are set to -inf before the softmax. Post-norm residual wiring.
-    ``x`` holds B utterances of T rows each, B and T given by the (B, T, T)
-    or (T, T) mask. Position-wise work runs on the (B*T, d) rows; attention
-    runs on (heads*B, T, .) stacks, head-major, so every head of every
-    utterance is one stacked computation. Dropout runs exactly when
-    ``dropout`` is given.
+    where r is a learned projection of the sinusoidal offset table. Pairs
+    where the (heads*B, T, T) boolean stack ``blocked`` is true (a group's
+    ``blocked`` tiled across heads, head-major) are set to -inf before the
+    softmax. Post-norm residual wiring. ``x`` holds B utterances of T rows
+    each. Position-wise work runs on the (B*T, d) rows; attention runs on
+    (heads*B, T, .) stacks, so every head of every utterance is one stacked
+    computation. Dropout runs exactly when ``dropout`` is given.
     """
-    allowed = mask.allowed.reshape((-1,) + mask.allowed.shape[-2:])
-    size, t_len = allowed.shape[0], allowed.shape[-1]
+    stacks, t_len = blocked.shape[0], blocked.shape[-1]
     heads, dh = config.heads, config.head_dim
-    stacks = heads * size
+    size = stacks // heads
     rel_table = ad.constant(
         relative_sinusoids(t_len, config.d_model, config.max_seq_len,
                            x.data.dtype),
         check=False)
-    blocked = np.concatenate([~allowed] * heads)   # (heads*B, T, T)
 
     def stacked(rows: Tensor) -> Tensor:
         """(B*T, d) rows as one (T, dh) stack per head and utterance."""
@@ -382,20 +347,6 @@ def bind_params(params: dict[str, np.ndarray],
             for name, array in params.items()}
 
 
-_LAYER_KEYS = ("wq", "wk", "wv", "wr", "wo", "u_bias", "v_bias",
-               "ln1.gamma", "ln1.beta", "ln2.gamma", "ln2.beta",
-               "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
-
-
-@lru_cache(maxsize=None)
-def _layer_names(index: int) -> dict[str, str]:
-    return {key: f"layer{index}.{key}" for key in _LAYER_KEYS}
-
-
-def _layer_view(bound: dict[str, Tensor], index: int) -> dict[str, Tensor]:
-    return {key: bound[full] for key, full in _layer_names(index).items()}
-
-
 def encode(bound: dict[str, Tensor], config: EncoderConfig, group: Group,
            drop_rngs=None, capture: AttentionCapture | None = None) -> Tensor:
     """Full forward pass over a group; row b*T + t of the result is the
@@ -406,7 +357,8 @@ def encode(bound: dict[str, Tensor], config: EncoderConfig, group: Group,
     replaced by the mask vector, so they can never see their own content.
     Dropout (train mode) runs exactly when ``drop_rngs``, one generator per
     utterance, is given; each utterance draws its masks from its own
-    generator as it would alone.
+    generator as it would alone. The group's ``blocked`` mask is tiled
+    across heads once, and every block receives that one stack.
     """
     t_len = group.length
     if t_len > config.max_seq_len:
@@ -417,9 +369,13 @@ def encode(bound: dict[str, Tensor], config: EncoderConfig, group: Group,
     if drop_rngs is not None and config.dropout > 0.0:
         dropout = GroupDropout(config.dropout, drop_rngs, group)
         x = dropout.rows(x)
-    mask = group.attention_mask()
+    blocked = np.tile(group.blocked, (config.heads, 1, 1))
+    blocked.flags.writeable = False
     for i in range(config.layers):
-        x = rel_attention_block(x, mask, _layer_view(bound, i), config,
+        prefix = f"layer{i}."
+        layer = {name[len(prefix):]: tensor for name, tensor in bound.items()
+                 if name.startswith(prefix)}
+        x = rel_attention_block(x, blocked, layer, config,
                                 dropout=dropout, capture=capture)
     return x
 

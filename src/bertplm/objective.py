@@ -138,9 +138,7 @@ def _masked_regression(hidden: Tensor, embed: Tensor, group: Group,
     if not rows.size:
         return ad.constant(np.zeros(group.size, hidden.data.dtype))
     logits = predict_phonemes(ad.gather_rows(hidden, rows), embed)
-    frames = np.concatenate([seq.frames[list(plan.target_idx)] for seq, plan
-                             in zip(group.sequences, group.plans)])
-    loss = soft_cross_entropy(logits, frames, group.target_bounds)
+    loss = soft_cross_entropy(logits, group.frames[rows], group.target_bounds)
     if weighting == "sum":
         ks = np.array([float(plan.k) for plan in group.plans],
                       dtype=hidden.data.dtype)

@@ -279,9 +279,8 @@ def make_frozen_predictor(params: dict[str, np.ndarray],
                                 bound["embed"]).data
                for r in range(single, len(target_rows))])
         log_probs = ad.log_softmax(ad.constant(logits)).data
-        positions = target_rows % seq.length
-        picked = log_probs[np.arange(len(positions)),
-                           seq.frames.argmax(axis=1)[positions]].tolist()
+        picked = log_probs[np.arange(len(target_rows)),
+                           group.frames[target_rows].argmax(axis=1)].tolist()
         bounds = group.target_bounds
         return {context: dict(zip(plan.target_idx,
                                   picked[bounds[b]:bounds[b + 1]]))

@@ -158,17 +158,16 @@ def adam_step(params: dict[str, np.ndarray],
         for lo in range(0, param.size, ADAM_CHUNK):
             hi = min(lo + ADAM_CHUNK, param.size)
             g, t = mean[:hi - lo], scratch[:hi - lo]
-            if len(added) == 2:
-                np.add(added[0][lo:hi], added[1][lo:hi], out=g,
-                       dtype=np.float64)
+            if added:
+                np.copyto(g, added[0][lo:hi])
+                for extra in added[1:]:
+                    g += extra[lo:hi]
                 g /= count
-            elif added:
-                np.divide(added[0][lo:hi], count, out=g, dtype=np.float64)
+                if not np.isfinite(g).all():
+                    raise TrainingError(
+                        f"non-finite gradient for parameter {name!r}")
             else:
                 g.fill(0.0)
-            if added and not np.isfinite(g).all():
-                raise TrainingError(
-                    f"non-finite gradient for parameter {name!r}")
             m_part, v_part = m[lo:hi], v[lo:hi]
             m_part *= ADAM_BETA1
             m_part += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
@@ -211,7 +210,8 @@ def _write_entry(out, name: str, array: np.ndarray) -> None:
 def save_checkpoint(path, params: dict[str, np.ndarray], config: Config,
                     step: int, optim: OptimState | None = None) -> None:
     """Atomic write, one entry at a time: temp file then rename. An entry
-    beyond float32's range raises ``TrainingError`` and leaves no file."""
+    beyond float32's range raises ``TrainingError``; that or any other
+    failure (a full disk's ``OSError``) leaves no file, temp file included."""
     entries: dict[str, np.ndarray] = dict(sorted(params.items()))
     if optim is not None:
         for name, arr in sorted(optim.m.items()):
@@ -228,8 +228,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: Config,
             for name, arr in entries.items():
                 _write_entry(out, name, arr)
             out.write(struct.pack("<I", len(text)) + text)
-    except TrainingError:
-        tmp.unlink()
+    except BaseException:
+        tmp.unlink(missing_ok=True)
         raise
     tmp.replace(path)
 
@@ -456,16 +456,13 @@ def _train_steps(params, compute, optim: OptimState, order, batch_size: int,
             loss, grads = group_grads([indices[m] for m in members], group)
             losses.append(loss)
             for name, grad in grads.items():
-                held = sums.get(name)
-                if held is None:
+                if name not in sums:
                     sums[name] = grad
-                elif held is buffers.get(name):
-                    held += grad
-                else:
-                    if name not in buffers:
-                        buffers[name] = np.empty_like(params[name])
-                    sums[name] = np.add(held, grad, out=buffers[name],
-                                        dtype=np.float64)
+                    continue
+                if name not in buffers:
+                    buffers[name] = np.empty_like(params[name])
+                sums[name] = np.add(sums[name], grad, out=buffers[name],
+                                    dtype=np.float64)
             del grads   # free this group's arrays before the next group runs
         members, group = final
         loss, last = group_grads([indices[m] for m in members], group)

@@ -18,8 +18,8 @@ from bertplm.config import parse_config
 from bertplm.corpus import (LabeledUtterance, PhonemePosteriorSequence,
                             default_grammar, generate_corpus,
                             major_sil_frames)
-from bertplm.encoder import (AttentionCapture, AttentionMask, EncoderConfig,
-                             Group, bind_params, encode, init_params)
+from bertplm.encoder import (AttentionCapture, EncoderConfig, Group,
+                             bind_params, encode, init_params)
 from bertplm.objective import (MaskPlan, _finetune_term, _plm_term,
                                sample_mask_plan)
 from bertplm.rng import stream
@@ -119,9 +119,10 @@ def test_criterion_3_no_leakage():
 
         capture = AttentionCapture()
         tape = ad.Tape()
-        base = encode(bind_params(params, tape), enc_cfg, Group([seq], [plan]),
+        group = Group([seq], [plan])
+        base = encode(bind_params(params, tape), enc_cfg, group,
                       capture=capture).data
-        allowed = AttentionMask.from_plan(plan).allowed
+        allowed = ~group.blocked[0]
         for stacked in capture.weights:
             assert np.all(stacked[:, ~allowed] == 0.0)
 

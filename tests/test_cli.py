@@ -199,6 +199,27 @@ class TestExitCodes:
         code = cli.main(["verify-theorem", "--max-T", "2", "--trials", "1"])
         assert code == cli.EXIT_VERIFY
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 745. GiB for an array with shape "
+         "(100000000, 1000) and data type float64",
+         "Unable to allocate 745. GiB for an array with shape "
+         "(100000000, 1000) and data type float64"),
+        ("", "out of memory"),
+    ], ids=["numpy-message", "no-message"])
+    def test_memory_error_is_one_line_data_error(
+            self, small_corpus, tmp_path, capsys, monkeypatch, message, shown):
+        # an input size beyond the machine (a huge class id, max_seq_len or
+        # d) fails an allocation; the callee raises without allocating
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(tr, "pretrain", out_of_memory)
+        code = cli.main(["pretrain", "--data", small_corpus["c.pps"],
+                         "--vocab", small_corpus["v.txt"],
+                         "--out", str(tmp_path / "m.ckpt")] + SMALL)
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {shown}\n"
+
 
 SMALL = ["--set", "profile=tiny", "--set", "d=16", "--set", "d_ff=24",
          "--set", "heads=2", "--set", "layers=1",

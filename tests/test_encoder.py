@@ -240,10 +240,10 @@ class TestAttentionBlock:
     def test_constant_input_scores_are_toeplitz(self):
         params, bound, _ = bound_params(TINY, 7)
         x = ad.constant(np.tile(stream(7, "tok").normal(size=16), (5, 1)))
-        mask = enc.AttentionMask(np.ones((5, 5), dtype=bool))
+        blocked = np.zeros((TINY.heads, 5, 5), dtype=bool)
         capture = enc.AttentionCapture()
-        enc.rel_attention_block(x, mask, {k[7:]: v for k, v in bound.items()
-                                          if k.startswith("layer0.")},
+        enc.rel_attention_block(x, blocked, {k[7:]: v for k, v in bound.items()
+                                             if k.startswith("layer0.")},
                                 TINY, capture=capture)
         for scores in capture.scores[0]:  # (heads, T, T)
             for i in range(4):
@@ -253,10 +253,10 @@ class TestAttentionBlock:
     def test_self_only_mask_gives_identity_weights(self):
         params, bound, _ = bound_params(TINY, 8)
         x = ad.constant(stream(8, "tok").normal(size=(5, 16)))
-        mask = enc.AttentionMask(np.eye(5, dtype=bool))
+        blocked = np.tile(~np.eye(5, dtype=bool), (TINY.heads, 1, 1))
         capture = enc.AttentionCapture()
-        enc.rel_attention_block(x, mask, {k[7:]: v for k, v in bound.items()
-                                          if k.startswith("layer0.")},
+        enc.rel_attention_block(x, blocked, {k[7:]: v for k, v in bound.items()
+                                             if k.startswith("layer0.")},
                                 TINY, capture=capture)
         for weights in capture.weights[0]:
             np.testing.assert_array_equal(weights, np.eye(5))
@@ -267,7 +267,7 @@ class TestAttentionBlock:
         allowed = np.ones((6, 6), dtype=bool)
         allowed[0, 3] = allowed[4, 1] = allowed[5, 5] = False
         out = enc.rel_attention_block(
-            ad.constant(x_data), enc.AttentionMask(allowed),
+            ad.constant(x_data), np.tile(~allowed, (TINY.heads, 1, 1)),
             {k[7:]: v for k, v in bound.items() if k.startswith("layer0.")},
             TINY)
         layer0 = {k[7:]: v for k, v in params.items() if k.startswith("layer0.")}
@@ -303,7 +303,7 @@ class TestEncode:
         plan = MaskPlan.from_context_set((0, 1, 4, 5), 8)
         capture = enc.AttentionCapture()
         enc.encode(bound, TINY, one(seq, plan), capture=capture)
-        allowed = enc.AttentionMask.from_plan(plan).allowed
+        allowed = ref_mask(plan)
         for stacked in capture.weights:
             for weights in stacked:
                 assert np.all(weights[~allowed] == 0.0)
@@ -496,14 +496,13 @@ class TestGroups:
         seqs = [random_sequence(n, 6, stream(24, "s", n)) for n in (2, 4)]
         group = enc.Group(seqs, [MaskPlan.full_context(2),
                                  MaskPlan((0, 3), (1, 2))])
-        allowed = group.attention_mask().allowed
+        allowed = ~group.blocked
         assert allowed.shape == (2, 4, 4)
         np.testing.assert_array_equal(allowed[0, :2, :2], True)
         np.testing.assert_array_equal(allowed[0, :2, 2:], False)
         np.testing.assert_array_equal(allowed[0, 2:], [[0, 0, 1, 0],
                                                        [0, 0, 0, 1]])
-        np.testing.assert_array_equal(
-            allowed[1], enc.AttentionMask.from_plan(group.plans[1]).allowed)
+        np.testing.assert_array_equal(allowed[1], ref_mask(group.plans[1]))
         np.testing.assert_array_equal(group.target_rows, [5, 6])
         np.testing.assert_array_equal(group.target_bounds, [0, 0, 2])
         assert group.frames.shape == (8, 6)
@@ -518,14 +517,36 @@ class TestGroups:
             seqs = [random_sequence(int(n), 6, rng) for n in lengths]
             plans = [obj.sample_mask_plan(s, 0, 0.6, 0.999, rng) for s in seqs]
             group = enc.Group(seqs, plans)
-            allowed = group.attention_mask().allowed
+            allowed = ~group.blocked
             t_len = group.length
             for b, (plan, n) in enumerate(zip(plans, lengths)):
                 expected = np.eye(t_len, dtype=bool)
                 expected[:n, :n] = ref_mask(plan)
                 np.testing.assert_array_equal(allowed[b], expected)
-                np.testing.assert_array_equal(
-                    enc.AttentionMask.from_plan(plan).allowed, ref_mask(plan))
+
+    def test_every_block_receives_one_blocked_stack(self, monkeypatch):
+        seqs = [random_sequence(n, 6, stream(27, "s", n)) for n in (3, 5)]
+        group = enc.Group(seqs, [MaskPlan((0, 2), (1,)),
+                                 MaskPlan((1, 2, 4), (0, 3))])
+        for array in (group.blocked, group.frames):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        block = enc.rel_attention_block
+        received = []
+
+        def spy(x, blocked, *args, **kwargs):
+            received.append(blocked)
+            return block(x, blocked, *args, **kwargs)
+
+        monkeypatch.setattr(enc, "rel_attention_block", spy)
+        params = enc.init_params(TINY, stream(27, "init"))
+        enc.encode(enc.bind_params(params), TINY, group)
+        assert len(received) == TINY.layers
+        assert all(blocked is received[0] for blocked in received)
+        assert received[0].shape == (TINY.heads * 2, 5, 5)
+        np.testing.assert_array_equal(
+            received[0], np.concatenate([group.blocked] * TINY.heads))
 
     def test_group_needs_one_partitioning_plan_per_sequence(self):
         seq = random_sequence(3, 6, stream(25, "s"))

@@ -1,3 +1,4 @@
+import errno
 import math
 import struct
 import tracemalloc
@@ -259,6 +260,25 @@ class TestCheckpoint:
             + struct.pack("<f", 5.0)
             + struct.pack("<I", len(text)) + text)
         assert list(tmp_path.iterdir()) == [path]  # the temp file is renamed
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cfg = small_config()
+        params = {"a": np.ones(3), "b": np.ones(2)}
+        path = tmp_path / "m.ckpt"
+        write_entry = tr._write_entry
+        written = []
+
+        def full_disk(out, name, arr):
+            if written:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(name)
+            write_entry(out, name, arr)
+
+        monkeypatch.setattr(tr, "_write_entry", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            tr.save_checkpoint(path, params, cfg, step=1)
+        assert written == ["a"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_names_entry_and_offset(self, tmp_path, value):

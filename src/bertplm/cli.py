@@ -48,14 +48,18 @@ def _add_common(sub):
                      help="dump the fully-resolved config and continue")
 
 
-def _resolve_config(args) -> Config:
+def _parse_config(args) -> Config:
     overrides = {}
     for item in args.set:
         if "=" not in item:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    cfg = parse_config(args.config, overrides)
+    return parse_config(args.config, overrides)
+
+
+def _resolve_config(args) -> Config:
+    cfg = _parse_config(args)
     if args.print_config:
         print(config_text(cfg), end="")
     return cfg
@@ -238,9 +242,11 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _resolve_config(args)
+    _parse_config(args)   # checked for errors, but not run
     vocab = cp.read_vocab(args.vocab)
     ckpt = tr.load_checkpoint(args.ckpt)
+    if args.print_config:   # the checkpoint's config is the one evaluated
+        print(config_text(ckpt.config), end="")
     enc_cfg = encoder_config(ckpt.config, vocab.size)
     tr.check_model_arrays(ckpt.arrays, enc_cfg)
     utterances = _load_labeled(args.data, args.manifest, vocab, ckpt.config)

@@ -10,18 +10,16 @@ target: pre-training skips it, fine-tuning trains it with nothing masked.
 All shuffling, plan sampling, dropout and init draw from named substreams of
 one seed, which makes checkpoints bitwise reproducible.
 
-Training, held-out and evaluation passes compute in float32
-(``COMPUTE_DTYPE``), and the float32 gradients of a step's groups are summed
-and averaged in float64. The parameters and the Adam moments are float64
-master copies, so the optimizer state never rounds to float32. This module
-alone picks the compute dtype: the encoder, the losses and ``evaluate``
-compute in the dtype of the arrays they are given, and ``compute_copy`` is
-the one cast of the masters to float32. A training loop makes that copy
-once, at the start; ``adam_step`` writes each stepped chunk into it, and the
-training, held-out and validation passes bind it. The test split is scored
-on the compute copy of the best parameters, and a loaded checkpoint is
-float32 as stored. A master value beyond float32's range stops training at
-the step that produced it.
+Training keeps one precision, float32 (``TRAIN_DTYPE``): ``pretrain`` and
+``finetune`` cast their starting parameters to it once, and from then on the
+parameters, each step's gradient sum and the Adam moments are float32, and
+every training, held-out, validation and test pass binds the parameters
+themselves. This module alone picks that dtype: the encoder, the losses and
+``evaluate`` compute in the dtype of the arrays they are given, so the
+oracle and the finite-difference check, which bind float64 arrays, stay
+float64. An Adam step whose arithmetic overflows float32 stops training
+with a ``TrainingError`` naming the parameter. A checkpoint holds the
+float32 state exactly.
 
 Checkpoint format (.ckpt): magic "CKP1"; u32 entry count; per entry u16 name
 length, name bytes (UTF-8), u8 rank, rank u32 dims, then little-endian f32
@@ -31,7 +29,7 @@ after which nothing may follow. Optimizer moments are stored under "adam.m."
 Checkpoints are written and read one entry at a time (the format does not
 depend on it), so neither side holds the whole payload; an entry holding a
 NaN or an infinity is a data error. A loaded entry is the stored float32
-array, read-only; fine-tuning widens its own copy to float64.
+array, read-only; fine-tuning trains its own copy.
 """
 
 from __future__ import annotations
@@ -59,13 +57,13 @@ MAX_RANK = 64  # numpy arrays have at most 64 dimensions
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 #: entries of one parameter that ``adam_step`` averages, checks and steps
-#: together: the chunk's six float64 rows (parameter, moments, gradient sum,
-#: two scratch rows) take 1.5 MB, inside a 2 MB L2 cache; on such a core
-#: 2^14 and 2^15 ran fastest, 2^12 and 2^17 slower
+#: together: the chunk's six float32 rows (parameter, moments, gradient sum,
+#: two scratch rows) take 0.75 MB, inside a 2 MB L2 cache; with float64 rows
+#: on such a core 2^14 and 2^15 ran fastest, 2^12 and 2^17 slower
 ADAM_CHUNK = 1 << 15
 
-#: the dtype training, held-out and evaluation passes compute in
-COMPUTE_DTYPE = np.float32
+#: the dtype of the parameters, gradient sums and Adam moments in training
+TRAIN_DTYPE = np.float32
 
 
 class TrainingError(RuntimeError):
@@ -92,96 +90,65 @@ class OptimState:
                    step=0, lr=lr)
 
 
-def _cast_into(out: np.ndarray, values: np.ndarray, name: str,
-               kind: str = "parameter") -> None:
-    """``values`` cast into ``out``; a value beyond the range of ``out``'s
-    dtype raises ``TrainingError`` naming the ``kind`` and ``name``."""
-    try:
-        with np.errstate(over="raise"):
-            np.copyto(out, values)
-    except FloatingPointError:
-        raise TrainingError(f"{kind} {name!r} overflows {out.dtype.name}"
-                            ) from None
-
-
-def compute_copy(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Each master parameter cast to ``COMPUTE_DTYPE``: the copy training
-    passes bind and ``adam_step`` keeps current. A value beyond float32's
-    range raises ``TrainingError``."""
-    copy = {}
-    for name, master in params.items():
-        copy[name] = np.empty(master.shape, dtype=COMPUTE_DTYPE)
-        _cast_into(copy[name], master, name)
-    return copy
-
-
 def adam_step(params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray],
-              state: OptimState, count: int = 1,
-              last: dict[str, np.ndarray] | None = None,
-              compute: dict[str, np.ndarray] | None = None) -> None:
-    """Bias-corrected Adam update, in place, on the mean gradient: the
-    gradient of ``count`` examples is the sum of ``grads`` and, when given,
-    ``last`` (a step's last group), and a missing entry counts as 0. The two
-    are added in float64, and a lone float32 sum is widened to float64
-    before the division, so every sum and mean is float64. A non-finite
-    mean gradient raises ``TrainingError`` and stops training; the
+              state: OptimState, count: int = 1) -> None:
+    """Bias-corrected Adam update, in place, on the mean gradient
+    ``grads / count`` (a missing entry counts as 0), in the dtype of each
+    parameter. A non-finite mean gradient raises ``TrainingError``, and so
+    does a step whose arithmetic overflows the parameter's dtype; the
     parameters before it, in name order, and its chunks before the
     offending one have then been stepped.
 
     Each parameter is walked in chunks of ``ADAM_CHUNK`` entries, and each
-    chunk is summed, averaged, checked and stepped while it is in cache. Per
-    entry the operations and their order are those of adding ``last`` into
-    a float64 copy of ``grads``, dividing the whole sum by ``count`` and
-    then stepping, so the result is bitwise the same. With ``compute``
-    (``compute_copy``'s arrays), each stepped chunk is also cast into the
-    parameter's compute copy; a value beyond its range raises
-    ``TrainingError``. The parameters, moments and compute copies must be
-    C-contiguous, as ``OptimState`` and ``compute_copy`` make them.
+    chunk is averaged, checked and stepped while it is in cache; per entry
+    the operations and their order are those of averaging the whole sum and
+    then stepping, so the result is bitwise the same. The parameters and
+    moments must be C-contiguous, as ``OptimState`` makes them.
     """
     state.step += 1
     correction1 = 1.0 - ADAM_BETA1 ** state.step
     correction2 = 1.0 - ADAM_BETA2 ** state.step
     lr = state.lr
-    last = last or {}
-    mean, scratch = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
     for name in sorted(params):
         arrays = [params[name], state.m[name], state.v[name]]
-        if compute is not None:
-            arrays.append(compute[name])
         if not all(a.flags.c_contiguous for a in arrays):
             raise ValueError(f"adam_step needs C-contiguous arrays for {name!r}")
-        param, m, v, *copy = (a.reshape(-1) for a in arrays)
-        added = [np.ascontiguousarray(total).reshape(-1)
-                 for total in (grads.get(name), last.get(name))
-                 if total is not None]
-        for lo in range(0, param.size, ADAM_CHUNK):
-            hi = min(lo + ADAM_CHUNK, param.size)
-            g, t = mean[:hi - lo], scratch[:hi - lo]
-            if added:
-                np.copyto(g, added[0][lo:hi])
-                for extra in added[1:]:
-                    g += extra[lo:hi]
-                g /= count
-                if not np.isfinite(g).all():
-                    raise TrainingError(
-                        f"non-finite gradient for parameter {name!r}")
-            else:
-                g.fill(0.0)
-            m_part, v_part = m[lo:hi], v[lo:hi]
-            m_part *= ADAM_BETA1
-            m_part += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
-            v_part *= ADAM_BETA2
-            np.multiply(g, 1.0 - ADAM_BETA2, out=t)
-            v_part += np.multiply(t, g, out=t)
-            np.divide(v_part, correction2, out=t)
-            np.sqrt(t, out=t)
-            t += ADAM_EPS
-            np.divide(m_part, correction1, out=g)
-            g *= lr
-            param[lo:hi] -= np.divide(g, t, out=g)
-            if copy:
-                _cast_into(copy[0][lo:hi], param[lo:hi], name)
+        param, m, v = (a.reshape(-1) for a in arrays)
+        total = grads.get(name)
+        if total is not None:
+            total = np.ascontiguousarray(total).reshape(-1)
+        rows = min(param.size, ADAM_CHUNK)
+        mean = np.empty(rows, dtype=param.dtype)
+        scratch = np.empty(rows, dtype=param.dtype)
+        try:
+            with np.errstate(over="raise"):
+                for lo in range(0, param.size, ADAM_CHUNK):
+                    hi = min(lo + ADAM_CHUNK, param.size)
+                    g, t = mean[:hi - lo], scratch[:hi - lo]
+                    if total is None:
+                        g.fill(0.0)
+                    else:
+                        np.copyto(g, total[lo:hi])
+                        g /= count
+                        if not np.isfinite(g).all():
+                            raise TrainingError(
+                                f"non-finite gradient for parameter {name!r}")
+                    m_part, v_part = m[lo:hi], v[lo:hi]
+                    m_part *= ADAM_BETA1
+                    m_part += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+                    v_part *= ADAM_BETA2
+                    np.multiply(g, 1.0 - ADAM_BETA2, out=t)
+                    v_part += np.multiply(t, g, out=t)
+                    np.divide(v_part, correction2, out=t)
+                    np.sqrt(t, out=t)
+                    t += ADAM_EPS
+                    np.divide(m_part, correction1, out=g)
+                    g *= lr
+                    param[lo:hi] -= np.divide(g, t, out=g)
+        except FloatingPointError:
+            raise TrainingError(f"parameter {name!r} overflows "
+                                f"{param.dtype.name}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +168,12 @@ def _write_entry(out, name: str, array: np.ndarray) -> None:
     encoded = name.encode("utf-8")
     dims = array.shape
     payload = np.empty(dims, dtype="<f4")
-    _cast_into(payload, array, name, "checkpoint entry")
+    try:
+        with np.errstate(over="raise"):
+            np.copyto(payload, array)
+    except FloatingPointError:
+        raise TrainingError(f"checkpoint entry {name!r} overflows float32"
+                            ) from None
     out.write(struct.pack("<H", len(encoded)) + encoded
               + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
     out.write(payload)
@@ -423,7 +395,7 @@ def _groups(pairs, max_seq_len: int):
                              [pairs[m][1] for m in members])
 
 
-def _train_steps(params, compute, optim: OptimState, order, batch_size: int,
+def _train_steps(params, optim: OptimState, order, batch_size: int,
                  max_seq_len: int, plan_for, group_grads):
     """One epoch of minibatch Adam over ``order``, yielding each step's
     per-group loss sums and kept-utterance count right after the step.
@@ -431,15 +403,11 @@ def _train_steps(params, compute, optim: OptimState, order, batch_size: int,
     ``plan_for(idx)`` gives utterance idx's (sequence, plan), or None to
     skip it. A minibatch's kept utterances run as ``_groups``, one tape
     each: ``group_grads(indices, group)`` gives the group's summed
-    (loss, grads), computed on ``compute``. The step averages the gradients
+    (loss, grads), computed on ``params``. The step averages the gradients
     over the kept utterances; a minibatch with nothing kept takes no step.
-    The groups before the last are added in float64, into one array per
-    parameter that every step reuses (a single one is kept as it is), and
-    ``adam_step`` adds the last group's gradients into that sum chunk by
-    chunk, so a step of at most two groups allocates no float64 sum. The
-    step keeps ``compute`` equal to ``params`` cast to ``COMPUTE_DTYPE``.
+    Later groups are added in place into the first group's gradient arrays,
+    which belong to the step alone.
     """
-    buffers: dict[str, np.ndarray] = {}
     for start in range(0, len(order), batch_size):
         indices, pairs = [], []
         for idx in order[start:start + batch_size]:
@@ -449,26 +417,19 @@ def _train_steps(params, compute, optim: OptimState, order, batch_size: int,
                 pairs.append(planned)
         if not pairs:
             continue
-        *before, final = _groups(pairs, max_seq_len)
         sums: dict[str, np.ndarray] = {}
         losses = []
-        for members, group in before:
+        for members, group in _groups(pairs, max_seq_len):
             loss, grads = group_grads([indices[m] for m in members], group)
             losses.append(loss)
             for name, grad in grads.items():
-                if name not in sums:
+                if name in sums:
+                    sums[name] += grad
+                else:
                     sums[name] = grad
-                    continue
-                if name not in buffers:
-                    buffers[name] = np.empty_like(params[name])
-                sums[name] = np.add(sums[name], grad, out=buffers[name],
-                                    dtype=np.float64)
             del grads   # free this group's arrays before the next group runs
-        members, group = final
-        loss, last = group_grads([indices[m] for m in members], group)
-        losses.append(loss)
-        adam_step(params, sums, optim, len(pairs), last, compute)
-        del sums, last   # free the step's gradients before the caller runs
+        adam_step(params, sums, optim, len(pairs))
+        del sums   # free the step's gradients before the caller runs
         yield losses, len(pairs)
 
 
@@ -516,12 +477,12 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
         except SamplingError:
             continue
 
-    params = init_params(enc_config, stream(seed, "init"))
+    params = {name: p.astype(TRAIN_DTYPE) for name, p
+              in init_params(enc_config, stream(seed, "init")).items()}
     optim = OptimState.for_params(params, lr=cfg.lr)
-    compute = compute_copy(params)
     if held_pairs:
         log.log(0, "heldout", "plm_loss",
-                _mean_plm_loss(compute, enc_config, cfg, held_pairs))
+                _mean_plm_loss(params, enc_config, cfg, held_pairs))
 
     for epoch in range(cfg.epochs):
         skipped = []
@@ -537,26 +498,27 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
 
         def group_grads(indices, group):
             breakdown, grads = bert_plm_loss(
-                compute, enc_config, group, weighting=cfg.plm_weighting,
+                params, enc_config, group, weighting=cfg.plm_weighting,
                 drop_rngs=[stream(seed, "drop", epoch, idx)
                            for idx in indices],
                 want_grads=True)
             return breakdown.plm_loss, grads
 
         order = stream(seed, "shuffle", epoch).permutation(len(train))
-        for losses, count in _train_steps(params, compute, optim, order,
+        for losses, count in _train_steps(params, optim, order,
                                           cfg.batch_size, cfg.max_seq_len,
                                           plan_for, group_grads):
             log.log(optim.step, "train", "plm_loss",
                     float(np.sum(losses)) / count)
         log.log(optim.step, "epoch", "skipped", len(skipped))
+        if optim.step == 0:   # eligibility depends on the frames alone
+            raise TrainingError(
+                "every utterance was skipped: no eligible frames")
         if held_pairs:
             log.log(optim.step, "heldout", "plm_loss",
-                    _mean_plm_loss(compute, enc_config, cfg, held_pairs))
+                    _mean_plm_loss(params, enc_config, cfg, held_pairs))
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, params, cfg, optim.step, optim)
-    if optim.step == 0:
-        raise TrainingError("every utterance was skipped: no eligible frames")
     return Checkpoint(arrays=params, config=cfg, step=optim.step, optim=optim)
 
 
@@ -621,9 +583,9 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
             if params[name].shape != arr.shape:
                 raise DataError(f"checkpoint classifier has "
                                 f"{arr.shape[0]} classes, the data {classes}")
-            params[name] = arr.astype(np.float64)
+            params[name] = arr
+    params = {name: p.astype(TRAIN_DTYPE) for name, p in params.items()}
     optim = OptimState.for_params(params, lr=cfg.lr)
-    compute = compute_copy(params)
 
     order = stream(seed, "ft-split").permutation(len(train_utts))
     n_val = 0
@@ -632,7 +594,8 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     val = [train_utts[i] for i in order[:n_val]]
     train = [train_utts[i] for i in order[n_val:]]
 
-    best_error = float("inf")   # the first epoch's parameters replace it
+    best_params = params   # with a validation split, the best epoch's copy
+    best_error = float("inf")
     patience_left = cfg.patience
 
     for epoch in range(cfg.finetune_epochs):
@@ -651,7 +614,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
 
         def group_grads(indices, group):
             breakdown, grads = finetune_loss(
-                compute, enc_config, group, [train[i].label for i in indices],
+                params, enc_config, group, [train[i].label for i in indices],
                 lam=cfg.finetune_lambda, weighting=cfg.plm_weighting,
                 drop_rngs=[stream(seed, "ft-drop", epoch, idx)
                            for idx in indices],
@@ -660,7 +623,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
 
         order = stream(seed, "ft-shuffle", epoch).permutation(len(train))
         epoch_losses, epoch_count = [], 0
-        for losses, count in _train_steps(params, compute, optim, order,
+        for losses, count in _train_steps(params, optim, order,
                                           cfg.batch_size, cfg.max_seq_len,
                                           plan_for, group_grads):
             epoch_losses += losses
@@ -670,7 +633,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
                     float(np.sum(epoch_losses)) / epoch_count)
         log.log(optim.step, "epoch", "fallback_full_context", len(fallbacks))
         if val:
-            val_error = evaluate(compute, enc_config, val).error_rate
+            val_error = evaluate(params, enc_config, val).error_rate
             log.log(optim.step, "val", "error_rate", val_error)
             if val_error < best_error - 1e-12:
                 best_error = val_error
@@ -680,13 +643,11 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
                 patience_left -= 1
                 if patience_left <= 0:
                     break
-        else:
-            best_params = {k: v.copy() for k, v in params.items()}
 
     checkpoint = Checkpoint(arrays=best_params, config=cfg, step=optim.step)
     if not test_utts:
         return checkpoint, None
-    metrics = evaluate(compute_copy(best_params), enc_config, test_utts)
+    metrics = evaluate(best_params, enc_config, test_utts)
     log.log(optim.step, "test", "error_rate", metrics.error_rate)
     return checkpoint, metrics
 

@@ -7,7 +7,7 @@ import pytest
 from bertplm import cli
 from bertplm import corpus as cp
 from bertplm import trainer as tr
-from bertplm.config import ConfigError, parse_config
+from bertplm.config import ConfigError, config_text, parse_config
 
 
 class TestParseConfig:
@@ -322,6 +322,42 @@ class TestInputValidation:
                            short.step)
         assert cli.main(args) == cli.EXIT_DATA
 
+    def test_evaluate_prints_the_checkpoints_config(self, small_corpus,
+                                                    tmp_path, capsys):
+        ckpt = tmp_path / "ft.ckpt"
+        assert cli.main(["finetune", "--data", small_corpus["c.pps"],
+                         "--manifest", small_corpus["c.tsv"],
+                         "--vocab", small_corpus["v.txt"], "--out", str(ckpt)]
+                        + SMALL) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--ckpt", str(ckpt),
+                         "--data", small_corpus["c.pps"],
+                         "--manifest", small_corpus["c.tsv"],
+                         "--vocab", small_corpus["v.txt"], "--print-config",
+                         "--set", "d=32", "--set", "layers=7"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        printed = config_text(tr.load_checkpoint(ckpt).config)
+        assert out.startswith(printed + "error_rate\t")
+        assert "d = 16\n" in printed and "layers = 1\n" in printed
+
+    def test_failed_pretrain_leaves_no_checkpoint(self, small_corpus,
+                                                  tmp_path, capsys):
+        vocab = cp.read_vocab(small_corpus["v.txt"])
+        frames = np.zeros((6, vocab.size))
+        frames[:, vocab.sil_index] = 1.0
+        silent = tmp_path / "sil.pps"
+        cp.write_corpus([cp.PhonemePosteriorSequence(frames, f"sil{i}")
+                         for i in range(4)], silent, vocab.size)
+        out = tmp_path / "pre.ckpt"
+        code = cli.main(["pretrain", "--data", str(silent),
+                         "--vocab", small_corpus["v.txt"], "--out", str(out)]
+                        + SMALL + ["--set", "epochs=2"])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: every utterance was skipped: no eligible frames\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.pps", "c.tsv", "sil.pps", "v.txt"]
+
     def test_corpus_id_not_utf8_is_data_error(self, small_corpus, capsys):
         path = small_corpus["c.pps"]
         raw = bytearray(open(path, "rb").read())
@@ -452,6 +488,34 @@ class TestGenData:
         code = cli.main(["gen-data", "--grammar", "martian",
                          "--utterances", "1", "--out", str(tmp_path / "x.pps")])
         assert code == cli.EXIT_USAGE
+
+
+class TestAblations:
+    def ablation_args(self, small_corpus):
+        return ["--data", small_corpus["c.pps"],
+                "--train-data", small_corpus["c.pps"],
+                "--train-manifest", small_corpus["c.tsv"],
+                "--test-data", small_corpus["c.pps"],
+                "--test-manifest", small_corpus["c.tsv"],
+                "--vocab", small_corpus["v.txt"]] + SMALL
+
+    def test_ablate_mask_prints_one_row_per_ratio(self, small_corpus, capsys):
+        capsys.readouterr()
+        assert cli.main(["ablate-mask", "--ratios", "0.1,0.2"]
+                        + self.ablation_args(small_corpus)) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "mask_ratio_max\terror_rate\tmacro_f1\tbest"
+        assert [line.split("\t")[0] for line in lines[1:]] == ["0.10", "0.20"]
+        assert sum(line.endswith("\t*") for line in lines[1:]) == 1
+
+    def test_ablate_fraction_prints_one_row_per_fraction(self, small_corpus,
+                                                         capsys):
+        capsys.readouterr()
+        assert cli.main(["ablate-fraction", "--fractions", "0.5,1.0"]
+                        + self.ablation_args(small_corpus)) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "fraction\tacc_pretrained\tacc_fresh\tgap"
+        assert [line.split("\t")[0] for line in lines[1:]] == ["0.50", "1.00"]
 
 
 class TestVerifyTheorem:

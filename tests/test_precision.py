@@ -1,12 +1,10 @@
 """Which passes compute in float32 and which in float64.
 
 The losses, the encoder and ``evaluate`` compute in the dtype of the arrays
-they are given, and only the trainer casts. Training, held-out and
-evaluation passes compute at float32: a training loop binds the float32
-copy of its float64 master parameters that each Adam step writes, the test
-split is scored on the copy of the best parameters, and a checkpoint loads
-as float32; the gradient sums, the parameters and the Adam moments stay
-float64. The finite-difference check, the oracle's frozen predictor and
+they are given, and only the trainer casts. Training keeps its parameters,
+gradient sums and Adam moments in float32, so every training, held-out,
+validation and test pass computes at float32, and a checkpoint loads as
+float32. The finite-difference check, the oracle's frozen predictor and
 ``grad-check`` stay float64, so the theorem and gradient criteria never
 weaken with the training dtype.
 """
@@ -41,6 +39,10 @@ def padded_group():
              obj.MaskPlan.from_context_set((0, 1, 2, 4), 5),
              obj.MaskPlan.full_context(4)]
     return seqs, plans
+
+
+def as_float32(params):
+    return {name: p.astype(np.float32) for name, p in params.items()}
 
 
 def score(stage, params, group, weighting="mean", drop=True):
@@ -106,7 +108,7 @@ class TestFloat32Pass:
             return dropout(x, rate, kept)
 
         monkeypatch.setattr(ad, "dropout", counted_dropout)
-        breakdown, grads = score(stage, tr.compute_copy(params),
+        breakdown, grads = score(stage, as_float32(params),
                                  Group(seqs, plans), weighting)
         assert len(dropped) == 1 + 3 * CONFIG.layers
         ops = {op.removeprefix("_fwd_") for _, op, _ in spy.seen}
@@ -117,14 +119,12 @@ class TestFloat32Pass:
         assert grads and {g.dtype for g in grads.values()} == {
             np.dtype(np.float32)}
         assert np.isfinite(breakdown.total)
-        # the master copies are not touched by the cast
-        assert {p.dtype for p in params.values()} == {np.dtype(np.float64)}
 
     def test_targetless_group_scores_zero_in_float32(self, monkeypatch):
         seqs, plans = padded_group()
         params = init_params(CONFIG, stream(53, "init"), classes=3)
         spy = DtypeSpy(monkeypatch)
-        breakdown, grads = score("finetune", tr.compute_copy(params),
+        breakdown, grads = score("finetune", as_float32(params),
                                  Group(seqs[2:], plans[2:]))
         assert breakdown.plm_loss == 0.0
         assert spy.other_than(np.float32) == []
@@ -134,7 +134,7 @@ class TestFloat32Pass:
         seqs, _ = padded_group()
         params = init_params(CONFIG, stream(54, "init"), classes=3)
         spy = DtypeSpy(monkeypatch)
-        tr.evaluate(tr.compute_copy(params), CONFIG,
+        tr.evaluate(as_float32(params), CONFIG,
                     [LabeledUtterance(s, i % 3) for i, s in enumerate(seqs)])
         assert spy.seen and spy.other_than(np.float32) == []
 
@@ -163,8 +163,7 @@ class TestFloat32Pass:
 
     def test_training_runs_every_op_in_float32(self, monkeypatch):
         """Pre-training with its held-out passes, then fine-tuning with its
-        validation and test splits: the test split is scored on the float32
-        copy of the best parameters, not on the float64 masters."""
+        validation and test splits: every pass binds float32 parameters."""
         grammar = default_grammar()
         corpus = generate_corpus(grammar, 10, seed=65)
         cfg = parse_config(None, {"profile": "tiny", "layers": "1", "d": "16",
@@ -194,7 +193,7 @@ class TestFloat32Pass:
                              init_std=0.1)
         group = Group(seqs, plans)
         b64, g64 = score(stage, params, group)
-        b32, g32 = score(stage, tr.compute_copy(params), group)
+        b32, g32 = score(stage, as_float32(params), group)
         assert abs(b32.total - b64.total) <= 1e-5 * abs(b64.total)
         assert g32.keys() == g64.keys()
         for name, want in g64.items():
@@ -205,8 +204,8 @@ class TestFloat32Pass:
 def small_training(monkeypatch, spy_step):
     """Pre-train a one-layer model on twelve utterances, four per step (two
     groups), then fine-tune it two per step (one group), with ``adam_step``
-    replaced by ``spy_step(step, params, grads, state, count, last,
-    compute)`` (``step`` is the real one); returns both checkpoints."""
+    replaced by ``spy_step(step, params, grads, state, count)`` (``step`` is
+    the real one); returns both checkpoints."""
     grammar = default_grammar()
     corpus = generate_corpus(grammar, 12, seed=56)
     cfg = parse_config(None, {"profile": "tiny", "layers": "1", "d": "16",
@@ -215,8 +214,8 @@ def small_training(monkeypatch, spy_step):
                               "max_seq_len": "64"})
     adam_step = tr.adam_step
 
-    def step(params, grads, state, count=1, last=None, compute=None):
-        spy_step(adam_step, params, grads, state, count, last, compute)
+    def step(params, grads, state, count=1):
+        spy_step(adam_step, params, grads, state, count)
 
     monkeypatch.setattr(tr, "adam_step", step)
     ckpt = tr.pretrain([u.sequence for u in corpus], cfg, seed=56,
@@ -229,30 +228,26 @@ def small_training(monkeypatch, spy_step):
 
 class TestMasterCopies:
     def test_sums_params_and_moments_stay_float64(self, monkeypatch):
-        """Pre-training steps of four utterances run as two groups: the
-        first group's float32 gradient reaches ``adam_step`` as the sum and
-        the second as ``last``, which the step adds in float64. Fine-tuning
-        steps of two run as one group, passed as ``last`` alone. The losses
-        bind the compute copy that the step is given. The pre-training
-        checkpoint holds the float64 masters and moments, nothing else."""
+        """Training state is float32 throughout (the name predates that).
+        Pre-training steps of four utterances run as two groups: the second
+        group's gradients are added in place into the first group's arrays,
+        which reach ``adam_step`` as the sum. Fine-tuning steps of two run
+        as one group, passed as it is. The losses bind the parameters that
+        the step is given. Both checkpoints hold float32 arrays only."""
         groups, binds, steps = [], [], []
 
-        def checked_step(adam_step, params, grads, state, count, last,
-                         compute):
-            masters = [*params.values(), *state.m.values(), *state.v.values()]
-            assert {a.dtype for a in masters} == {np.dtype(np.float64)}
-            if len(groups) == 2:
-                assert all(grads[name] is grad
-                           for name, grad in groups[0].items())
-            else:
-                assert grads == {}
-            assert all(last[name] is grad
-                       for name, grad in groups[-1].items())
-            assert all(bound is compute for bound in binds)
+        def checked_step(adam_step, params, grads, state, count):
+            state_arrays = [*params.values(), *state.m.values(),
+                            *state.v.values(), *grads.values()]
+            assert {a.dtype for a in state_arrays} == {np.dtype(np.float32)}
+            assert all(grads[name] is grad
+                       for name, grad in groups[0].items())
+            assert grads.keys() == set().union(*groups)
+            assert all(bound is params for bound in binds)
             steps.append(len(groups))
             groups.clear()
             binds.clear()
-            adam_step(params, grads, state, count, last, compute)
+            adam_step(params, grads, state, count)
 
         def checked(loss):
             def wrapped(params, *args, **kwargs):
@@ -274,45 +269,27 @@ class TestMasterCopies:
         assert 1 in steps and max(steps) == 2
         assert ckpt.optim.m.keys() == ckpt.optim.v.keys() == ckpt.arrays.keys()
         for arrays in (ckpt.arrays, ckpt.optim.m, ckpt.optim.v, tuned.arrays):
-            assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
+            assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
 
-    def test_compute_copy_is_the_masters_at_float32(self, monkeypatch):
-        """After every step of ``pretrain`` and ``finetune`` the compute
-        copy is bitwise the float64 masters cast to float32."""
-        stepped = []
-
-        def checked_step(adam_step, params, grads, state, count, last,
-                         compute):
-            adam_step(params, grads, state, count, last, compute)
-            assert compute.keys() == params.keys()
-            for name, master in params.items():
-                assert compute[name].dtype == np.float32
-                assert compute[name].tobytes() == \
-                    master.astype(np.float32).tobytes(), name
-            stepped.append("classifier" in params)
-
-        small_training(monkeypatch, checked_step)
-        assert False in stepped and True in stepped
-
-    def test_float32_sum_steps_as_its_float64_copy(self):
-        rng = stream(62, "widen")
-        start = {"w": rng.normal(size=(40, 30)), "b": rng.normal(size=30)}
-        results = []
-        for widen in (False, True):
-            params = {name: p.copy() for name, p in start.items()}
-            state = tr.OptimState.for_params(params, lr=1e-2)
-            for i in range(3):
-                sums = {name: stream(62, "sums", i, name).normal(
-                    size=p.shape).astype(np.float32)
-                    for name, p in params.items()}
-                if widen:
-                    sums = {name: g.astype(np.float64)
-                            for name, g in sums.items()}
-                tr.adam_step(params, sums, state, 3)
-            results.append([params, state.m, state.v])
-        for got, want in zip(*results):
-            for name in start:
-                assert got[name].tobytes() == want[name].tobytes(), name
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+    def test_gradients_are_writable_and_share_no_memory(self, stage):
+        """The training loop adds later groups in place into the first
+        group's gradient arrays, so each must be writable and share memory
+        with no other gradient and no parameter."""
+        seqs, plans = padded_group()
+        if stage == "pretrain":
+            seqs, plans = seqs[:2], plans[:2]
+        params = as_float32(init_params(
+            CONFIG, stream(59, "init"),
+            classes=3 if stage == "finetune" else None))
+        _, grads = score(stage, params, Group(seqs, plans))
+        assert grads and grads.keys() <= params.keys()
+        arrays = [*grads.items(), *params.items()]
+        for i, (name, grad) in enumerate(grads.items()):
+            assert grad.flags.writeable, name
+            assert grad.shape == params[name].shape, name
+            for other, array in arrays[i + 1:]:
+                assert not np.shares_memory(grad, array), (name, other)
 
 
 class TestFloat64Guards:
@@ -357,10 +334,10 @@ class TestFloat64Guards:
         assert "ok: max relative error" in capsys.readouterr().out
 
     def test_default_binding_is_float64_without_a_copy(self):
-        """Binding casts nothing: float64 masters and their float32 compute
-        copy bind as the caller's arrays, with a tape or without."""
+        """Binding casts nothing: float64 parameters and their float32 cast
+        bind as the caller's arrays, with a tape or without."""
         params = init_params(CONFIG, stream(58, "init"))
-        for arrays in (params, tr.compute_copy(params)):
+        for arrays in (params, as_float32(params)):
             for tape in (ad.Tape(), None):
                 for name, tensor in bind_params(arrays, tape).items():
                     assert tensor.data is arrays[name]
@@ -377,24 +354,15 @@ class TestOverflowingCast:
         assert list(tmp_path.iterdir()) == []
 
     def test_adam_step_names_the_parameter(self):
-        params = {"a": np.ones(3), "b": np.ones(3)}
-        compute = tr.compute_copy(params)
+        params = {"a": np.ones(3, np.float32), "b": np.ones(3, np.float32)}
         state = tr.OptimState.for_params(params, lr=1e300)
         with pytest.raises(tr.TrainingError,
                            match="parameter 'a' overflows float32"):
-            tr.adam_step(params, {"a": np.ones(3)}, state, compute=compute)
+            tr.adam_step(params, {"a": np.ones(3, np.float32)}, state)
 
-    def test_compute_copy_names_the_parameter(self):
-        params = init_params(CONFIG, stream(63, "init"))
-        params["mask_vec"][1] = -1e39
-        with pytest.raises(tr.TrainingError,
-                           match="parameter 'mask_vec' overflows float32"):
-            tr.compute_copy(params)
-
-    # an Adam step moves each parameter by about lr, so the first step puts
-    # finite values near 1e300 into the masters, which float32 cannot hold:
-    # the step stops there, while writing the compute copy, before any
-    # held-out pass or checkpoint write
+    # an Adam step moves each parameter by about lr, which float32 cannot
+    # hold: the first step stops there, before any held-out pass or
+    # checkpoint write
     @pytest.mark.parametrize("extra, message", [
         ([], "data error: parameter '"),
         (["--set", "heldout_fraction=0"], "data error: parameter '")])

@@ -111,66 +111,29 @@ class TestAdam:
                              (s_ref.v, s_new.v)):
                 assert new[name].tobytes() == ref[name].tobytes(), name
 
-    @staticmethod
-    def sum_then_step(params, groups, state, count):
-        """The step before the last group was added inside it: every
-        group's gradients summed in float64 into one array per parameter (a
-        lone group widened to float64), then averaged and stepped."""
-        sums = {}
-        for grads in groups:
-            for name, grad in grads.items():
-                sums[name] = (np.add(sums[name], grad, dtype=np.float64)
-                              if name in sums else grad)
-        TestAdam.average_then_step(
-            params, {name: np.asarray(total, dtype=np.float64)
-                     for name, total in sums.items()}, state, count)
-
-    @pytest.mark.parametrize("chunk", [7, 1 << 15])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n_groups", [1, 2, 3])
-    def test_last_group_added_in_the_step_equals_sum_then_step(
-            self, monkeypatch, chunk, dtype, n_groups):
-        """``adam_step(params, before, state, count, last)`` with ``before``
-        the groups before the last as the training loop holds them (none,
-        the first group's arrays, or their float64 sum) is bitwise the old
-        sum-then-step. "first" is missing from the first group, "last" from
-        the last, and "none" from every group."""
-        monkeypatch.setattr(tr, "ADAM_CHUNK", chunk)
-        shapes = {"a": (13, 11), "first": (64,), "last": (40, 900),
-                  "none": (3,)}
-        start = {name: stream(64, "start", name).normal(size=shape)
-                 for name, shape in shapes.items()}
+    def test_float32_step_equals_average_then_step(self, monkeypatch):
+        """Float32 parameters step in float32, chunk by chunk, bitwise as
+        the whole-parameter step in the same dtype."""
+        monkeypatch.setattr(tr, "ADAM_CHUNK", 7)
+        shapes = {"a": (13, 11), "skipped": (5,), "big": (40, 90)}
+        start = {name: stream(3, "f32", name).normal(size=shape).astype(
+            np.float32) for name, shape in shapes.items()}
         runs = []
-        for fused in (False, True):
+        for step in (self.average_then_step, tr.adam_step):
             params = {name: p.copy() for name, p in start.items()}
             state = tr.OptimState.for_params(params, lr=3e-2)
             for i in range(3):
-                groups = [
-                    {name: stream(64, "g", i, j, name).normal(
-                        size=shapes[name]).astype(dtype) * 10.0 ** (i - 1)
-                     for name in ("a", "first", "last")
-                     if not (name == "first" and j == 0)
-                     and not (name == "last" and j == n_groups - 1)}
-                    for j in range(n_groups)]
-                count = 2 + i
-                if not fused:
-                    self.sum_then_step(params, groups, state, count)
-                    continue
-                before = {} if n_groups == 1 else dict(groups[0])
-                for grads in groups[1:-1]:
-                    for name, grad in grads.items():
-                        before[name] = (
-                            np.add(before[name], grad, dtype=np.float64)
-                            if name in before else grad)
-                tr.adam_step(params, before, state, count, groups[-1])
+                sums = {name: stream(3, "g", i, name).normal(
+                    size=p.shape).astype(np.float32)
+                    for name, p in params.items() if name != "skipped"}
+                step(params, sums, state, 2 + i)
             runs.append((params, state))
         (p_ref, s_ref), (p_new, s_new) = runs
-        assert s_new.step == s_ref.step == 3
         for name in shapes:
             for ref, new in ((p_ref, p_new), (s_ref.m, s_new.m),
                              (s_ref.v, s_new.v)):
+                assert new[name].dtype == np.float32
                 assert new[name].tobytes() == ref[name].tobytes(), name
-        np.testing.assert_array_equal(p_new["none"], start["none"])
 
     def test_fused_step_leaves_the_sums_alone(self):
         params = {"w": np.ones(5)}
@@ -503,6 +466,24 @@ class TestPretrain:
         assert ckpt.step == 2 * len(normal)
         assert sum(1 for r in log.records if r[1] == "train") == ckpt.step
 
+    def test_held_out_utterance_without_eligible_frame_is_dropped(self):
+        """Seed 5 holds out the all-SIL utterance alone (the split's first
+        position is its index): it cannot be planned, so no held-out row is
+        logged, and the five others train."""
+        grammar = default_grammar()
+        sil = grammar.vocab.sil_index
+        normal = [u.sequence for u in generate_corpus(grammar, 5, seed=18)]
+        frames = np.zeros((4, grammar.vocab.size))
+        frames[:, sil] = 1.0
+        corpus = normal + [PhonemePosteriorSequence(frames, utterance_id="sil")]
+        assert stream(5, "split").permutation(6)[0] == 5
+        cfg = small_config(epochs=1, batch_size=5, heldout_fraction=0.2)
+        log = tr.ProgressLog()
+        ckpt = tr.pretrain(corpus, cfg, seed=5, sil_index=sil, log=log)
+        assert ckpt.step == 1
+        assert [r[1:] for r in log.records if r[1] != "train"] \
+            == [("epoch", "skipped", 0)]
+
     def test_epoch_rows_count_skipped_utterances(self):
         grammar = default_grammar()
         sil = grammar.vocab.sil_index
@@ -562,48 +543,46 @@ class TestLengthGroups:
 
 class TestStepMemory:
     def test_two_group_step_allocates_no_float64_sum(self):
-        """One step of two single-utterance groups on a model whose P
-        parameters dwarf its activations (d=192, T <= 6).
-
-        Bound, derived before measuring: the step holds the first group's
-        float32 gradients while the second group runs, then both groups'
-        (8P bytes), plus ``adam_step``'s two float64 scratch rows
-        (16 * ADAM_CHUNK bytes), plus the second group's tape and loss
-        arrays, allowed 2P bytes. A float64 sum of the two groups would add
-        8P bytes while it frees the first group's 4P, which exceeds that
-        allowance. Measured beyond the scratch rows: 8.35P, and 12.5P when
-        the step sums both groups into float64 arrays first. The masters,
-        moments and compute copy exist before tracing starts."""
+        """One step of two single-utterance groups on a model whose
+        parameters dwarf its activations (d=192, T <= 6). From the moment
+        the second group's gradients exist to the end of the step, the step
+        allocates no gradient-sized array: the second group is added in
+        place into the first group's arrays, and ``adam_step`` needs only
+        its two float32 scratch rows (8 * ADAM_CHUNK bytes). Allowed on top:
+        64 KB for small Python objects, well below the 590 KB of the largest
+        weight's float32 copy. Measured: 32 bytes (the second group's
+        arrays are freed before ``adam_step`` runs); 590 KB when each sum is
+        a new float32 array and 2.65 MB when it is a float64 one."""
         config = EncoderConfig(vocab_size=6, layers=1, d_model=192, d_ff=768,
                                heads=2, max_seq_len=8, dropout=0.0)
-        params = init_params(config, stream(67, "init"))
+        params = {name: p.astype(np.float32) for name, p
+                  in init_params(config, stream(67, "init")).items()}
         optim = tr.OptimState.for_params(params, lr=1e-3)
-        compute = tr.compute_copy(params)
         rng = stream(67, "frames")
         seqs = [PhonemePosteriorSequence(rng.dirichlet(np.ones(6), size=n),
                                          utterance_id=f"m{n}") for n in (5, 6)]
         plans = [MaskPlan.from_context_set((0, 2, 3), 5),
                  MaskPlan.from_context_set((0, 1, 4), 6)]
-        groups = []
+        groups, held = [], []
 
         def group_grads(indices, group):
             groups.append(indices)
-            breakdown, grads = bert_plm_loss(compute, config, group,
+            breakdown, grads = bert_plm_loss(params, config, group,
                                              want_grads=True)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
             return breakdown.plm_loss, grads
 
-        n_params = sum(p.size for p in params.values())
-        steps = tr._train_steps(params, compute, optim, [0, 1], 2, 8,
+        steps = tr._train_steps(params, optim, [0, 1], 2, 8,
                                 lambda i: (seqs[i], plans[i]), group_grads)
         tracemalloc.start()
         try:
-            start = tracemalloc.get_traced_memory()[0]
             next(steps)
-            peak = tracemalloc.get_traced_memory()[1] - start
+            peak = tracemalloc.get_traced_memory()[1] - held[-1]
         finally:
             tracemalloc.stop()
         assert groups == [[0], [1]] and optim.step == 1
-        assert peak <= 10 * n_params + 16 * tr.ADAM_CHUNK, (peak, n_params)
+        assert peak <= 8 * tr.ADAM_CHUNK + (64 << 10), peak
 
 
 class TestFinetuneEvaluate:

@@ -11,11 +11,16 @@ operand and everything after it. Python floats are weak scalars and never
 upcast.
 
 The primitive set is deliberately small: exactly what a relative-position
-Transformer encoder and its losses need. There is no general broadcasting
-engine: ``add`` takes identical shapes or a (..., d) + (d,) bias, ``matmul``
-2-D @ 2-D or 3-D @ 3-D stacks, and every other op matching shapes.
-``split_heads`` and ``merge_heads`` move between (rows, heads*e) features
-and (heads, rows, e) stacks, so every parameter is a matrix or a vector.
+Transformer encoder and its losses need (``matmul``, ``add``, ``mul``,
+``scale``, ``softmax``, ``log_softmax``, ``gelu``, ``layer_norm``,
+``transpose``, ``reshape``, ``gather_rows``, ``fill_rows``,
+``rel_position_gather``, ``split_heads``, ``merge_heads``, ``sum_all``,
+``segment_sum``, ``dropout``), with no general broadcasting: ``add`` takes
+identical shapes or a (..., d) + (d,) bias, ``matmul`` 2-D @ 2-D or 3-D @
+3-D stacks, and every other op matching shapes. ``softmax`` takes a boolean
+mask of the entries it must not read. ``split_heads(x, h, n)`` maps (R, h*e)
+features to (h*R/n, n, e) stacks, head-major, and ``merge_heads`` maps them
+back, so every parameter is a matrix or a vector.
 
 Batches add no axis. The encoder folds a group of padded utterances into
 the ranks a single utterance already uses: position-wise ops see (B*T, d)
@@ -308,20 +313,26 @@ def scale(a, s: float) -> Tensor:
                   [(a, lambda g: g * s)])
 
 
-def _fwd_softmax(a: Array) -> Array:
+def _fwd_softmax(a: Array, blocked: Array) -> Array:
+    a = np.where(blocked, -np.inf, a)
     e = np.exp(a - a.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax(a) -> Tensor:
-    """Softmax along the last axis, computed with max subtraction."""
+def softmax(a, blocked) -> Tensor:
+    """Softmax along the last axis, with max subtraction, of ``a`` with -inf
+    (weight 0, no gradient) where the boolean ``blocked`` is true; the mask
+    matches the trailing axes of ``a``, as (T, T) for a (h, T, T) stack."""
     a = _lift(a)
-    y = _fwd_softmax(a.data)
+    m = np.asarray(blocked, dtype=bool)
+    if m.shape != a.dims[a.data.ndim - m.ndim:]:
+        raise ShapeError(f"mask shape {m.shape} does not trail tensor {a.dims}")
+    y = _fwd_softmax(a.data, m)
 
     def vjp(g: Array) -> Array:
-        return y * (g - (g * y).sum(axis=-1, keepdims=True))
+        return np.where(m, 0.0, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    return _apply(_fwd_softmax, (a,), y, [(a, vjp)])
+    return _apply(_fwd_softmax, (a, m), y, [(a, vjp)])
 
 
 def _fwd_log_softmax(a: Array) -> Array:
@@ -491,20 +502,6 @@ def fill_rows(x, idx, v) -> Tensor:
                   [(x, vjp_x), (v, vjp_v)])
 
 
-def masked_fill(x, mask, value: float) -> Tensor:
-    """Replace entries where mask is true with a constant (no grad there).
-
-    The mask must match the trailing axes of x; a (T, T) mask applies to
-    every element of a (h, T, T) stack.
-    """
-    x = _lift(x)
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != x.dims[x.data.ndim - m.ndim:]:
-        raise ShapeError(f"mask shape {m.shape} does not trail tensor {x.dims}")
-    return _apply(np.where, (m, value, x), np.where(m, value, x.data),
-                  [(x, lambda g: np.where(m, 0.0, g))])
-
-
 def _rel_view(x: Array) -> Array:
     """(..., T, T) view of (..., T, 2T-1) offset scores at [..., i, i-j+T-1]:
     row i starts one row and one column after row i - 1, and j steps back
@@ -545,37 +542,44 @@ def rel_position_gather(x) -> Tensor:
                   _fwd_rel_position_gather(x.data), [(x, vjp)])
 
 
-def _fwd_split_heads(x: Array, heads: int) -> Array:
-    rows, width = x.shape[-2:]
-    return np.ascontiguousarray(np.swapaxes(
-        x.reshape(x.shape[:-2] + (rows, heads, width // heads)), -3, -2))
+def _fwd_split_heads(x: Array, heads: int, length: int) -> Array:
+    *lead, rows, width = x.shape
+    split = np.swapaxes(x.reshape(*lead, rows, heads, width // heads), -3, -2)
+    return np.ascontiguousarray(split).reshape(
+        *lead, heads * rows // length, length, width // heads)
 
 
-def split_heads(x, heads: int) -> Tensor:
-    """(R, h*e) -> (h, R, e): head h takes feature columns h*e .. (h+1)*e - 1;
+def split_heads(x, heads: int, length: int) -> Tensor:
+    """(R, h*e) -> (h*R/length, length, e): head h takes feature columns
+    h*e .. (h+1)*e - 1, in stacks h*R/length onwards, ``length`` rows each;
     the inverse of ``merge_heads``."""
     x = _lift(x)
-    if x.data.ndim != 2 or heads < 1 or x.dims[1] % heads:
-        raise ShapeError(f"split_heads expects (R, {heads}*e), got {x.dims}")
-    return _apply(_fwd_split_heads, (x, heads), _fwd_split_heads(x.data, heads),
-                  [(x, _fwd_merge_heads)])
+    if (x.data.ndim != 2 or heads < 1 or x.dims[1] % heads or length < 1
+            or x.dims[0] % length):
+        raise ShapeError(f"split_heads expects (n*{length}, {heads}*e), "
+                         f"got {x.dims}")
+    return _apply(_fwd_split_heads, (x, heads, length),
+                  _fwd_split_heads(x.data, heads, length),
+                  [(x, lambda g: _fwd_merge_heads(g, heads))])
 
 
-def _fwd_merge_heads(x: Array) -> Array:
-    h, t_len, e = x.shape[-3:]
-    return np.ascontiguousarray(np.swapaxes(x, -3, -2)).reshape(
-        x.shape[:-3] + (t_len, h * e))
+def _fwd_merge_heads(x: Array, heads: int) -> Array:
+    *lead, stacks, length, e = x.shape
+    rows = stacks // heads * length
+    split = np.swapaxes(x.reshape(*lead, heads, rows, e), -3, -2)
+    return np.ascontiguousarray(split).reshape(*lead, rows, heads * e)
 
 
-def merge_heads(x) -> Tensor:
-    """(h, T, e) -> (T, h*e): concatenate per-head outputs along features;
-    the inverse of ``split_heads``."""
+def merge_heads(x, heads: int) -> Tensor:
+    """(h*n, length, e) -> (n*length, h*e), head-major: concatenate each
+    row's per-head features; the inverse of ``split_heads``."""
     x = _lift(x)
-    if x.data.ndim != 3:
-        raise ShapeError(f"merge_heads expects (h, T, e), got {x.dims}")
-    heads = x.dims[0]
-    return _apply(_fwd_merge_heads, (x,), _fwd_merge_heads(x.data),
-                  [(x, lambda g: _fwd_split_heads(g, heads))])
+    if x.data.ndim != 3 or heads < 1 or x.dims[0] % heads:
+        raise ShapeError(f"merge_heads expects ({heads}*n, length, e), "
+                         f"got {x.dims}")
+    length = x.dims[1]
+    return _apply(_fwd_merge_heads, (x, heads), _fwd_merge_heads(x.data, heads),
+                  [(x, lambda g: _fwd_split_heads(g, heads, length))])
 
 
 def _fwd_sum_all(a: Array, rank: int) -> Array:

@@ -11,9 +11,12 @@ orderings of the same context set equivalent.
 
 The encoder runs on a ``Group``: utterances padded to one length and stacked
 along the rows, so one pass (and one tape) serves them all. A single
-utterance is a group of one. The group builds its padded frames and its
-(B, T, T) ``blocked`` mask once; ``encode`` tiles the mask across heads once
-per pass and hands that one stack to every block.
+utterance is a group of one. The group keeps its plans' context sets in one
+form, the (B, T) boolean ``context`` mask, and builds its padded frames and
+its (B, T, T) ``blocked`` mask from them once; ``encode`` tiles ``blocked``
+across heads once per pass and hands that one stack to every block, and
+``attentive_pool`` pools over ``context``. Every softmax takes its mask as
+an operand.
 
 A pass computes in the dtype of the parameter arrays it is given
 (``bind_params`` binds them as they are): the frames and the offset table it
@@ -29,8 +32,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-NEG_INF = float("-inf")
 
 
 class SequenceLengthError(ValueError):
@@ -120,9 +121,10 @@ class Group:
 
     The sequences are padded with zero frames to the longest length T
     (``length``) and folded into the row axis: frame t of utterance b is
-    row b*T + t. The group builds its padded ``frames`` and its
-    ``blocked`` mask in that layout once, read-only, so the loss and the
-    oracle read targets from ``frames`` by row and no caller rebuilds the
+    row b*T + t. The group builds its padded ``frames``, its (B, T)
+    ``context`` mask and its ``blocked`` attention mask in that layout once,
+    read-only, so the loss and the oracle read targets from ``frames`` by
+    row, the classifier pools over ``context``, and no caller rebuilds a
     mask. A real row sees its plan's context columns, every row (padding
     included) sees itself, and no real row sees padding, so every
     utterance's rows compute what they would alone. A single utterance is
@@ -143,37 +145,31 @@ class Group:
         self.size = len(self.sequences)
         self.length = max(self.lengths)
         self.vocab_size = self.sequences[0].vocab_size
-        plans = list(enumerate(self.plans))
         #: every plan's targets as rows, utterance by utterance
-        self.target_rows = np.concatenate([self.rows(b, plan.target_idx)
-                                           for b, plan in plans])
+        self.target_rows = np.concatenate(
+            [b * self.length + np.asarray(plan.target_idx, dtype=np.intp)
+             for b, plan in enumerate(self.plans)])
         #: utterance b's targets are entries bounds[b] .. bounds[b+1] - 1 of
         #: ``target_rows``
         self.target_bounds = np.concatenate(
             ([0], np.cumsum([plan.k for plan in self.plans])))
-        #: each plan's context frames as rows
-        self.context_rows = tuple(self.rows(b, plan.context_idx)
-                                  for b, plan in plans)
         #: (size * length, V) posterior rows, zero on padding
         frames = np.zeros((self.size, self.length, self.vocab_size))
         for b, seq in enumerate(self.sequences):
             frames[b, :seq.length] = seq.frames
         self.frames = frames.reshape(-1, self.vocab_size)
+        #: (size, length), true at each plan's context frames
+        self.context = np.zeros((self.size, self.length), dtype=bool)
+        for b, plan in enumerate(self.plans):
+            self.context[b, list(plan.context_idx)] = True
         #: (size, length, length), true where row i of utterance b may not
         #: attend to column j
         real_row = np.arange(self.length) < np.asarray(self.lengths)[:, None]
-        is_context = np.zeros(self.size * self.length, dtype=bool)
-        is_context[np.concatenate(self.context_rows)] = True
-        allowed = (real_row[:, :, None]
-                   & is_context.reshape(self.size, 1, self.length))
+        allowed = real_row[:, :, None] & self.context[:, None, :]
         self.blocked = ~(allowed | np.eye(self.length, dtype=bool))
-        for array in (self.target_rows, self.target_bounds, *self.context_rows,
-                      self.frames, self.blocked):
+        for array in (self.target_rows, self.target_bounds, self.frames,
+                      self.context, self.blocked):
             array.flags.writeable = False
-
-    def rows(self, b: int, idx) -> np.ndarray:
-        """Row numbers of utterance b's frames ``idx``."""
-        return b * self.length + np.asarray(idx, dtype=np.intp)
 
 
 class GroupDropout:
@@ -278,47 +274,45 @@ def rel_attention_block(x: Tensor, blocked: np.ndarray,
     Per head: score(i,j) = ((q_i + u) . k_j + (q_i + v) . r(i-j)) / sqrt(dh)
     where r is a learned projection of the sinusoidal offset table. Pairs
     where the (heads*B, T, T) boolean stack ``blocked`` is true (a group's
-    ``blocked`` tiled across heads, head-major) are set to -inf before the
+    ``blocked`` tiled across heads, head-major) get no weight in the
     softmax. Post-norm residual wiring. ``x`` holds B utterances of T rows
-    each. Position-wise work runs on the (B*T, d) rows; attention runs on
-    (heads*B, T, .) stacks, so every head of every utterance is one stacked
-    computation. Dropout runs exactly when ``dropout`` is given.
+    each. Position-wise work runs on the (B*T, d) rows; ``split_heads``
+    takes them straight to (heads*B, T, dh) stacks, so every head of every
+    utterance is one stacked computation, and ``merge_heads`` takes them
+    back. Dropout runs exactly when ``dropout`` is given.
     """
     stacks, t_len = blocked.shape[0], blocked.shape[-1]
     heads, dh = config.heads, config.head_dim
-    size = stacks // heads
+    rows = x.dims[0]
     rel_table = ad.constant(
         relative_sinusoids(t_len, config.d_model, config.max_seq_len,
                            x.data.dtype),
         check=False)
 
-    def stacked(rows: Tensor) -> Tensor:
-        """(B*T, d) rows as one (T, dh) stack per head and utterance."""
-        return ad.reshape(ad.split_heads(rows, heads), (stacks, t_len, dh))
-
     q = ad.matmul(x, layer_params["wq"])            # (B*T, d)
-    k = stacked(ad.matmul(x, layer_params["wk"]))
-    v = stacked(ad.matmul(x, layer_params["wv"]))
-    r = ad.split_heads(ad.matmul(rel_table, layer_params["wr"]), heads)
-    content = ad.matmul(stacked(ad.add(q, layer_params["u_bias"])),
-                        ad.transpose(k))
-    # (heads, B*T, 2T-1) offset scores, one (T, 2T-1) stack per head and
-    # utterance
+    k = ad.split_heads(ad.matmul(x, layer_params["wk"]), heads, t_len)
+    v = ad.split_heads(ad.matmul(x, layer_params["wv"]), heads, t_len)
+    r = ad.split_heads(ad.matmul(rel_table, layer_params["wr"]), heads,
+                       2 * t_len - 1)
+    content = ad.matmul(
+        ad.split_heads(ad.add(q, layer_params["u_bias"]), heads, t_len),
+        ad.transpose(k))
     by_offset = ad.reshape(
-        ad.matmul(ad.split_heads(ad.add(q, layer_params["v_bias"]), heads),
+        ad.matmul(ad.split_heads(ad.add(q, layer_params["v_bias"]), heads,
+                                 rows),
                   ad.transpose(r)),
         (stacks, t_len, 2 * t_len - 1))
     scores = ad.scale(ad.add(content, ad.rel_position_gather(by_offset)),
                       1.0 / math.sqrt(dh))
     if capture is not None:
         capture.scores.append(scores.data.copy())
-    weights = ad.softmax(ad.masked_fill(scores, blocked, NEG_INF))
+    weights = ad.softmax(scores, blocked)
     if capture is not None:
         capture.weights.append(weights.data.copy())
     if dropout is not None:
         weights = dropout.weights(weights, heads)
-    heads_out = ad.reshape(ad.matmul(weights, v), (heads, size * t_len, dh))
-    attn = ad.matmul(ad.merge_heads(heads_out), layer_params["wo"])
+    attn = ad.matmul(ad.merge_heads(ad.matmul(weights, v), heads),
+                     layer_params["wo"])
     if dropout is not None:
         attn = dropout.rows(attn)
     x = ad.layer_norm(ad.add(x, attn),
@@ -388,29 +382,22 @@ def predict_phonemes(hidden_at_targets: Tensor, embedding: Tensor) -> Tensor:
 
 
 def attentive_pool(hidden: Tensor, pool_query: Tensor,
-                   valid_rows) -> Tensor:
-    """Single-head attention pooling with a trainable query, once per entry
-    of ``valid_rows`` (a list of row-index lists); returns (n, d).
+                   pooled: np.ndarray) -> Tensor:
+    """Single-head attention pooling with a trainable query, once per row of
+    the (B, T) boolean mask ``pooled`` over the (B*T, d) rows of ``hidden``;
+    returns (B, d).
 
-    Pooled vector i weights rows valid_rows[i] by softmax over them of
-    (pool_query . h_t) / sqrt(d) and averages them. The sets run as one
-    stack padded to the largest set, with padding scored -inf.
+    Pooled vector b weights the rows b*T + t where pooled[b, t] is true by
+    softmax over them of (pool_query . h) / sqrt(d) and averages them. Every
+    row is scored, and the masked softmax gives the others weight 0.
     """
-    sets = [np.asarray(rows, dtype=np.intp) for rows in valid_rows]
-    if not sets or min(s.size for s in sets) == 0:
+    pooled = np.asarray(pooled, dtype=bool)
+    if pooled.ndim != 2 or not pooled.any(axis=1).all():
         raise ad.ContractError("attentive_pool needs at least one valid position")
-    n, width = len(sets), max(s.size for s in sets)
-    index = np.empty((n, width), dtype=np.intp)
-    padding = np.zeros((n, 1, width), dtype=bool)
-    for i, rows in enumerate(sets):
-        index[i, :rows.size] = rows
-        index[i, rows.size:] = rows[0]
-        padding[i, 0, rows.size:] = True
-    d = hidden.dims[1]
-    rows = ad.gather_rows(hidden, index.reshape(-1))
-    scores = ad.scale(ad.matmul(rows, ad.reshape(pool_query, (d, 1))),
+    (size, t_len), d = pooled.shape, hidden.dims[1]
+    scores = ad.scale(ad.matmul(hidden, ad.reshape(pool_query, (d, 1))),
                       1.0 / math.sqrt(d))
-    weights = ad.softmax(ad.masked_fill(ad.reshape(scores, (n, 1, width)),
-                                        padding, NEG_INF))
-    return ad.reshape(ad.matmul(weights, ad.reshape(rows, (n, width, d))),
-                      (n, d))
+    weights = ad.softmax(ad.reshape(scores, (size, 1, t_len)),
+                         ~pooled[:, None, :])
+    return ad.reshape(ad.matmul(weights, ad.reshape(hidden, (size, t_len, d))),
+                      (size, d))

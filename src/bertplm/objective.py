@@ -214,7 +214,7 @@ def _finetune_losses(bound: dict[str, Tensor], config: EncoderConfig,
     classes = bound["classifier"].dims[0]
     hidden = encode(bound, config, group, drop_rngs=drop_rngs)
 
-    pooled = attentive_pool(hidden, bound["pool_query"], group.context_rows)
+    pooled = attentive_pool(hidden, bound["pool_query"], group.context)
     logits = ad.matmul(pooled, ad.transpose(bound["classifier"]))
     one_hot = np.zeros((group.size, classes), hidden.data.dtype)
     one_hot[np.arange(group.size), list(labels)] = 1.0

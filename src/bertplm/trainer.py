@@ -6,7 +6,8 @@ labels cannot leak into it. Fine-tuning resamples a fresh mask plan per step
 Both stages run the same minibatch loop (shuffle, plan, score the kept
 utterances as length groups with one tape each, average, Adam); they differ
 only in the loss and in what happens to an utterance without an eligible
-target: pre-training skips it, fine-tuning trains it with nothing masked.
+target: pre-training skips it, fine-tuning trains it with nothing masked,
+as it does an utterance whose plan leaves no context frame to pool over.
 All shuffling, plan sampling, dropout and init draw from named substreams of
 one seed, which makes checkpoints bitwise reproducible.
 
@@ -200,10 +201,10 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: Config,
             for name, arr in entries.items():
                 _write_entry(out, name, arr)
             out.write(struct.pack("<I", len(text)) + text)
+        tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    tmp.replace(path)
 
 
 def _read_entries(reader: ByteReader) -> tuple[dict[str, np.ndarray], Config]:
@@ -538,8 +539,7 @@ def evaluate(params: dict[str, np.ndarray], enc_config: EncoderConfig,
              for u in utterances]
     for members, group in _groups(pairs, enc_config.max_seq_len):
         hidden = encode(bound, enc_config, group)
-        pooled = attentive_pool(hidden, bound["pool_query"],
-                                group.context_rows)
+        pooled = attentive_pool(hidden, bound["pool_query"], group.context)
         logits = pooled.data @ bound["classifier"].data.T
         for m, row in zip(members, logits):
             confusion[utterances[m].label, int(row.argmax())] += 1
@@ -559,7 +559,9 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     or None for the metrics when there is no test split. A positive
     ``val_fraction`` holds out at least one utterance; at 0, or with a
     single training utterance, there is no validation split and the last
-    epoch's parameters are returned.
+    epoch's parameters are returned. An utterance with no eligible target,
+    or whose plan leaves no context frame to pool over, trains with nothing
+    masked, counted by the ``epoch fallback_full_context`` row.
     """
     if not train_utts:
         raise DataError("fine-tuning needs labeled training data")
@@ -608,9 +610,11 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
                     seq, sil_index, cfg.mask_ratio_max, SIL_THRESHOLD,
                     stream(seed, "ft-plan", epoch, idx))
             except SamplingError:
-                fallbacks.append(idx)
-                plan = MaskPlan.full_context(seq.length)
-            return seq, plan
+                plan = None
+            if plan is not None and plan.context_idx:   # pooled over context
+                return seq, plan
+            fallbacks.append(idx)
+            return seq, MaskPlan.full_context(seq.length)
 
         def group_grads(indices, group):
             breakdown, grads = finetune_loss(

@@ -57,13 +57,19 @@ class TestMatmul:
             ad.matmul(np.zeros(a), np.zeros(b))
 
 
+def open_softmax(values):
+    """Softmax with no entry blocked."""
+    values = np.asarray(values)
+    return ad.softmax(values, np.zeros(values.shape, dtype=bool))
+
+
 class TestSoftmax:
     def test_symmetry(self):
-        out = ad.softmax(np.zeros(3))
+        out = open_softmax(np.zeros(3))
         np.testing.assert_allclose(out.data, [1 / 3] * 3)
 
     def test_stability(self):
-        out = ad.softmax(np.array([1000.0, 0.0, 0.0]))
+        out = open_softmax(np.array([1000.0, 0.0, 0.0]))
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [1.0, 0.0, 0.0], atol=1e-12)
 
@@ -72,13 +78,13 @@ class TestSoftmax:
         e = [math.exp(1 - 3), math.exp(2 - 3), math.exp(3 - 3)]
         z = sum(e)
         expected = [v / z for v in e]
-        out = ad.softmax(np.array([1.0, 2.0, 3.0]))
+        out = open_softmax(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-15)
 
     @settings(max_examples=60)
     @given(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=12))
     def test_rows_sum_to_one(self, values):
-        out = ad.softmax(np.array(values))
+        out = open_softmax(np.array(values))
         assert abs(out.data.sum() - 1.0) <= 1e-12
 
 
@@ -338,14 +344,31 @@ class TestPrimitives:
         gx = grads[x.node_id].data
         assert gx[1].sum() == 0 and gx[3].sum() == 0 and gx[0].sum() == 2
 
-    def test_masked_fill_blocks_gradient(self):
+    def test_blocked_softmax_blocks_gradient(self):
+        rng = stream(14, "softmax")
+        x = rng.normal(size=(2, 3, 4))
+        mask = np.zeros((3, 4), dtype=bool)
+        mask[0, 1] = mask[2, 0] = mask[2, 3] = True
+        weights = rng.normal(size=(2, 3, 4))
         tape = ad.Tape()
-        x = tape.leaf(np.ones((2, 2)))
-        mask = np.array([[False, True], [False, False]])
-        out = ad.masked_fill(x, mask, -7.0)
-        assert out.data[0, 1] == -7.0
-        grads = ad.backward(tape, ad.sum_all(out))
-        np.testing.assert_array_equal(grads[x.node_id].data, 1.0 - mask)
+        leaf = tape.leaf(x)
+        out = ad.softmax(leaf, mask)
+        assert np.all(out.data[:, mask] == 0.0)
+        kept = np.exp(np.where(mask, -np.inf, x))
+        np.testing.assert_allclose(out.data,
+                                   kept / kept.sum(axis=-1, keepdims=True),
+                                   rtol=1e-14)
+        loss = ad.sum_all(ad.mul(out, ad.constant(weights)))
+        grad = ad.backward(tape, loss)[leaf.node_id].data
+        assert np.all(grad[:, mask] == 0.0)
+        with pytest.raises(ad.ShapeError):
+            ad.softmax(x, mask.T)
+
+        def build(p):
+            return ad.sum_all(ad.mul(ad.softmax(p["x"], mask),
+                                     ad.constant(weights)))
+
+        assert ad.finite_diff_check(build, {"x": x}, eps=1e-5) <= 1e-8
 
     def test_rel_position_gather(self):
         for t_len in (3, 1):
@@ -419,25 +442,35 @@ class TestPrimitives:
 
     def test_split_heads_inverts_merge_heads(self):
         x = np.arange(24.0).reshape(4, 6)
-        heads = ad.split_heads(x, 3)
+        heads = ad.split_heads(x, 3, 4)
         assert heads.dims == (3, 4, 2)
         np.testing.assert_array_equal(heads.data[1], x[:, 2:4])
-        assert ad.merge_heads(heads).data.tobytes() == x.tobytes()
-        stack = stream(12, "heads").normal(size=(3, 4, 2))
-        assert ad.split_heads(ad.merge_heads(stack), 3).data.tobytes() \
+        assert ad.merge_heads(heads, 3).data.tobytes() == x.tobytes()
+        # two utterances of two rows: stack h*2 + b is head h of rows
+        # 2b .. 2b + 1
+        stacks = ad.split_heads(x, 3, 2)
+        assert stacks.dims == (6, 2, 2)
+        np.testing.assert_array_equal(stacks.data[2 * 1 + 1], x[2:4, 2:4])
+        assert ad.merge_heads(stacks, 3).data.tobytes() == x.tobytes()
+        stack = stream(12, "heads").normal(size=(6, 4, 2))
+        assert ad.split_heads(ad.merge_heads(stack, 3), 3, 4).data.tobytes() \
             == stack.tobytes()
         with pytest.raises(ad.ShapeError):
-            ad.split_heads(x, 4)
+            ad.split_heads(x, 4, 4)
+        with pytest.raises(ad.ShapeError):
+            ad.split_heads(x, 3, 3)
+        with pytest.raises(ad.ShapeError):
+            ad.merge_heads(stack, 4)
 
     def test_split_heads_gradient(self):
         rng = stream(13, "heads")
-        weights = rng.normal(size=(3, 5, 2))
+        weights = rng.normal(size=(6, 5, 2))
 
         def build(p):
-            return ad.sum_all(ad.mul(ad.gelu(ad.split_heads(p["x"], 3)),
+            return ad.sum_all(ad.mul(ad.gelu(ad.split_heads(p["x"], 3, 5)),
                                      ad.constant(weights)))
 
-        err = ad.finite_diff_check(build, {"x": rng.normal(size=(5, 6))},
+        err = ad.finite_diff_check(build, {"x": rng.normal(size=(10, 6))},
                                    eps=1e-5)
         assert err <= 1e-8
 
@@ -485,10 +518,12 @@ def _fill(x, v):
     return ad.fill_rows(x, [1, 3], v)
 
 
-def _masked(x):
-    mask = np.zeros(x.dims[-2:], dtype=bool)
-    mask[0, -1] = mask[-1, 0] = True
-    return ad.masked_fill(x, mask, float("-inf"))
+def _softmax(x):
+    """Softmax with one entry of the first and last rows blocked; each row
+    keeps at least one entry."""
+    blocked = np.zeros(x.dims[-2:], dtype=bool)
+    blocked[0, -1] = blocked[-1, 0] = True
+    return ad.softmax(x, blocked)
 
 
 def _segments(x):
@@ -506,7 +541,7 @@ KERNEL_CASES = {
     "add bias 3-D": (ad.add, lambda h, r, d: [(h, r, d), (d,)], (0, 1)),
     "mul": (ad.mul, lambda h, r, d: [(r, d), (r, d)], (0, 1)),
     "scale": (lambda a: ad.scale(a, 0.3), lambda h, r, d: [(h, r, d)], (0,)),
-    "softmax": (ad.softmax, lambda h, r, d: [(h, r, d)], (0,)),
+    "softmax": (_softmax, lambda h, r, d: [(h, r, d + 2)], (0,)),
     "log_softmax": (ad.log_softmax, lambda h, r, d: [(r, d)], (0,)),
     "gelu": (ad.gelu, lambda h, r, d: [(r, d)], (0,)),
     "layer_norm": (ad.layer_norm, lambda h, r, d: [(r, d), (d,), (d,)],
@@ -518,12 +553,12 @@ KERNEL_CASES = {
                           lambda h, r, d: [(d, 1)], (0,)),
     "gather_rows": (_gather, lambda h, r, d: [(r + 3, d)], (0,)),
     "fill_rows": (_fill, lambda h, r, d: [(r + 4, d), (d,)], (0, 1)),
-    "masked_fill": (_masked, lambda h, r, d: [(h, r + 1, r + 1)], (0,)),
     "rel_position_gather": (ad.rel_position_gather,
                             lambda h, r, d: [(h, r, 2 * r - 1)], (0,)),
-    "merge_heads": (ad.merge_heads, lambda h, r, d: [(h, r, d)], (0,)),
-    "split_heads": (lambda a: ad.split_heads(a, 3),
-                    lambda h, r, d: [(r, 3 * d)], (0,)),
+    "merge_heads": (lambda a: ad.merge_heads(a, 3),
+                    lambda h, r, d: [(3 * h, r, d)], (0,)),
+    "split_heads": (lambda a: ad.split_heads(a, 3, a.dims[0] // 2),
+                    lambda h, r, d: [(2 * r, 3 * d)], (0,)),
     "sum_all": (ad.sum_all, lambda h, r, d: [(h, r, d)], (0,)),
     "segment_sum": (_segments, lambda h, r, d: [(r + 2, h, d)], (0,)),
     "sum_all scalar": (ad.sum_all, lambda h, r, d: [()], (0,)),
@@ -582,3 +617,21 @@ class TestStackedKernels:
             expected = op(*[ad.constant(o) for o in one]).data
             assert_same_values(got[i].reshape(expected.shape), expected)
 
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_cases_cover_every_kernel_of_both_losses(self, quick):
+        """Every kernel that either ``grad-check`` loss records is recorded
+        by some ``KERNEL_CASES`` entry, so a primitive the encoder starts
+        using cannot skip the test above."""
+        covered = set()
+        for op, shapes, _ in KERNEL_CASES.values():
+            tape = ad.Tape(record=True)
+            op(*[tape.leaf(np.ones(s)) for s in shapes(2, 3, 4)])
+            covered.update(kernel for kernel, *_ in tape.calls if kernel)
+        params, builds = grad_check_problem(3, quick=quick)
+        for name, build in builds.items():
+            tape = ad.Tape(record=True)
+            build({key: tape.leaf(value) for key, value in params.items()})
+            used = {kernel for kernel, *_ in tape.calls if kernel}
+            missing = sorted(kernel.__name__ for kernel in used - covered)
+            assert not missing, (name, missing)

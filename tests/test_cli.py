@@ -456,6 +456,52 @@ class TestInputValidation:
         assert err.count("\n") == 1 and named in err
         assert not out.exists()
 
+    def test_finetune_checkpoint_class_count_must_match(
+            self, small_corpus, tmp_path, capsys):
+        manifests = {}
+        for classes in (5, 3):
+            manifests[classes] = tmp_path / f"{classes}.tsv"
+            manifests[classes].write_text("".join(
+                f"utt-{i:06d}\t{i % classes}\tclass{i % classes}\n"
+                for i in range(12)))
+        data = ["--data", small_corpus["c.pps"], "--vocab", small_corpus["v.txt"]]
+        five = tmp_path / "five.ckpt"
+        assert cli.main(["finetune", "--manifest", str(manifests[5]),
+                         "--out", str(five)] + data + SMALL) == cli.EXIT_OK
+        assert tr.load_checkpoint(five).arrays["classifier"].shape[0] == 5
+        capsys.readouterr()
+        out = tmp_path / "ft.ckpt"
+        code = cli.main(["finetune", "--manifest", str(manifests[3]),
+                         "--ckpt", str(five), "--out", str(out)] + data + SMALL)
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: checkpoint classifier has 5 classes, the data 3\n")
+        assert not out.exists()
+
+    def test_finetune_plan_without_context_falls_back(self, small_corpus,
+                                                      tmp_path, capsys):
+        # a one-frame, non-silent utterance: its only frame is eligible, so
+        # every plan drawn for it targets that frame and leaves no context
+        vocab = cp.read_vocab(small_corpus["v.txt"])
+        frames = np.zeros((1, vocab.size))
+        frames[0, (vocab.sil_index + 1) % vocab.size] = 1.0
+        data, manifest = tmp_path / "one.pps", tmp_path / "one.tsv"
+        cp.write_corpus([cp.PhonemePosteriorSequence(frames, "one")], data,
+                        vocab.size)
+        manifest.write_text("one\t0\tclass0\n")
+        out = tmp_path / "ft.ckpt"
+        code = cli.main(["finetune", "--data", str(data),
+                         "--manifest", str(manifest),
+                         "--vocab", small_corpus["v.txt"], "--out", str(out)]
+                        + SMALL)
+        assert code == cli.EXIT_OK
+        rows = [line.split("\t") for line in
+                capsys.readouterr().out.splitlines() if line.count("\t") == 3]
+        fallbacks = [float(value) for _, split, metric, value in rows
+                     if (split, metric) == ("epoch", "fallback_full_context")]
+        assert fallbacks and min(fallbacks) >= 1
+        assert "classifier" in tr.load_checkpoint(out).arrays
+
     def test_empty_training_corpus_is_data_error(self, small_corpus, tmp_path,
                                                  capsys):
         empty = tmp_path / "empty.pps"

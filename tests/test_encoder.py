@@ -24,6 +24,14 @@ def one(seq, plan):
     return enc.Group([seq], [plan])
 
 
+def pooled(t_len, *frame_sets):
+    """(B, T) pool mask, true at frame_sets[b] in row b."""
+    mask = np.zeros((len(frame_sets), t_len), dtype=bool)
+    for b, frames in enumerate(frame_sets):
+        mask[b, list(frames)] = True
+    return mask
+
+
 def bound_params(config, seed, classes=None):
     params = enc.init_params(config, stream(seed, "init"), classes=classes)
     tape = ad.Tape()
@@ -342,7 +350,7 @@ class TestPredictPhonemes:
         logits = enc.predict_phonemes(ad.constant(np.zeros((2, 5))),
                                       ad.constant(stream(15, "e").normal(size=(7, 5))))
         np.testing.assert_array_equal(logits.data, np.zeros((2, 7)))
-        probs = ad.softmax(logits)
+        probs = ad.softmax(logits, np.zeros(logits.dims, dtype=bool))
         np.testing.assert_allclose(probs.data, 1 / 7)
 
     def test_shapes(self):
@@ -355,25 +363,27 @@ class TestAttentivePool:
     def test_identical_rows_pool_to_themselves(self):
         row = stream(16, "p").normal(size=8)
         hidden = ad.constant(np.tile(row, (5, 1)))
-        pooled = enc.attentive_pool(hidden, ad.constant(stream(16, "q").normal(size=8)),
-                                    [range(5)])
-        np.testing.assert_allclose(pooled.data[0], row, atol=1e-12)
+        out = enc.attentive_pool(hidden, ad.constant(stream(16, "q").normal(size=8)),
+                                 pooled(5, range(5)))
+        np.testing.assert_allclose(out.data[0], row, atol=1e-12)
 
     def test_single_valid_position(self):
         hidden = ad.constant(stream(17, "p").normal(size=(4, 8)))
-        pooled = enc.attentive_pool(hidden, ad.constant(np.ones(8)), [[2]])
-        np.testing.assert_allclose(pooled.data[0], hidden.data[2])
+        out = enc.attentive_pool(hidden, ad.constant(np.ones(8)), pooled(4, [2]))
+        np.testing.assert_allclose(out.data[0], hidden.data[2])
 
     def test_zero_query_gives_mean(self):
         hidden = ad.constant(stream(18, "p").normal(size=(6, 8)))
-        pooled = enc.attentive_pool(hidden, ad.constant(np.zeros(8)), [[0, 2, 5]])
-        np.testing.assert_allclose(pooled.data[0],
-                                   hidden.data[[0, 2, 5]].mean(axis=0))
+        out = enc.attentive_pool(hidden, ad.constant(np.zeros(8)),
+                                 pooled(3, [0, 2], [2]))
+        np.testing.assert_allclose(out.data[0],
+                                   hidden.data[[0, 2]].mean(axis=0))
+        np.testing.assert_allclose(out.data[1], hidden.data[5])
 
     def test_no_valid_positions(self):
         with pytest.raises(ad.ContractError):
-            enc.attentive_pool(ad.constant(np.zeros((3, 8))),
-                               ad.constant(np.zeros(8)), [[]])
+            enc.attentive_pool(ad.constant(np.zeros((6, 8))),
+                               ad.constant(np.zeros(8)), pooled(3, [1], []))
 
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
@@ -382,10 +392,10 @@ class TestAttentivePool:
         hidden = ad.constant(rng.normal(size=(6, 5)))
         query = ad.constant(rng.normal(size=5, scale=3.0))
         valid = sorted(rng.choice(6, size=n_valid, replace=False).tolist())
-        pooled = enc.attentive_pool(hidden, query, [valid]).data[0]
+        out = enc.attentive_pool(hidden, query, pooled(6, valid)).data[0]
         rows = hidden.data[valid]
-        assert np.all(pooled >= rows.min(axis=0) - 1e-12)
-        assert np.all(pooled <= rows.max(axis=0) + 1e-12)
+        assert np.all(out >= rows.min(axis=0) - 1e-12)
+        assert np.all(out <= rows.max(axis=0) + 1e-12)
 
 
 class TestEncoderGradients:
@@ -410,11 +420,11 @@ class TestTapelessBinding:
         seq = random_sequence(6, 6, stream(20, "s"))
         plan = MaskPlan.from_context_set((0, 2, 3, 5), 6)
         hidden = enc.encode(bound, TINY, one(seq, plan))
-        pooled = enc.attentive_pool(hidden, bound["pool_query"],
-                                    [plan.context_idx])
+        vector = enc.attentive_pool(hidden, bound["pool_query"],
+                                    pooled(6, plan.context_idx))
         logits = enc.predict_phonemes(ad.gather_rows(hidden, plan.target_idx),
                                       bound["embed"])
-        assert all(t.tape is None for t in (hidden, pooled, logits))
+        assert all(t.tape is None for t in (hidden, vector, logits))
 
         taped = enc.bind_params(params, ad.Tape())
         reference = enc.encode(taped, TINY, one(seq, plan))
@@ -503,6 +513,8 @@ class TestGroups:
         np.testing.assert_array_equal(allowed[0, 2:], [[0, 0, 1, 0],
                                                        [0, 0, 0, 1]])
         np.testing.assert_array_equal(allowed[1], ref_mask(group.plans[1]))
+        np.testing.assert_array_equal(group.context, [[1, 1, 0, 0],
+                                                      [1, 0, 0, 1]])
         np.testing.assert_array_equal(group.target_rows, [5, 6])
         np.testing.assert_array_equal(group.target_bounds, [0, 0, 2])
         assert group.frames.shape == (8, 6)
@@ -528,7 +540,7 @@ class TestGroups:
         seqs = [random_sequence(n, 6, stream(27, "s", n)) for n in (3, 5)]
         group = enc.Group(seqs, [MaskPlan((0, 2), (1,)),
                                  MaskPlan((1, 2, 4), (0, 3))])
-        for array in (group.blocked, group.frames):
+        for array in (group.context, group.blocked, group.frames):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0

@@ -197,9 +197,10 @@ class TestFinetuneLoss:
         # point a huge correct-class row along the actual pooled vector
         tape = ad.Tape()
         bound = bind_params(params, tape)
-        hidden = encode(bound, CONFIG, one(utt.sequence, plan))
+        group = one(utt.sequence, plan)
+        hidden = encode(bound, CONFIG, group)
         pooled = attentive_pool(hidden, bound["pool_query"],
-                                [plan.context_idx]).data[0]
+                                group.context).data[0]
         params["classifier"] = np.zeros_like(params["classifier"])
         params["classifier"][1] = 1e4 * pooled / float(pooled @ pooled)
         breakdown = obj.finetune_loss(params, CONFIG, one(utt.sequence, plan),
@@ -229,9 +230,9 @@ class TestFinetuneLoss:
 
         def build(bound):
             from bertplm.encoder import attentive_pool, encode, predict_phonemes
-            hidden = encode(bound, CONFIG, one(utt.sequence, plan))
-            pooled = attentive_pool(hidden, bound["pool_query"],
-                                    [plan.context_idx])
+            group = one(utt.sequence, plan)
+            hidden = encode(bound, CONFIG, group)
+            pooled = attentive_pool(hidden, bound["pool_query"], group.context)
             logits = ad.matmul(pooled, ad.transpose(bound["classifier"]))
             one_hot = np.zeros((1, 3))
             one_hot[0, utt.label] = 1.0

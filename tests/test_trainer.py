@@ -243,6 +243,14 @@ class TestCheckpoint:
         assert written == ["a"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "outdir"
+        path.mkdir()
+        with pytest.raises(OSError):
+            tr.save_checkpoint(path, {"a": np.ones(3)}, small_config(), step=1)
+        assert list(tmp_path.iterdir()) == [path]
+        assert list(path.iterdir()) == []
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_names_entry_and_offset(self, tmp_path, value):
         cfg = small_config()
@@ -617,9 +625,9 @@ class TestFinetuneEvaluate:
         for utt in utts:
             plan = MaskPlan.full_context(utt.sequence.length)
             bound = bind_params(params, ad.Tape())
-            hidden = encode(bound, config, Group([utt.sequence], [plan]))
-            pooled = attentive_pool(hidden, bound["pool_query"],
-                                    [plan.context_idx])
+            group = Group([utt.sequence], [plan])
+            hidden = encode(bound, config, group)
+            pooled = attentive_pool(hidden, bound["pool_query"], group.context)
             expected[utt.label, int((params["classifier"] @ pooled.data[0])
                                     .argmax())] += 1
         confusion = tr.evaluate(params, config, utts).confusion

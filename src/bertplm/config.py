@@ -57,6 +57,9 @@ class Config:
                 raise ConfigError(f"{key} must lie in [0, 1)")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError("lr must be a finite number above 0")
+        if not (math.isfinite(self.finetune_lambda)
+                and self.finetune_lambda >= 0.0):
+            raise ConfigError("finetune_lambda must be a finite number >= 0")
         try:  # the model-shape rules live in EncoderConfig
             encoder_config(self, vocab_size=2)
         except ValueError as exc:

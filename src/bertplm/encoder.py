@@ -26,7 +26,7 @@ reads are cast to that dtype too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -236,50 +236,22 @@ def relative_sinusoids(t_len: int, width: int, max_seq_len: int,
     return table[max_seq_len - t_len:max_seq_len + t_len - 1]
 
 
-def embed_posteriors(embedding: Tensor, seq) -> Tensor:
-    """Row t of the output is sum_v frames[t, v] * embedding[v], for a
-    sequence or a group, with the frames cast to the embedding's dtype."""
-    if seq.vocab_size != embedding.dims[0]:
-        raise ad.ShapeError(
-            f"sequence V={seq.vocab_size} != embedding rows {embedding.dims[0]}")
-    frames = np.asarray(seq.frames, dtype=embedding.data.dtype)
-    return ad.matmul(ad.constant(frames, check=False), embedding)
-
-
-def apply_mask_plan(embeddings: Tensor, group: Group, mask_vec: Tensor) -> Tensor:
-    """Replace every target row of the group's plans with the learnable
-    mask vector."""
-    if embeddings.dims[0] != group.size * group.length:
-        raise ad.ShapeError(f"{embeddings.dims[0]} rows for a group of "
-                            f"{group.size} x {group.length}")
-    return ad.fill_rows(embeddings, group.target_rows, mask_vec)
-
-
-@dataclass
-class AttentionCapture:
-    """Optional sink for attention internals, one (heads*B, T, T) array per
-    block (head-major; (heads, T, T) for one utterance): pre-mask scaled
-    scores and post-softmax weights."""
-
-    scores: list[np.ndarray] = field(default_factory=list)
-    weights: list[np.ndarray] = field(default_factory=list)
-
-
 def rel_attention_block(x: Tensor, blocked: np.ndarray,
                         layer_params: dict[str, Tensor], config: EncoderConfig,
-                        dropout: GroupDropout | None = None,
-                        capture: AttentionCapture | None = None) -> Tensor:
+                        dropout: GroupDropout | None = None) -> Tensor:
     """One encoder block: relative-position attention, then feed-forward.
 
     Per head: score(i,j) = ((q_i + u) . k_j + (q_i + v) . r(i-j)) / sqrt(dh)
-    where r is a learned projection of the sinusoidal offset table. Pairs
-    where the (heads*B, T, T) boolean stack ``blocked`` is true (a group's
-    ``blocked`` tiled across heads, head-major) get no weight in the
-    softmax. Post-norm residual wiring. ``x`` holds B utterances of T rows
-    each. Position-wise work runs on the (B*T, d) rows; ``split_heads``
-    takes them straight to (heads*B, T, dh) stacks, so every head of every
-    utterance is one stacked computation, and ``merge_heads`` takes them
-    back. Dropout runs exactly when ``dropout`` is given.
+    where r is a learned projection of the sinusoidal offset table. The
+    block's one ``ad.softmax`` call turns the scaled scores into the
+    attention weights; pairs where the (heads*B, T, T) boolean stack
+    ``blocked`` is true (a group's ``blocked`` tiled across heads,
+    head-major) get no weight in it. Post-norm residual wiring. ``x``
+    holds B utterances of T rows each. Position-wise work runs on the
+    (B*T, d) rows; ``split_heads`` takes them straight to (heads*B, T, dh)
+    stacks, so every head of every utterance is one stacked computation,
+    and ``merge_heads`` takes them back. Dropout runs exactly when
+    ``dropout`` is given.
     """
     stacks, t_len = blocked.shape[0], blocked.shape[-1]
     heads, dh = config.heads, config.head_dim
@@ -304,11 +276,7 @@ def rel_attention_block(x: Tensor, blocked: np.ndarray,
         (stacks, t_len, 2 * t_len - 1))
     scores = ad.scale(ad.add(content, ad.rel_position_gather(by_offset)),
                       1.0 / math.sqrt(dh))
-    if capture is not None:
-        capture.scores.append(scores.data.copy())
     weights = ad.softmax(scores, blocked)
-    if capture is not None:
-        capture.weights.append(weights.data.copy())
     if dropout is not None:
         weights = dropout.weights(weights, heads)
     attn = ad.matmul(ad.merge_heads(ad.matmul(weights, v), heads),
@@ -342,13 +310,16 @@ def bind_params(params: dict[str, np.ndarray],
 
 
 def encode(bound: dict[str, Tensor], config: EncoderConfig, group: Group,
-           drop_rngs=None, capture: AttentionCapture | None = None) -> Tensor:
+           drop_rngs=None) -> Tensor:
     """Full forward pass over a group; row b*T + t of the result is the
     hidden state of utterance b at frame t (T = ``group.length``; rows
     past an utterance's end are padding).
 
-    Target rows carry the prediction representations: their inputs were
-    replaced by the mask vector, so they can never see their own content.
+    Input row t is sum_v frames[t, v] * embed[v], the group's frames cast
+    to the embedding's dtype; a vocabulary that differs from the
+    embedding's rows is a ``ShapeError``. Every target row's input is then
+    the mask vector instead, so the target rows, which carry the prediction
+    representations, can never see their own content.
     Dropout (train mode) runs exactly when ``drop_rngs``, one generator per
     utterance, is given; each utterance draws its masks from its own
     generator as it would alone. The group's ``blocked`` mask is tiled
@@ -357,8 +328,10 @@ def encode(bound: dict[str, Tensor], config: EncoderConfig, group: Group,
     t_len = group.length
     if t_len > config.max_seq_len:
         raise SequenceLengthError(f"T={t_len} exceeds max {config.max_seq_len}")
-    x = apply_mask_plan(embed_posteriors(bound["embed"], group), group,
-                        bound["mask_vec"])
+    frames = ad.constant(
+        np.asarray(group.frames, dtype=bound["embed"].data.dtype), check=False)
+    x = ad.fill_rows(ad.matmul(frames, bound["embed"]), group.target_rows,
+                     bound["mask_vec"])
     dropout = None
     if drop_rngs is not None and config.dropout > 0.0:
         dropout = GroupDropout(config.dropout, drop_rngs, group)
@@ -369,8 +342,7 @@ def encode(bound: dict[str, Tensor], config: EncoderConfig, group: Group,
         prefix = f"layer{i}."
         layer = {name[len(prefix):]: tensor for name, tensor in bound.items()
                  if name.startswith(prefix)}
-        x = rel_attention_block(x, blocked, layer, config,
-                                dropout=dropout, capture=capture)
+        x = rel_attention_block(x, blocked, layer, config, dropout=dropout)
     return x
 
 

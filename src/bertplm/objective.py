@@ -218,9 +218,7 @@ def _finetune_losses(bound: dict[str, Tensor], config: EncoderConfig,
     logits = ad.matmul(pooled, ad.transpose(bound["classifier"]))
     one_hot = np.zeros((group.size, classes), hidden.data.dtype)
     one_hot[np.arange(group.size), list(labels)] = 1.0
-    cls = ad.scale(ad.segment_sum(
-        ad.mul(ad.constant(one_hot, check=False), ad.log_softmax(logits)),
-        np.arange(group.size + 1)), -1.0)
+    cls = soft_cross_entropy(logits, one_hot, np.arange(group.size + 1))
 
     plm = _masked_regression(hidden, bound["embed"], group, weighting)
     return cls, plm, ad.add(cls, ad.scale(plm, lam))

@@ -80,8 +80,10 @@ def score_table(p: SetPredictor, seq: PhonemePosteriorSequence,
 
     Row S (as a bitmask) of the (2^T, T) table holds p(seq, S, j) for each
     j outside S, for every S with c <= |S| <= T-1; every other entry is
-    NaN. ``p`` is asked once per entry.
+    NaN. ``p`` is asked once per entry. A T above ``PERM_LIMIT`` or a c
+    outside 1 .. T-1 is a ``ValueError`` before ``p`` is asked anything.
     """
+    _guard(seq.length, c)
     table = np.full((1 << seq.length, seq.length), np.nan)
     for subsets in _subsets(seq.length)[c:]:
         for mask, context, plan in subsets:
@@ -150,43 +152,34 @@ def _exact_dot(counts: np.ndarray, values: np.ndarray) -> float:
     return math.fsum((counts * high).tolist() + (counts * low).tolist())
 
 
-def perm_plm_expectation(p: SetPredictor, seq: PhonemePosteriorSequence,
-                         c: int, table: np.ndarray | None = None) -> float:
+def perm_plm_expectation(table: np.ndarray, c: int) -> float:
     """(1/T!) sum over orders z of sum_{t>c} log p(x_{z_t} | x_{z_<t}).
 
     Every factorization order is counted (``_order_counts``, once per T);
     each conditional p(j | S) enters the sum as many times as orders reach
-    it past the cutting point, read from ``table`` (``score_table``, which
-    is filled from ``p`` when not given). The sum is exactly rounded, as
-    ``math.fsum`` over every order's terms would be.
+    it past the cutting point, read from ``table``, the ``score_table`` of
+    a sequence at cutting point c, whose width is T. The sum is exactly
+    rounded, as ``math.fsum`` over every order's terms would be.
     """
-    t_len = seq.length
-    _guard(t_len, c)
-    if table is None:
-        table = score_table(p, seq, c)
+    t_len = table.shape[1]
     counts = _order_counts(t_len)[c:].sum(axis=0)
     reached = np.nonzero(counts)
     total = _exact_dot(counts[reached], table[reached])
     return total / math.factorial(t_len)
 
 
-def subset_regression_expectation(p: SetPredictor,
-                                  seq: PhonemePosteriorSequence,
-                                  c: int, table: np.ndarray | None = None
-                                  ) -> tuple[float, float]:
+def subset_regression_expectation(table: np.ndarray,
+                                  c: int) -> tuple[float, float]:
     """Masked-regression expectation over context subsets, as (exact, paper)
     from one enumeration.
 
     exact:  sum_{k=1..T-c} E_{|S|=T-k} [ (1/k) sum_{j not in S} p(j|S) ]
     paper:  (1/(T-c)) sum_{k=1..T-c} E_{|S|=T-k} [ sum_{j not in S} p(j|S) ]
 
-    Conditionals are read from ``table`` by the bitmask of S
-    (``score_table``, which is filled from ``p`` when not given).
+    Conditionals are read by the bitmask of S from ``table``, the
+    ``score_table`` of a sequence at cutting point c, whose width is T.
     """
-    t_len = seq.length
-    _guard(t_len, c)
-    if table is None:
-        table = score_table(p, seq, c)
+    t_len = table.shape[1]
     exact_k, paper_k = [], []
     for k in range(1, t_len - c + 1):
         totals = [math.fsum(table[mask, plan.target_idx].tolist())
@@ -303,7 +296,8 @@ def verify_theorem(p: SetPredictor, t_len: int, c: int, trials: int,
     """Fresh random sequence per trial; report both deviations.
 
     Both sides of a trial read one ``score_table``, so each (S, j) is asked
-    of ``p`` once per trial.
+    of ``p`` once per trial. A bad ``trials``, T or c fails before the
+    first trial draws its sequence.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -313,8 +307,8 @@ def verify_theorem(p: SetPredictor, t_len: int, c: int, trials: int,
         seq = random_sequence(t_len, vocab_size, rng,
                               utterance_id=f"trial-{t_len}-{c}-{trial}")
         table = score_table(p, seq, c)
-        lhs = perm_plm_expectation(p, seq, c, table)
-        rhs_exact, rhs_paper = subset_regression_expectation(p, seq, c, table)
+        lhs = perm_plm_expectation(table, c)
+        rhs_exact, rhs_paper = subset_regression_expectation(table, c)
         reports.append(TheoremReport(dev_exact=abs(lhs - rhs_exact),
                                      dev_paper=abs(lhs - rhs_paper)))
     return reports

@@ -554,9 +554,11 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
 
     Starts from a pre-trained checkpoint when given, otherwise from fresh
     random weights; a classifier head is added either way. The checkpoint's
-    layers, d, d_ff and heads must equal ``cfg``'s. Returns the best
-    (by validation error) parameters and their metrics on the test split,
-    or None for the metrics when there is no test split. A positive
+    layers, d, d_ff, heads and max_seq_len must equal ``cfg``'s (the
+    relative-offset table takes its frequencies from max_seq_len); its
+    dropout may differ. Returns the best (by validation error) parameters
+    and their metrics on the test split, or None for the metrics when there
+    is no test split. A positive
     ``val_fraction`` holds out at least one utterance; at 0, or with a
     single training utterance, there is no validation split and the last
     epoch's parameters are returned. An utterance with no eligible target,
@@ -571,7 +573,7 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
     if init is not None:
         differing = [f"{key} {getattr(init.config, key)} in the checkpoint, "
                      f"{getattr(cfg, key)} in this run"
-                     for key in ("layers", "d", "d_ff", "heads")
+                     for key in ("layers", "d", "d_ff", "heads", "max_seq_len")
                      if getattr(init.config, key) != getattr(cfg, key)]
         if differing:
             raise DataError("checkpoint model differs: " + "; ".join(differing))

@@ -18,8 +18,8 @@ from bertplm.config import parse_config
 from bertplm.corpus import (LabeledUtterance, PhonemePosteriorSequence,
                             default_grammar, generate_corpus,
                             major_sil_frames)
-from bertplm.encoder import (AttentionCapture, EncoderConfig, Group,
-                             bind_params, encode, init_params)
+from bertplm.encoder import (EncoderConfig, Group, bind_params, encode,
+                             init_params)
 from bertplm.objective import (MaskPlan, _finetune_term, _plm_term,
                                sample_mask_plan)
 from bertplm.rng import stream
@@ -60,8 +60,9 @@ def test_criterion_1_theorem_oracle():
     # closed forms at T=3, c=1, V=4 document the sum-form weighting gap
     uniform = oracle.uniform_predictor(4)
     seq = oracle.random_sequence(3, 4, stream(7, "acc1-closed"))
-    lhs = oracle.perm_plm_expectation(uniform, seq, c=1)
-    rhs_paper = oracle.subset_regression_expectation(uniform, seq, 1)[1]
+    table = oracle.score_table(uniform, seq, c=1)
+    lhs = oracle.perm_plm_expectation(table, c=1)
+    rhs_paper = oracle.subset_regression_expectation(table, 1)[1]
     assert abs(lhs - (-2 * LOG4)) <= 1e-12
     assert abs(rhs_paper - (-1.5 * LOG4)) <= 1e-12
 
@@ -104,7 +105,16 @@ def test_criterion_2_gradient_fidelity():
               f"{elapsed:.0f}s < 300s")
 
 
-def test_criterion_3_no_leakage():
+def test_criterion_3_no_leakage(monkeypatch):
+    softmax = ad.softmax
+    weights = []
+
+    def recording_softmax(x, blocked):
+        out = softmax(x, blocked)
+        weights.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(ad, "softmax", recording_softmax)
     enc_cfg = EncoderConfig(vocab_size=6, layers=2, d_model=16, d_ff=24,
                             heads=2, max_seq_len=32, dropout=0.0)
     worst_delta = 0.0
@@ -117,13 +127,13 @@ def test_criterion_3_no_leakage():
         plan = sample_mask_plan(seq, sil_index=0, rho_max=0.5, tau=0.999,
                                 rng=rng)
 
-        capture = AttentionCapture()
+        weights.clear()
         tape = ad.Tape()
         group = Group([seq], [plan])
-        base = encode(bind_params(params, tape), enc_cfg, group,
-                      capture=capture).data
+        base = encode(bind_params(params, tape), enc_cfg, group).data
+        assert len(weights) == enc_cfg.layers
         allowed = ~group.blocked[0]
-        for stacked in capture.weights:
+        for stacked in weights:
             assert np.all(stacked[:, ~allowed] == 0.0)
 
         for target in plan.target_idx:

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +60,10 @@ class TestParseConfig:
         ("heldout_fraction", "-0.5"), ("heldout_fraction", "1"),
         ("val_fraction", "1.5"), ("val_fraction", "-0.1"), ("epochs", "0"),
         ("finetune_epochs", "0"), ("patience", "-1"), ("lr", "0"),
-        ("lr", "-1e-3"), ("lr", "nan"), ("lr", "inf")])
+        ("lr", "-1e-3"), ("lr", "nan"), ("lr", "inf"),
+        ("finetune_lambda", "nan"), ("finetune_lambda", "inf"),
+        ("finetune_lambda", "-inf"), ("finetune_lambda", "-1"),
+        ("finetune_lambda", "1e400")])
     def test_invalid_model_or_batch_is_usage_error(self, tmp_path, capsys,
                                                     key, value):
         with pytest.raises(ConfigError):
@@ -286,7 +290,7 @@ class TestInputValidation:
 
     def test_signalling_nan_frame_is_one_line_without_warning(
             self, small_corpus, tmp_path, capsys):
-        raw = bytearray(open(small_corpus["c.pps"], "rb").read())
+        raw = bytearray(Path(small_corpus["c.pps"]).read_bytes())
         # f32 signalling NaN as the first entry of utt-000000's frame 0
         raw[32:36] = bytes([0x01, 0x00, 0x80, 0x7f])
         bad = tmp_path / "snan.pps"
@@ -360,9 +364,9 @@ class TestInputValidation:
 
     def test_corpus_id_not_utf8_is_data_error(self, small_corpus, capsys):
         path = small_corpus["c.pps"]
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[18] = 0xff  # first byte of the first utterance id
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         code = cli.main(["pretrain", "--data", path,
                          "--vocab", small_corpus["v.txt"],
                          "--out", path + ".ckpt"] + SMALL)
@@ -404,13 +408,21 @@ class TestInputValidation:
                          "--manifest", small_corpus["c.tsv"],
                          "--vocab", small_corpus["v.txt"], "--ckpt", str(pre),
                          "--out", str(out)] + SMALL
-                        + ["--set", "layers=3", "--set", "d_ff=32"])
+                        + ["--set", "layers=3", "--set", "d_ff=32",
+                           "--set", "max_seq_len=100"])
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert "layers 1 in the checkpoint, 3 in this run" in err
         assert "d_ff 24 in the checkpoint, 32 in this run" in err
+        assert "max_seq_len 320 in the checkpoint, 100 in this run" in err
         assert "heads" not in err
         assert not out.exists()
+        # dropout is no part of the model
+        assert cli.main(["finetune", "--data", small_corpus["c.pps"],
+                         "--manifest", small_corpus["c.tsv"],
+                         "--vocab", small_corpus["v.txt"], "--ckpt", str(pre),
+                         "--out", str(out)] + SMALL
+                        + ["--set", "dropout=0.2"]) == cli.EXIT_OK
 
     @pytest.mark.parametrize("command", ["evaluate", "finetune"])
     @pytest.mark.parametrize("fault, named", [

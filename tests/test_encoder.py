@@ -148,71 +148,102 @@ class TestInitParams:
                 assert params[name].tobytes() == drawn.tobytes(), name
 
 
+def softmax_calls(monkeypatch):
+    """Record (scores, weights) of every ``ad.softmax`` call: the scaled,
+    pre-mask scores it is given and the weights it returns."""
+    softmax = ad.softmax
+    calls = []
+
+    def spy(x, blocked):
+        out = softmax(x, blocked)
+        calls.append((x.data.copy(), out.data.copy()))
+        return out
+
+    monkeypatch.setattr(ad, "softmax", spy)
+    return calls
+
+
+def first_block_inputs(monkeypatch, frames, *plans):
+    """The input ``encode`` hands its first block, one pass per plan over
+    one sequence of ``frames``, and the parameters."""
+    block = enc.rel_attention_block
+    received = []
+
+    def spy(x, *args, **kwargs):
+        received.append(x.data.copy())
+        return block(x, *args, **kwargs)
+
+    monkeypatch.setattr(enc, "rel_attention_block", spy)
+    params = enc.init_params(TINY, stream(30, "init"))
+    for plan in plans:
+        enc.encode(enc.bind_params(params), TINY,
+                   one(PhonemePosteriorSequence(frames), plan))
+    assert len(received) == TINY.layers * len(plans)
+    return received[::TINY.layers], params
+
+
 class TestEmbedPosteriors:
-    def test_one_hot_selects_embedding_row(self):
-        rng = stream(1, "emb")
-        embedding = ad.constant(rng.normal(size=(5, 8)))
-        frames = np.zeros((1, 5))
+    """``encode``'s input row t is sum_v frames[t, v] * embed[v]."""
+
+    def test_one_hot_selects_embedding_row(self, monkeypatch):
+        frames = np.zeros((1, 6))
         frames[0, 3] = 1.0
-        out = enc.embed_posteriors(embedding, PhonemePosteriorSequence(frames))
-        np.testing.assert_array_equal(out.data[0], embedding.data[3])
+        (x,), params = first_block_inputs(monkeypatch, frames,
+                                          MaskPlan.full_context(1))
+        np.testing.assert_array_equal(x[0], params["embed"][3])
 
-    def test_uniform_row_gives_mean(self):
-        rng = stream(2, "emb")
-        embedding = ad.constant(rng.normal(size=(5, 8)))
-        frames = np.full((1, 5), 0.2)
-        out = enc.embed_posteriors(embedding, PhonemePosteriorSequence(frames))
-        np.testing.assert_allclose(out.data[0], embedding.data.mean(axis=0))
+    def test_uniform_row_gives_mean(self, monkeypatch):
+        (x,), params = first_block_inputs(monkeypatch, np.full((1, 6), 1 / 6),
+                                          MaskPlan.full_context(1))
+        np.testing.assert_allclose(x[0], params["embed"].mean(axis=0))
 
-    def test_half_volume_frame_is_midpoint(self):
+    def test_half_volume_frame_is_midpoint(self, monkeypatch):
         # 0.5 SIL / 0.5 "S" pools to the midpoint of the two embedding rows
-        rng = stream(3, "emb")
-        embedding = ad.constant(rng.normal(size=(5, 8)))
-        frames = np.zeros((1, 5))
+        frames = np.zeros((1, 6))
         frames[0, 0] = 0.5
         frames[0, 4] = 0.5
-        out = enc.embed_posteriors(embedding, PhonemePosteriorSequence(frames))
+        (x,), params = first_block_inputs(monkeypatch, frames,
+                                          MaskPlan.full_context(1))
         np.testing.assert_allclose(
-            out.data[0], 0.5 * (embedding.data[0] + embedding.data[4]))
+            x[0], 0.5 * (params["embed"][0] + params["embed"][4]))
 
     def test_vocab_mismatch(self):
+        bound = enc.bind_params(enc.init_params(TINY, stream(30, "init")))
+        seq = PhonemePosteriorSequence(np.full((2, 4), 1 / 4))
         with pytest.raises(ad.ShapeError):
-            enc.embed_posteriors(ad.constant(np.zeros((4, 8))),
-                                 PhonemePosteriorSequence(np.full((2, 6), 1 / 6)))
+            enc.encode(bound, TINY, one(seq, MaskPlan.full_context(2)))
 
 
 class TestApplyMaskPlan:
-    @staticmethod
-    def group(plan, t_len):
-        return one(PhonemePosteriorSequence(np.full((t_len, 6), 1 / 6)), plan)
+    """``encode`` replaces every target row's input with the mask vector."""
 
-    def test_empty_target_set_is_identity(self):
-        x = ad.constant(stream(4, "m").normal(size=(4, 8)))
-        w = ad.constant(np.full(8, 9.0))
-        out = enc.apply_mask_plan(x, self.group(MaskPlan.full_context(4), 4), w)
-        np.testing.assert_array_equal(out.data, x.data)
+    FRAMES = stream(4, "m").dirichlet(np.ones(6), size=4)
 
-    def test_all_target_fills_every_row(self):
-        x = ad.constant(stream(5, "m").normal(size=(3, 8)))
-        w = ad.constant(np.arange(8.0))
-        out = enc.apply_mask_plan(x, self.group(MaskPlan((), (0, 1, 2)), 3), w)
-        np.testing.assert_array_equal(out.data, np.tile(np.arange(8.0), (3, 1)))
+    def test_empty_target_set_is_identity(self, monkeypatch):
+        (x,), params = first_block_inputs(monkeypatch, self.FRAMES,
+                                          MaskPlan.full_context(4))
+        assert x.tobytes() == (self.FRAMES @ params["embed"]).tobytes()
 
-    def test_context_rows_unchanged_bitwise(self):
-        x = ad.constant(stream(6, "m").normal(size=(4, 8)))
-        w = ad.constant(np.zeros(8))
-        out = enc.apply_mask_plan(x, self.group(MaskPlan((0, 2), (1, 3)), 4), w)
-        assert out.data[0].tobytes() == x.data[0].tobytes()
-        assert out.data[2].tobytes() == x.data[2].tobytes()
+    def test_all_target_fills_every_row(self, monkeypatch):
+        (x,), params = first_block_inputs(monkeypatch, self.FRAMES,
+                                          MaskPlan((), (0, 1, 2, 3)))
+        np.testing.assert_array_equal(x, np.tile(params["mask_vec"], (4, 1)))
+
+    def test_context_rows_unchanged_bitwise(self, monkeypatch):
+        (full, masked), params = first_block_inputs(
+            monkeypatch, self.FRAMES, MaskPlan.full_context(4),
+            MaskPlan((0, 2), (1, 3)))
+        for row in (0, 2):
+            assert masked[row].tobytes() == full[row].tobytes()
+        for row in (1, 3):
+            assert masked[row].tobytes() == params["mask_vec"].tobytes()
 
     def test_bad_plan_rejected(self):
-        x = ad.constant(np.zeros((4, 8)))
+        seq = PhonemePosteriorSequence(self.FRAMES)
         with pytest.raises(ad.ContractError):
-            enc.apply_mask_plan(x, self.group(MaskPlan((0, 1), (3,)), 4),
-                                ad.constant(np.zeros(8)))
-        with pytest.raises(ad.ShapeError):
-            enc.apply_mask_plan(x, self.group(MaskPlan.full_context(3), 3),
-                                ad.constant(np.zeros(8)))
+            one(seq, MaskPlan((0, 1), (3,)))
+        with pytest.raises(ad.ContractError):
+            one(seq, MaskPlan.full_context(3))
 
 
 def direct_sinusoids(t_len, width, max_seq_len):
@@ -245,28 +276,30 @@ class TestRelativeSinusoids:
 
 
 class TestAttentionBlock:
-    def test_constant_input_scores_are_toeplitz(self):
+    def test_constant_input_scores_are_toeplitz(self, monkeypatch):
         params, bound, _ = bound_params(TINY, 7)
         x = ad.constant(np.tile(stream(7, "tok").normal(size=16), (5, 1)))
         blocked = np.zeros((TINY.heads, 5, 5), dtype=bool)
-        capture = enc.AttentionCapture()
+        calls = softmax_calls(monkeypatch)
         enc.rel_attention_block(x, blocked, {k[7:]: v for k, v in bound.items()
                                              if k.startswith("layer0.")},
-                                TINY, capture=capture)
-        for scores in capture.scores[0]:  # (heads, T, T)
+                                TINY)
+        assert len(calls) == 1
+        for scores in calls[0][0]:  # (heads, T, T)
             for i in range(4):
                 for j in range(4):
                     assert abs(scores[i, j] - scores[i + 1, j + 1]) <= 1e-12
 
-    def test_self_only_mask_gives_identity_weights(self):
+    def test_self_only_mask_gives_identity_weights(self, monkeypatch):
         params, bound, _ = bound_params(TINY, 8)
         x = ad.constant(stream(8, "tok").normal(size=(5, 16)))
         blocked = np.tile(~np.eye(5, dtype=bool), (TINY.heads, 1, 1))
-        capture = enc.AttentionCapture()
+        calls = softmax_calls(monkeypatch)
         enc.rel_attention_block(x, blocked, {k[7:]: v for k, v in bound.items()
                                              if k.startswith("layer0.")},
-                                TINY, capture=capture)
-        for weights in capture.weights[0]:
+                                TINY)
+        assert len(calls) == 1
+        for weights in calls[0][1]:
             np.testing.assert_array_equal(weights, np.eye(5))
 
     def test_matches_naive_reference(self):
@@ -305,14 +338,15 @@ class TestEncode:
             out = enc.encode(bound2, TINY, one(perturbed, plan)).data
             assert np.abs(out - base).max() <= 1e-12
 
-    def test_blocked_columns_carry_zero_attention(self):
+    def test_blocked_columns_carry_zero_attention(self, monkeypatch):
         params, bound, _ = bound_params(TINY, 12)
         seq = random_sequence(8, 6, stream(12, "s"))
         plan = MaskPlan.from_context_set((0, 1, 4, 5), 8)
-        capture = enc.AttentionCapture()
-        enc.encode(bound, TINY, one(seq, plan), capture=capture)
+        calls = softmax_calls(monkeypatch)
+        enc.encode(bound, TINY, one(seq, plan))
+        assert len(calls) == TINY.layers
         allowed = ref_mask(plan)
-        for stacked in capture.weights:
+        for _, stacked in calls:
             for weights in stacked:
                 assert np.all(weights[~allowed] == 0.0)
 

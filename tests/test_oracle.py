@@ -42,18 +42,37 @@ def recursive_perm_expectation(p, seq, c):
     return rec(frozenset())
 
 
+def expectations(p, seq, c):
+    """(lhs, (exact, paper)), both sides read from one score table."""
+    table = oracle.score_table(p, seq, c)
+    return (oracle.perm_plm_expectation(table, c),
+            oracle.subset_regression_expectation(table, c))
+
+
+def counting_predictor(inner):
+    """(predictor, asked): ``asked`` lists every (context, target) the
+    predictor is asked, in order."""
+    asked = []
+
+    def predictor(seq, context, target):
+        asked.append((context, target))
+        return inner(seq, context, target)
+
+    return predictor, asked
+
+
 class TestClosedForms:
     def test_uniform_predictor_lhs(self):
         # context-ignoring uniform predictor: each of the T-c terms is -log V
         p = oracle.uniform_predictor(4)
         seq = oracle.random_sequence(3, 4, stream(0, "u"))
-        lhs = oracle.perm_plm_expectation(p, seq, c=1)
+        lhs, _ = expectations(p, seq, c=1)
         assert abs(lhs - (-2 * LOG4)) <= 1e-12
 
     def test_uniform_predictor_exact_matches_and_paper_gap(self):
         p = oracle.uniform_predictor(4)
         seq = oracle.random_sequence(3, 4, stream(1, "u"))
-        exact, paper = oracle.subset_regression_expectation(p, seq, c=1)
+        _, (exact, paper) = expectations(p, seq, c=1)
         assert abs(exact - (-2 * LOG4)) <= 1e-12
         assert abs(paper - (-1.5 * LOG4)) <= 1e-12
         # the sum-form deviates by exactly 0.5 log V here
@@ -68,7 +87,7 @@ class TestClosedForms:
         for order in permutations(range(3)):
             by_hand.append(p(seq, frozenset(order[:2]), order[2]))
         expected = sum(by_hand) / 6.0
-        lhs = oracle.perm_plm_expectation(p, seq, c=2)
+        lhs, _ = expectations(p, seq, c=2)
         assert abs(lhs - expected) <= 1e-12
         # equivalently: (1/T) sum_j p(j | all-but-j)
         direct = sum(p(seq, frozenset({0, 1, 2}) - {j}, j) for j in range(3)) / 3.0
@@ -77,7 +96,7 @@ class TestClosedForms:
     def test_single_target_degenerate_case_modes_coincide(self):
         p = oracle.random_set_predictor(8)
         seq = oracle.random_sequence(4, 4, stream(3, "u"))
-        exact, paper = oracle.subset_regression_expectation(p, seq, c=3)
+        _, (exact, paper) = expectations(p, seq, c=3)
         assert abs(exact - paper) <= 1e-12
 
 
@@ -85,29 +104,31 @@ class TestEnumeration:
     def test_matches_independent_recursion(self):
         p = oracle.random_set_predictor(11)
         seq = oracle.random_sequence(4, 4, stream(11, "rec"), "rec-seq")
-        lhs = oracle.perm_plm_expectation(p, seq, c=2)
+        lhs, _ = expectations(p, seq, c=2)
         other = recursive_perm_expectation(p, seq, c=2)
         assert abs(lhs - other) <= 1e-12
 
     def test_exact_mode_equals_permutation_expectation(self):
         p = oracle.random_set_predictor(12)
         seq = oracle.random_sequence(5, 4, stream(12, "eq"), "eq-seq")
-        lhs = oracle.perm_plm_expectation(p, seq, c=2)
-        rhs = oracle.subset_regression_expectation(p, seq, c=2)[0]
+        lhs, (rhs, _) = expectations(p, seq, c=2)
         assert abs(lhs - rhs) <= 1e-10
 
     def test_factorial_guard(self):
-        p = oracle.uniform_predictor(4)
+        # refused before any subset is enumerated or any conditional asked
+        p, asked = counting_predictor(oracle.uniform_predictor(4))
         seq = oracle.random_sequence(oracle.PERM_LIMIT + 1, 4, stream(4, "u"))
-        with pytest.raises(ValueError):
-            oracle.perm_plm_expectation(p, seq, c=1)
+        with pytest.raises(ValueError, match="T! enumeration"):
+            oracle.score_table(p, seq, c=1)
+        assert asked == []
 
     def test_cutting_point_bounds(self):
-        p = oracle.uniform_predictor(4)
+        p, asked = counting_predictor(oracle.uniform_predictor(4))
         seq = oracle.random_sequence(3, 4, stream(5, "u"))
         for bad_c in (0, 3):
-            with pytest.raises(ValueError):
-                oracle.perm_plm_expectation(p, seq, c=bad_c)
+            with pytest.raises(ValueError, match="cutting point"):
+                oracle.score_table(p, seq, c=bad_c)
+        assert asked == []
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 4), st.data())
@@ -117,8 +138,7 @@ class TestEnumeration:
         p = oracle.random_set_predictor(seed)
         seq = oracle.random_sequence(t_len, 4, stream(seed, "prop"),
                                      f"prop-{seed}")
-        lhs = oracle.perm_plm_expectation(p, seq, c)
-        rhs = oracle.subset_regression_expectation(p, seq, c)[0]
+        lhs, (rhs, _) = expectations(p, seq, c)
         assert abs(lhs - rhs) <= 1e-10
 
 
@@ -392,13 +412,9 @@ def assert_equals_the_walk(p, seq):
         table = oracle.score_table(p, seq, c)
         lhs = walk_perm_expectation(p, seq, c)
         rhs = walk_subset_expectation(p, seq, c)
-        assert oracle.perm_plm_expectation(p, seq, c).hex() == lhs.hex(), c
-        assert oracle.perm_plm_expectation(p, seq, c, table).hex() == lhs.hex()
-        for ours, theirs in zip(oracle.subset_regression_expectation(p, seq, c),
+        assert oracle.perm_plm_expectation(table, c).hex() == lhs.hex(), c
+        for ours, theirs in zip(oracle.subset_regression_expectation(table, c),
                                 rhs):
-            assert ours.hex() == theirs.hex(), c
-        for ours, theirs in zip(
-                oracle.subset_regression_expectation(p, seq, c, table), rhs):
             assert ours.hex() == theirs.hex(), c
 
 

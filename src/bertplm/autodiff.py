@@ -47,6 +47,8 @@ are dropped, so a used tape cannot be walked again. Tensors are immutable
 values after creation (callers must not mutate the backing array they pass
 in). Running ops on tensors that carry no tape performs a plain forward
 computation with no recording: the path for forward-only work.
+No tensor or op checks its values for NaN or infinity; the command line
+has numpy raise ``FloatingPointError`` where a value first goes non-finite.
 
 A recording tape (``Tape(record=True)``) additionally keeps, for every node,
 the kernel call that made it (kernel, arguments with arrays for tensors, the
@@ -90,22 +92,18 @@ class Tensor:
     through unchanged: float32 is the training compute dtype, and the
     finite-difference checker uses longdouble for its reference evaluations.
     Any other dtype (integers, booleans) becomes float64.
-    Creation rejects NaN/Inf unless ``check=False``, which ops pass for their
-    own outputs; gradient sanity is enforced separately by the trainer.
     """
 
     __slots__ = ("data", "tape", "node_id")
 
     def __init__(self, values, tape: "Tape | None" = None,
-                 node_id: int | None = None, check: bool = True):
+                 node_id: int | None = None):
         data = np.asarray(values)
         if (data.dtype != np.float64 and data.dtype != np.float32
                 and data.dtype != np.longdouble):
             data = data.astype(np.float64)
         if not data.flags["C_CONTIGUOUS"]:
             data = np.ascontiguousarray(data)
-        if check and not np.all(np.isfinite(data)):
-            raise ContractError("tensor creation rejected: non-finite values")
         self.data = data
         self.tape = tape
         self.node_id = node_id
@@ -124,9 +122,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{tag})"
 
 
-def constant(values, check: bool = True) -> Tensor:
+def constant(values) -> Tensor:
     """Tensor that participates in ops but receives no gradient."""
-    return Tensor(values, check=check)
+    return Tensor(values)
 
 
 @dataclass
@@ -161,10 +159,10 @@ class Tape:
         self.used = False
         self.calls: list[Call] | None = [] if record else None
 
-    def leaf(self, values, check: bool = True) -> Tensor:
+    def leaf(self, values) -> Tensor:
         """Register a differentiable input (parameter) on the tape."""
         node_id = self._record("leaf", (), ())
-        tensor = Tensor(values, tape=self, node_id=node_id, check=check)
+        tensor = Tensor(values, tape=self, node_id=node_id)
         if self.calls is not None:
             self.calls.append((None, (), (), tensor.data))
         return tensor
@@ -207,7 +205,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
         for parent, vjp in zip(node.inputs, node.vjps):
             held = slots.get(parent)
             slots[parent] = vjp(grad) if held is None else held + vjp(grad)
-    return {nid: Tensor(g, check=False) for nid, g in kept.items()}
+    return {nid: Tensor(g) for nid, g in kept.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +214,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
 
 
 def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, check=False)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _apply(kernel: Callable[..., Array], args: tuple, data: Array,
@@ -234,13 +232,13 @@ def _apply(kernel: Callable[..., Array], args: tuple, data: Array,
             raise ContractError(f"{kernel.__name__.removeprefix('_fwd_')}: "
                                 "operands belong to different tapes")
     if tape is None:
-        return Tensor(data, check=False)
+        return Tensor(data)
     op = kernel.__name__.removeprefix("_fwd_")
     taped = [(t.node_id, vjp) for t, vjp in parents if t.tape is not None]
     ids = tuple(i for i, _ in taped)
     vjps = tuple(v for _, v in taped)
     node_id = tape._record(op, ids, vjps)
-    out = Tensor(data, tape=tape, node_id=node_id, check=False)
+    out = Tensor(data, tape=tape, node_id=node_id)
     if tape.calls is not None:
         slots = tuple((pos, arg.node_id) for pos, arg in enumerate(args)
                       if isinstance(arg, Tensor) and arg.tape is tape)

@@ -5,12 +5,16 @@ grad-check, ablate-mask, ablate-fraction. Exit codes: 0 success, 1 usage
 error, 2 data/format error, 3 verification failure (theorem or gradient
 check beyond tolerance). All randomness flows from --seed. Every corpus is
 validated once at load against the config that will run it.
+A value that goes non-finite mid-run is a data error: every command runs
+with numpy raising on all floating-point errors but underflow.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import autodiff as ad
 from . import corpus as cp
@@ -383,11 +387,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage()
-            return EXIT_USAGE
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="raise", under="ignore"):
+            args = parser.parse_args(argv)
+            if args.command is None:
+                parser.print_usage()
+                return EXIT_USAGE
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -396,7 +401,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (cp.CorpusFormatError, cp.GenerationError, tr.DataError,
-            tr.TrainingError, OSError) as exc:
+            tr.TrainingError, OSError, FloatingPointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:   # a size in the input beyond this machine

@@ -258,8 +258,7 @@ def rel_attention_block(x: Tensor, blocked: np.ndarray,
     rows = x.dims[0]
     rel_table = ad.constant(
         relative_sinusoids(t_len, config.d_model, config.max_seq_len,
-                           x.data.dtype),
-        check=False)
+                           x.data.dtype))
 
     q = ad.matmul(x, layer_params["wq"])            # (B*T, d)
     k = ad.split_heads(ad.matmul(x, layer_params["wk"]), heads, t_len)
@@ -303,10 +302,8 @@ def bind_params(params: dict[str, np.ndarray],
     and float32 arrays bind without a copy, and the pass, its gradients
     included, computes in their dtype."""
     if tape is None:
-        return {name: Tensor(array, check=False)
-                for name, array in params.items()}
-    return {name: tape.leaf(array, check=False)
-            for name, array in params.items()}
+        return {name: Tensor(array) for name, array in params.items()}
+    return {name: tape.leaf(array) for name, array in params.items()}
 
 
 def encode(bound: dict[str, Tensor], config: EncoderConfig, group: Group,
@@ -329,7 +326,7 @@ def encode(bound: dict[str, Tensor], config: EncoderConfig, group: Group,
     if t_len > config.max_seq_len:
         raise SequenceLengthError(f"T={t_len} exceeds max {config.max_seq_len}")
     frames = ad.constant(
-        np.asarray(group.frames, dtype=bound["embed"].data.dtype), check=False)
+        np.asarray(group.frames, dtype=bound["embed"].data.dtype))
     x = ad.fill_rows(ad.matmul(frames, bound["embed"]), group.target_rows,
                      bound["mask_vec"])
     dropout = None

@@ -124,9 +124,9 @@ def soft_cross_entropy(logits: Tensor, target_dists: np.ndarray,
     inverse = np.array([1.0 / k if k else 0.0 for k in counts.tolist()],
                        dtype=dtype)
     per_run_sum = ad.scale(ad.segment_sum(
-        ad.mul(ad.constant(targets, check=False), ad.log_softmax(logits)),
+        ad.mul(ad.constant(targets), ad.log_softmax(logits)),
         edges), -1.0)
-    return ad.mul(per_run_sum, ad.constant(inverse, check=False))
+    return ad.mul(per_run_sum, ad.constant(inverse))
 
 
 def _masked_regression(hidden: Tensor, embed: Tensor, group: Group,
@@ -142,7 +142,7 @@ def _masked_regression(hidden: Tensor, embed: Tensor, group: Group,
     if weighting == "sum":
         ks = np.array([float(plan.k) for plan in group.plans],
                       dtype=hidden.data.dtype)
-        loss = ad.mul(loss, ad.constant(ks, check=False))
+        loss = ad.mul(loss, ad.constant(ks))
     return loss
 
 

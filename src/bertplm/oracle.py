@@ -152,6 +152,14 @@ def _exact_dot(counts: np.ndarray, values: np.ndarray) -> float:
     return math.fsum((counts * high).tolist() + (counts * low).tolist())
 
 
+def _read(table: np.ndarray, index) -> np.ndarray:
+    """``table[index]``, which must hold no NaN (an entry never scored)."""
+    values = table[index]
+    if np.isnan(values).any():
+        raise ValueError("score table read below its cutting point")
+    return values
+
+
 def perm_plm_expectation(table: np.ndarray, c: int) -> float:
     """(1/T!) sum over orders z of sum_{t>c} log p(x_{z_t} | x_{z_<t}).
 
@@ -159,12 +167,13 @@ def perm_plm_expectation(table: np.ndarray, c: int) -> float:
     each conditional p(j | S) enters the sum as many times as orders reach
     it past the cutting point, read from ``table``, the ``score_table`` of
     a sequence at cutting point c, whose width is T. The sum is exactly
-    rounded, as ``math.fsum`` over every order's terms would be.
+    rounded, as ``math.fsum`` over every order's terms would be. A c below
+    the table's own reads an unscored entry: a ``ValueError``.
     """
     t_len = table.shape[1]
     counts = _order_counts(t_len)[c:].sum(axis=0)
     reached = np.nonzero(counts)
-    total = _exact_dot(counts[reached], table[reached])
+    total = _exact_dot(counts[reached], _read(table, reached))
     return total / math.factorial(t_len)
 
 
@@ -177,12 +186,13 @@ def subset_regression_expectation(table: np.ndarray,
     paper:  (1/(T-c)) sum_{k=1..T-c} E_{|S|=T-k} [ sum_{j not in S} p(j|S) ]
 
     Conditionals are read by the bitmask of S from ``table``, the
-    ``score_table`` of a sequence at cutting point c, whose width is T.
+    ``score_table`` of a sequence at cutting point c, whose width is T; a
+    c below the table's own reads an unscored entry: a ``ValueError``.
     """
     t_len = table.shape[1]
     exact_k, paper_k = [], []
     for k in range(1, t_len - c + 1):
-        totals = [math.fsum(table[mask, plan.target_idx].tolist())
+        totals = [math.fsum(_read(table, (mask, plan.target_idx)).tolist())
                   for mask, _, plan in _subsets(t_len)[t_len - k]]
         exact_k.append(math.fsum(total / k for total in totals) / len(totals))
         paper_k.append(math.fsum(totals) / len(totals))
@@ -220,16 +230,6 @@ def random_set_predictor(seed: int) -> SetPredictor:
             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         unit = generator.random()
         return low + (high - low) * unit
-
-    return predictor
-
-
-def uniform_predictor(vocab_size: int) -> SetPredictor:
-    """Context-ignoring predictor assigning 1/V to everything."""
-    value = -math.log(vocab_size)
-
-    def predictor(seq, context, target):
-        return value
 
     return predictor
 

@@ -23,6 +23,7 @@ from bertplm.encoder import (EncoderConfig, Group, bind_params, encode,
 from bertplm.objective import (MaskPlan, _finetune_term, _plm_term,
                                sample_mask_plan)
 from bertplm.rng import stream
+from predictors import uniform_predictor
 
 LOG4 = math.log(4.0)
 
@@ -58,7 +59,7 @@ def test_criterion_1_theorem_oracle():
     assert worst_exact <= 1e-9
 
     # closed forms at T=3, c=1, V=4 document the sum-form weighting gap
-    uniform = oracle.uniform_predictor(4)
+    uniform = uniform_predictor(4)
     seq = oracle.random_sequence(3, 4, stream(7, "acc1-closed"))
     table = oracle.score_table(uniform, seq, c=1)
     lhs = oracle.perm_plm_expectation(table, c=1)

@@ -525,6 +525,55 @@ class TestInputValidation:
         assert code == cli.EXIT_DATA
 
 
+class TestFloatingPointRule:
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    def test_huge_finite_weight_is_one_line_data_error(
+            self, small_corpus, tmp_path, capsys, command):
+        # 1e30 is finite in float32, so the checkpoint loads; the first
+        # block's feed-forward then overflows
+        ckpt = tmp_path / "ft.ckpt"
+        data = ["--data", small_corpus["c.pps"], "--vocab", small_corpus["v.txt"],
+                "--manifest", small_corpus["c.tsv"]]
+        assert cli.main(["finetune", "--out", str(ckpt)] + data + SMALL) \
+            == cli.EXIT_OK
+        saved = tr.load_checkpoint(ckpt)
+        arrays = dict(saved.arrays)
+        arrays["layer0.ln1.gamma"] = np.full_like(arrays["layer0.ln1.gamma"],
+                                                  1e30)
+        tr.save_checkpoint(ckpt, arrays, saved.config, saved.step)
+        capsys.readouterr()
+        out = tmp_path / "again.ckpt"
+        if command == "evaluate":
+            argv = ["evaluate", "--ckpt", str(ckpt)] + data
+        else:
+            argv = (["finetune", "--ckpt", str(ckpt), "--out", str(out)]
+                    + data + SMALL)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert code == cli.EXIT_DATA
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "overflow" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.pps", "c.tsv", "ft.ckpt", "v.txt"]
+
+    @pytest.mark.parametrize("argv, expected", [
+        ("gen-data --utterances 1 --out X", cli.EXIT_OK),
+        ("gen-data --utterances 0 --out X", cli.EXIT_USAGE),
+        ("frobnicate", cli.EXIT_USAGE),
+        ("evaluate --ckpt X --data X --manifest X --vocab X", cli.EXIT_DATA),
+    ])
+    def test_leaves_the_callers_error_state(self, tmp_path, capsys, argv,
+                                            expected):
+        args = [str(tmp_path / "X") if a == "X" else a for a in argv.split()]
+        with np.errstate(all="print"):
+            before = np.geterr()
+            assert cli.main(args) == expected
+            assert np.geterr() == before
+
+
 class TestGenData:
     def test_files_created_and_clean(self, tmp_path, capsys):
         out = tmp_path / "corpus.pps"

@@ -1,8 +1,13 @@
+import io
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bertplm import cli
 from bertplm import corpus as cp
 from bertplm import trainer as tr
 from bertplm.config import parse_config
@@ -354,9 +359,86 @@ def _loads_or_raises(valid_files, kind, read, error, edits, cut):
         pass
 
 
+#: the commands that read each file, at a width small enough to fuzz
+COMMAND_READERS = {"corpus": ("pretrain", "finetune", "evaluate"),
+                   "manifest": ("finetune", "evaluate"),
+                   "vocabulary": ("pretrain", "finetune", "evaluate"),
+                   "pretrained": ("finetune",),
+                   "finetuned": ("evaluate",)}
+SMALL = ["--set", "profile=tiny", "--set", "d=16", "--set", "d_ff=24",
+         "--set", "heads=2", "--set", "layers=1", "--set", "epochs=1",
+         "--set", "finetune_epochs=1", "--set", "dropout=0.0"]
+
+
+def _command_argv(command, paths, out):
+    inputs = ["--data", paths["corpus"], "--vocab", paths["vocabulary"]]
+    if command == "pretrain":
+        return ["pretrain", *inputs, "--out", out, *SMALL]
+    inputs += ["--manifest", paths["manifest"]]
+    if command == "finetune":
+        return ["finetune", *inputs, "--ckpt", paths["pretrained"],
+                "--out", out, *SMALL]
+    return ["evaluate", *inputs, "--ckpt", paths["finetuned"]]
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory):
+    """Bytes of every file a command reads, and their paths in a scratch
+    directory that holds them unmutated."""
+    root = tmp_path_factory.mktemp("commands")
+    paths = {name: str(root / name) for name in COMMAND_READERS}
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["gen-data", "--utterances", "4", "--seed", "5",
+                         "--out", paths["corpus"],
+                         "--manifest", paths["manifest"],
+                         "--vocab", paths["vocabulary"]]) == cli.EXIT_OK
+        assert cli.main(_command_argv("pretrain", paths, paths["pretrained"])
+                        ) == cli.EXIT_OK
+        assert cli.main(_command_argv("finetune", paths, paths["finetuned"])
+                        ) == cli.EXIT_OK
+    files = {name: (root / name).read_bytes() for name in COMMAND_READERS}
+    return files, paths, root
+
+
 class TestMutatedFiles:
     """A mutated file loads or raises its reader's format error (exit code 2
-    in the CLI), never another exception."""
+    in the CLI), never another exception. A command that reads it exits 0,
+    1 or 2, with one stderr line on failure (plus usage for exit 1), no
+    numpy warning and no temp file left."""
+
+    @pytest.mark.parametrize("kind", list(COMMAND_READERS))
+    @settings(max_examples=200, deadline=None)
+    @given(edits=EDITS, cut=CUTS, pick=st.integers(0, 2))
+    def test_command(self, command_files, kind, edits, cut, pick):
+        files, paths, root = command_files
+        commands = COMMAND_READERS[kind]
+        out = root / "out.ckpt"
+        out.unlink(missing_ok=True)
+        raw = bytearray(files[kind])
+        for pos, value in edits:
+            raw[pos % len(raw)] = value
+        mutated = root / kind
+        mutated.write_bytes(bytes(raw if cut is None
+                                  else raw[:cut % (len(raw) + 1)]))
+        stderr = io.StringIO()
+        try:
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = cli.main(_command_argv(commands[pick % len(commands)],
+                                              paths, str(out)))
+        finally:
+            mutated.write_bytes(files[kind])
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert not list(root.glob("*.tmp"))
+        err = stderr.getvalue()
+        first = err.split("\n", 1)[0] + "\n"
+        if code == cli.EXIT_DATA:
+            assert err == first and first.startswith("data error: ")
+        elif code == cli.EXIT_USAGE:
+            assert err in (first, first + cli.build_parser().format_usage())
+        else:
+            assert code == cli.EXIT_OK
 
     @settings(max_examples=400, deadline=None)
     @given(edits=EDITS, cut=CUTS)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bertplm import oracle
 from bertplm.encoder import EncoderConfig, init_params
 from bertplm.rng import stream, stream_key
+from predictors import uniform_predictor
 
 LOG4 = math.log(4.0)
 
@@ -64,13 +65,13 @@ def counting_predictor(inner):
 class TestClosedForms:
     def test_uniform_predictor_lhs(self):
         # context-ignoring uniform predictor: each of the T-c terms is -log V
-        p = oracle.uniform_predictor(4)
+        p = uniform_predictor(4)
         seq = oracle.random_sequence(3, 4, stream(0, "u"))
         lhs, _ = expectations(p, seq, c=1)
         assert abs(lhs - (-2 * LOG4)) <= 1e-12
 
     def test_uniform_predictor_exact_matches_and_paper_gap(self):
-        p = oracle.uniform_predictor(4)
+        p = uniform_predictor(4)
         seq = oracle.random_sequence(3, 4, stream(1, "u"))
         _, (exact, paper) = expectations(p, seq, c=1)
         assert abs(exact - (-2 * LOG4)) <= 1e-12
@@ -116,14 +117,14 @@ class TestEnumeration:
 
     def test_factorial_guard(self):
         # refused before any subset is enumerated or any conditional asked
-        p, asked = counting_predictor(oracle.uniform_predictor(4))
+        p, asked = counting_predictor(uniform_predictor(4))
         seq = oracle.random_sequence(oracle.PERM_LIMIT + 1, 4, stream(4, "u"))
         with pytest.raises(ValueError, match="T! enumeration"):
             oracle.score_table(p, seq, c=1)
         assert asked == []
 
     def test_cutting_point_bounds(self):
-        p, asked = counting_predictor(oracle.uniform_predictor(4))
+        p, asked = counting_predictor(uniform_predictor(4))
         seq = oracle.random_sequence(3, 4, stream(5, "u"))
         for bad_c in (0, 3):
             with pytest.raises(ValueError, match="cutting point"):
@@ -158,7 +159,7 @@ class TestVerifyTheorem:
             assert report.dev_paper <= 1e-9
 
     def test_paper_gap_is_half_logv_for_uniform(self):
-        p = oracle.uniform_predictor(4)
+        p = uniform_predictor(4)
         report = oracle.verify_theorem(p, t_len=3, c=1, trials=1,
                                        rng=stream(22, "vt"))[0]
         assert abs(report.dev_paper - 0.5 * LOG4) <= 1e-12
@@ -443,6 +444,20 @@ class TestTableForm:
                 mask = sum(1 << j for j in order[:t - 1])
                 expected[t - 1, mask, order[t - 1]] += 1
         assert np.array_equal(oracle._order_counts(t_len), expected)
+
+    @pytest.mark.parametrize("c", [0, 1, 2, 3])
+    def test_read_below_the_tables_cutting_point_raises(self, c):
+        seq = oracle.random_sequence(4, 4, stream(65, "s"), "cut")
+        table = oracle.score_table(oracle.random_set_predictor(1), seq, 2)
+        if c < 2:
+            with pytest.raises(ValueError, match="below its cutting point"):
+                oracle.perm_plm_expectation(table, c)
+            with pytest.raises(ValueError, match="below its cutting point"):
+                oracle.subset_regression_expectation(table, c)
+        else:
+            lhs = oracle.perm_plm_expectation(table, c)
+            exact, _ = oracle.subset_regression_expectation(table, c)
+            assert abs(lhs - exact) <= 1e-10
 
     def test_table_holds_exactly_the_conditionals_asked(self):
         inner = oracle.random_set_predictor(62)

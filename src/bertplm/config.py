@@ -91,8 +91,7 @@ def _check_key(key: str, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {key!r}; valid keys: {valid}")
 
 
-def _parse_pairs(text: str, source: str,
-                 ignored: tuple[str, ...] = ()) -> dict[str, tuple[str, str]]:
+def _parse_pairs(text: str, source: str) -> dict[str, tuple[str, str]]:
     pairs: dict[str, tuple[str, str]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -102,8 +101,6 @@ def _parse_pairs(text: str, source: str,
             raise ConfigError(f"{source} line {lineno}: expected key = value")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in ignored:
-            continue
         where = f"{source} line {lineno}"
         _check_key(key, where)
         pairs[key] = (raw, where)
@@ -144,10 +141,10 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> Config:
 
 
 def parse_config_text(text: str) -> Config:
-    """Config from an in-memory dump (checkpoint snapshots). Older dumps
-    carry keys for values that are now fixed, which are ignored."""
-    retired = ("frame_ms", "beta1", "beta2", "eps_adam", "sil_threshold")
-    return _build(_parse_pairs(text, "<config>", ignored=retired), {})
+    """Config from an in-memory dump (checkpoint snapshots), under the same
+    key rules as a file: a key that is no ``Config`` field is a
+    ``ConfigError``."""
+    return _build(_parse_pairs(text, "<config>"), {})
 
 
 def config_text(cfg: Config) -> str:

@@ -41,7 +41,8 @@ class SamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class MaskPlan:
-    """Disjoint context/target index sets covering [0, T)."""
+    """Disjoint context/target index sets covering [0, T), each index
+    listed once."""
 
     context_idx: tuple[int, ...]
     target_idx: tuple[int, ...]
@@ -49,6 +50,9 @@ class MaskPlan:
     def __post_init__(self):
         object.__setattr__(self, "context_idx", tuple(sorted(self.context_idx)))
         object.__setattr__(self, "target_idx", tuple(sorted(self.target_idx)))
+        for idx in (self.context_idx, self.target_idx):
+            if len(set(idx)) != len(idx):
+                raise ad.ContractError("mask plan repeats an index")
         if set(self.context_idx) & set(self.target_idx):
             raise ad.ContractError("mask plan sets overlap")
 
@@ -96,11 +100,11 @@ def sample_mask_plan(seq: PhonemePosteriorSequence, sil_index: int,
 
 @dataclass
 class LossBreakdown:
-    """Losses of one evaluation; for a group, each is the sum over its
-    utterances."""
+    """Losses of one evaluation: the masked-regression loss and the total
+    minimised (for fine-tuning, the class loss plus lam times it). For a
+    group, each is the sum over its utterances."""
 
     plm_loss: float
-    cls_loss: float | None
     total: float
 
 
@@ -168,18 +172,15 @@ def _plm_term(bound: dict[str, Tensor], config: EncoderConfig,
 
 
 def _loss_and_grads(params: dict[str, np.ndarray], want_grads: bool, build):
-    """Evaluate ``build(bound) -> (cls or None, plm, total)``, each (B,) per
-    utterance, on a fresh tape only when gradients are requested; report
-    their sums and backpropagate the summed total to a name->gradient dict
-    then."""
+    """Evaluate ``build(bound) -> (plm, total)``, each (B,) per utterance, on
+    a fresh tape only when gradients are requested; report their sums and
+    backpropagate the summed total to a name->gradient dict then."""
     tape = ad.Tape() if want_grads else None
     bound = bind_params(params, tape)
-    cls, plm, total = build(bound)
+    plm, total = build(bound)
     loss = ad.sum_all(total)
-    breakdown = LossBreakdown(
-        plm_loss=float(plm.data.sum()),
-        cls_loss=None if cls is None else float(cls.data.sum()),
-        total=loss.item())
+    breakdown = LossBreakdown(plm_loss=float(plm.data.sum()),
+                              total=loss.item())
     if not want_grads:
         return breakdown
     grads = ad.backward(tape, loss)
@@ -202,7 +203,7 @@ def bert_plm_loss(params: dict[str, np.ndarray], config: EncoderConfig,
 
     def build(bound):
         losses = _plm_losses(bound, config, group, weighting, drop_rngs)
-        return None, losses, losses
+        return losses, losses
 
     return _loss_and_grads(params, want_grads, build)
 
@@ -263,6 +264,6 @@ def finetune_loss(params: dict[str, np.ndarray], config: EncoderConfig,
 
     def build(bound):
         return _finetune_losses(bound, config, group, labels, lam, weighting,
-                                drop_rngs)
+                                drop_rngs)[1:]   # (plm, total)
 
     return _loss_and_grads(params, want_grads, build)

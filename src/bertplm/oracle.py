@@ -167,10 +167,12 @@ def perm_plm_expectation(table: np.ndarray, c: int) -> float:
     each conditional p(j | S) enters the sum as many times as orders reach
     it past the cutting point, read from ``table``, the ``score_table`` of
     a sequence at cutting point c, whose width is T. The sum is exactly
-    rounded, as ``math.fsum`` over every order's terms would be. A c below
-    the table's own reads an unscored entry: a ``ValueError``.
+    rounded, as ``math.fsum`` over every order's terms would be. A c
+    outside 1 .. T-1, or below the table's own, which reads an unscored
+    entry, is a ``ValueError``.
     """
     t_len = table.shape[1]
+    _guard(t_len, c)
     counts = _order_counts(t_len)[c:].sum(axis=0)
     reached = np.nonzero(counts)
     total = _exact_dot(counts[reached], _read(table, reached))
@@ -187,9 +189,11 @@ def subset_regression_expectation(table: np.ndarray,
 
     Conditionals are read by the bitmask of S from ``table``, the
     ``score_table`` of a sequence at cutting point c, whose width is T; a
-    c below the table's own reads an unscored entry: a ``ValueError``.
+    c outside 1 .. T-1, or below the table's own, which reads an unscored
+    entry, is a ``ValueError``.
     """
     t_len = table.shape[1]
+    _guard(t_len, c)
     exact_k, paper_k = [], []
     for k in range(1, t_len - c + 1):
         totals = [math.fsum(_read(table, (mask, plan.target_idx)).tolist())

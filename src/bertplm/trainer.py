@@ -45,7 +45,9 @@ import numpy as np
 from .config import (Config, ConfigError, config_text, encoder_config,
                      parse_config_text)
 from .corpus import (SIL_THRESHOLD, ByteReader, CorpusFormatError,
-                     LabeledUtterance, PhonemePosteriorSequence, read_corpus)
+                     LabeledUtterance, PhonemePosteriorSequence)
+# unused here; perfbench's tracer binds the name trainer.read_corpus
+from .corpus import read_corpus  # noqa: F401
 from .encoder import (EncoderConfig, Group, attentive_pool, bind_params,
                       encode, init_params, param_shapes)
 from .objective import (MaskPlan, SamplingError, bert_plm_loss,
@@ -111,19 +113,20 @@ def adam_step(params: dict[str, np.ndarray],
     correction1 = 1.0 - ADAM_BETA1 ** state.step
     correction2 = 1.0 - ADAM_BETA2 ** state.step
     lr = state.lr
-    for name in sorted(params):
-        arrays = [params[name], state.m[name], state.v[name]]
-        if not all(a.flags.c_contiguous for a in arrays):
-            raise ValueError(f"adam_step needs C-contiguous arrays for {name!r}")
-        param, m, v = (a.reshape(-1) for a in arrays)
-        total = grads.get(name)
-        if total is not None:
-            total = np.ascontiguousarray(total).reshape(-1)
-        rows = min(param.size, ADAM_CHUNK)
-        mean = np.empty(rows, dtype=param.dtype)
-        scratch = np.empty(rows, dtype=param.dtype)
-        try:
-            with np.errstate(over="raise"):
+    try:
+        with np.errstate(over="raise"):
+            for name in sorted(params):
+                arrays = [params[name], state.m[name], state.v[name]]
+                if not all(a.flags.c_contiguous for a in arrays):
+                    raise ValueError(
+                        f"adam_step needs C-contiguous arrays for {name!r}")
+                param, m, v = (a.reshape(-1) for a in arrays)
+                total = grads.get(name)
+                if total is not None:
+                    total = np.ascontiguousarray(total).reshape(-1)
+                rows = min(param.size, ADAM_CHUNK)
+                mean = np.empty(rows, dtype=param.dtype)
+                scratch = np.empty(rows, dtype=param.dtype)
                 for lo in range(0, param.size, ADAM_CHUNK):
                     hi = min(lo + ADAM_CHUNK, param.size)
                     g, t = mean[:hi - lo], scratch[:hi - lo]
@@ -147,9 +150,9 @@ def adam_step(params: dict[str, np.ndarray],
                     np.divide(m_part, correction1, out=g)
                     g *= lr
                     param[lo:hi] -= np.divide(g, t, out=g)
-        except FloatingPointError:
-            raise TrainingError(f"parameter {name!r} overflows "
-                                f"{param.dtype.name}") from None
+    except FloatingPointError:
+        raise TrainingError(f"parameter {name!r} overflows "
+                            f"{param.dtype.name}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +367,6 @@ class ProgressLog:
 # ---------------------------------------------------------------------------
 
 
-def _as_sequences(corpus) -> list[PhonemePosteriorSequence]:
-    if isinstance(corpus, (str, Path)):
-        return read_corpus(corpus)
-    return list(corpus)
-
-
 def length_groups(lengths, max_seq_len: int) -> list[list[int]]:
     """Positions into ``lengths``, split into the groups they are scored in.
 
@@ -443,10 +440,10 @@ def _mean_plm_loss(params, enc_config, cfg, pairs) -> float:
     return float(np.sum(losses)) / len(pairs)
 
 
-def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
-             log: ProgressLog | None = None,
+def pretrain(sequences: list[PhonemePosteriorSequence], cfg: Config,
+             seed: int, sil_index: int, log: ProgressLog | None = None,
              checkpoint_path=None) -> Checkpoint:
-    """Masked pre-training over an unlabeled corpus; labels are never read.
+    """Masked pre-training over unlabeled sequences; labels are never read.
 
     Per epoch: shuffle, sample a fresh plan per utterance, sum gradients
     over each minibatch's length groups, Adam step on their mean. A
@@ -454,9 +451,9 @@ def pretrain(corpus, cfg: Config, seed: int, sil_index: int,
     before training as step 0; when ``checkpoint_path`` is given the
     checkpoint is rewritten every epoch. After each epoch's last ``train``
     row an ``epoch skipped`` row counts the utterances skipped for lack of
-    an eligible target.
+    an eligible target. The sequences are trained on as given: reading and
+    checking a corpus file is the caller's step (the CLI's ``_read_corpus``).
     """
-    sequences = _as_sequences(corpus)
     if not sequences:
         raise TrainingError("pre-training corpus is empty")
     enc_config = encoder_config(cfg, sequences[0].vocab_size)
@@ -672,8 +669,8 @@ class AblationRow:
 
 
 def ablate_mask_ratio(unlabeled, train_utts, test_utts, ratios, cfg: Config,
-                      seed: int, sil_index: int, classes: int,
-                      log: ProgressLog | None = None) -> list[AblationRow]:
+                      seed: int, sil_index: int, classes: int
+                      ) -> list[AblationRow]:
     """Pre-train + fine-tune once per mask-ratio bound, fixed seeds."""
     if any(not 0.0 < r <= 1.0 for r in ratios):
         raise ValueError("mask ratios must lie in (0, 1]")
@@ -682,10 +679,9 @@ def ablate_mask_ratio(unlabeled, train_utts, test_utts, ratios, cfg: Config,
     rows = []
     for ratio in ratios:
         run_cfg = replace(cfg, mask_ratio_max=float(ratio))
-        ckpt = pretrain(unlabeled, run_cfg, seed=seed, sil_index=sil_index,
-                        log=log)
+        ckpt = pretrain(unlabeled, run_cfg, seed=seed, sil_index=sil_index)
         _, metrics = finetune(ckpt, train_utts, test_utts, run_cfg, seed=seed,
-                              sil_index=sil_index, classes=classes, log=log)
+                              sil_index=sil_index, classes=classes)
         rows.append(AblationRow(setting=float(ratio),
                                 error_rate=metrics.error_rate,
                                 macro_f1=metrics.macro_f1))
@@ -706,23 +702,23 @@ class FractionRow:
 
 
 def ablate_fraction(unlabeled, train_utts, test_utts, fractions, cfg: Config,
-                    seed: int, sil_index: int, classes: int,
-                    log: ProgressLog | None = None) -> list[FractionRow]:
+                    seed: int, sil_index: int, classes: int
+                    ) -> list[FractionRow]:
     """Fine-tune pretrained vs fresh on nested fractions of the labels."""
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
     if not test_utts:
         raise DataError("empty evaluation set: error rate undefined")
-    ckpt = pretrain(unlabeled, cfg, seed=seed, sil_index=sil_index, log=log)
+    ckpt = pretrain(unlabeled, cfg, seed=seed, sil_index=sil_index)
     order = stream(seed, "fraction").permutation(len(train_utts))
     rows = []
     for fraction in fractions:
         count = max(1, int(round(fraction * len(train_utts))))
         subset = [train_utts[i] for i in order[:count]]
         _, with_pretrain = finetune(ckpt, subset, test_utts, cfg, seed=seed,
-                                    sil_index=sil_index, classes=classes, log=log)
+                                    sil_index=sil_index, classes=classes)
         _, fresh = finetune(None, subset, test_utts, cfg, seed=seed,
-                            sil_index=sil_index, classes=classes, log=log)
+                            sil_index=sil_index, classes=classes)
         rows.append(FractionRow(
             fraction=float(fraction),
             pretrained_accuracy=1.0 - with_pretrain.error_rate,

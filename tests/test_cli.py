@@ -1,3 +1,4 @@
+import struct
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -38,7 +39,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key", ["frame_ms", "beta1", "beta2", "eps_adam",
                                      "sil_threshold"])
     def test_retired_key_rejected_in_user_config(self, tmp_path, key):
-        # only checkpoint config text may still carry these keys
+        # values that are now fixed; checkpoint config text rejects them too
         path = tmp_path / "c.cfg"
         path.write_text(f"{key} = 0.5\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
@@ -466,6 +467,33 @@ class TestInputValidation:
         assert cli.main(argv) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    def test_checkpoint_config_with_retired_key_is_data_error(
+            self, small_corpus, tmp_path, capsys, command):
+        ckpt = tmp_path / "ft.ckpt"
+        data = ["--data", small_corpus["c.pps"], "--vocab", small_corpus["v.txt"],
+                "--manifest", small_corpus["c.tsv"]]
+        assert cli.main(["finetune", "--out", str(ckpt)] + data + SMALL) \
+            == cli.EXIT_OK
+        raw = ckpt.read_bytes()
+        text = config_text(tr.load_checkpoint(ckpt).config).encode("utf-8")
+        assert raw.endswith(struct.pack("<I", len(text)) + text)
+        retired = text + b"beta1 = 0.9\n"
+        ckpt.write_bytes(raw[:-len(text) - 4]
+                         + struct.pack("<I", len(retired)) + retired)
+        capsys.readouterr()
+        out = tmp_path / "again.ckpt"
+        if command == "evaluate":
+            argv = ["evaluate", "--ckpt", str(ckpt)] + data
+        else:
+            argv = (["finetune", "--ckpt", str(ckpt), "--out", str(out)]
+                    + data + SMALL)
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: checkpoint ")
+        assert err.count("\n") == 1 and "unknown key 'beta1'" in err
         assert not out.exists()
 
     def test_finetune_checkpoint_class_count_must_match(

@@ -33,6 +33,15 @@ def sequence_with_sil(sil_rows, content_rows, vocab_size=6):
     return PhonemePosteriorSequence(frames, utterance_id="sil-mix")
 
 
+class TestMaskPlan:
+    def test_repeated_index_rejected(self):
+        # a repeated target would be scored twice and count twice in k
+        for context, targets in [((0, 2), (1, 1)), ((0, 0, 2), (1,))]:
+            with pytest.raises(ad.ContractError, match="repeats an index"):
+                obj.MaskPlan(context, targets)
+        assert obj.MaskPlan((0, 2), (1,)).k == 1
+
+
 class TestSampleMaskPlan:
     def test_floor_forces_single_target(self):
         # 8 eligible frames at rho 0.15 -> budget max(1, floor(1.2)) = 1
@@ -180,12 +189,21 @@ class TestBertPlmLoss:
 
 class TestFinetuneLoss:
     def test_lambda_zero_total_equals_cls(self):
+        from bertplm.encoder import attentive_pool, bind_params, encode
+
         params = init_params(CONFIG, stream(9, "init"), classes=3)
         utt = LabeledUtterance(simplex_sequence(5, 6, stream(9, "s")), 1)
         plan = obj.MaskPlan.from_context_set((0, 2, 3), 5)
-        breakdown = obj.finetune_loss(params, CONFIG, one(utt.sequence, plan),
-                                      [utt.label], lam=0.0)
-        assert breakdown.total == breakdown.cls_loss
+        group = one(utt.sequence, plan)
+        breakdown = obj.finetune_loss(params, CONFIG, group, [utt.label],
+                                      lam=0.0)
+        # the classification loss, by hand: -log softmax(logits)[label]
+        bound = bind_params(params)
+        pooled = attentive_pool(encode(bound, CONFIG, group),
+                                bound["pool_query"], group.context).data[0]
+        logits = params["classifier"] @ pooled
+        cls = math.log(np.exp(logits).sum()) - logits[utt.label]
+        assert abs(breakdown.total - cls) <= 1e-12
         assert breakdown.plm_loss > 0
 
     def test_confident_correct_logit_drives_cls_to_zero(self):
@@ -205,7 +223,7 @@ class TestFinetuneLoss:
         params["classifier"][1] = 1e4 * pooled / float(pooled @ pooled)
         breakdown = obj.finetune_loss(params, CONFIG, one(utt.sequence, plan),
                                       [utt.label], lam=0.0)
-        assert breakdown.cls_loss <= 1e-6
+        assert breakdown.total <= 1e-6
 
     def test_missing_head_rejected(self):
         params = init_params(CONFIG, stream(11, "init"))
@@ -251,8 +269,10 @@ class TestFinetuneLoss:
         plan = obj.MaskPlan.from_context_set((0, 1, 2, 5), 6)
         breakdown = obj.finetune_loss(params, CONFIG, one(utt.sequence, plan),
                                       [utt.label], lam=0.7)
+        cls = obj.finetune_loss(params, CONFIG, one(utt.sequence, plan),
+                                [utt.label], lam=0.0).total
         assert abs(breakdown.total
-                   - (breakdown.cls_loss + 0.7 * breakdown.plm_loss)) <= 1e-12
+                   - (cls + 0.7 * breakdown.plm_loss)) <= 1e-12
 
 
 DROPOUT_CONFIG = EncoderConfig(vocab_size=6, layers=2, d_model=8, d_ff=12,
@@ -322,27 +342,29 @@ class TestGroupEqualsItsMembers:
         params = init_params(DROPOUT_CONFIG, stream(16, "init"),
                              classes=3 if stage == "finetune" else None)
 
-        def run(members):
+        def run(members, lam=0.7, want_grads=True):
             group = Group([seqs[i] for i in members], [plans[i] for i in members])
             rngs = [stream(16, "drop", i) for i in members]
             if stage == "pretrain":
                 return obj.bert_plm_loss(params, DROPOUT_CONFIG, group,
-                                         drop_rngs=rngs, want_grads=True)
+                                         drop_rngs=rngs, want_grads=want_grads)
             return obj.finetune_loss(params, DROPOUT_CONFIG, group,
-                                     [labels[i] for i in members], lam=0.7,
-                                     drop_rngs=rngs, want_grads=True)
+                                     [labels[i] for i in members], lam=lam,
+                                     drop_rngs=rngs, want_grads=want_grads)
+
+        def close_sum(got, want):
+            assert abs(got - sum(want)) <= 1e-12 * max(1.0, abs(sum(want)))
 
         together, grads = run(members)
         alone = [run([i]) for i in members]
         summed = {name: sum(g[name] for _, g in alone) for name in grads}
         self.close(grads, summed)
-        for field in ("plm_loss", "cls_loss", "total"):
-            want = [getattr(b, field) for b, _ in alone]
-            got = getattr(together, field)
-            if want[0] is None:
-                assert got is None
-            else:
-                assert abs(got - sum(want)) <= 1e-12 * max(1.0, abs(sum(want)))
+        for field in ("plm_loss", "total"):
+            close_sum(getattr(together, field),
+                      [getattr(b, field) for b, _ in alone])
+        if stage == "finetune":   # the classification loss alone
+            close_sum(run(members, 0.0, False).total,
+                      [run([i], 0.0, False).total for i in members])
 
     def test_group_loss_passes_fd_check(self):
         seqs, plans = self.members()

@@ -450,14 +450,25 @@ class TestTableForm:
         seq = oracle.random_sequence(4, 4, stream(65, "s"), "cut")
         table = oracle.score_table(oracle.random_set_predictor(1), seq, 2)
         if c < 2:
-            with pytest.raises(ValueError, match="below its cutting point"):
+            # 0 is outside 1 .. T-1 and refused before any read
+            match = "c=0 outside" if c == 0 else "below its cutting point"
+            with pytest.raises(ValueError, match=match):
                 oracle.perm_plm_expectation(table, c)
-            with pytest.raises(ValueError, match="below its cutting point"):
+            with pytest.raises(ValueError, match=match):
                 oracle.subset_regression_expectation(table, c)
         else:
             lhs = oracle.perm_plm_expectation(table, c)
             exact, _ = oracle.subset_regression_expectation(table, c)
             assert abs(lhs - exact) <= 1e-10
+
+    @pytest.mark.parametrize("c", [0, 4, 7])
+    def test_cutting_point_outside_the_table_raises(self, c):
+        seq = oracle.random_sequence(4, 4, stream(65, "s"), "cut")
+        table = oracle.score_table(oracle.random_set_predictor(1), seq, 2)
+        with pytest.raises(ValueError, match=f"c={c} outside .0, 4."):
+            oracle.perm_plm_expectation(table, c)
+        with pytest.raises(ValueError, match=f"c={c} outside .0, 4."):
+            oracle.subset_regression_expectation(table, c)
 
     def test_table_holds_exactly_the_conditionals_asked(self):
         inner = oracle.random_set_predictor(62)

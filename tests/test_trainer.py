@@ -339,11 +339,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key, value", [
         ("frame_ms", "30.0"), ("beta1", "0.9"), ("beta2", "0.999"),
         ("eps_adam", "1e-08"), ("sil_threshold", "0.5")])
-    def test_config_with_retired_key_still_loads(self, tmp_path, key, value):
-        # checkpoints written before these keys were removed carry them
-        path, cfg = self._with_config_line(tmp_path, f"{key} = {value}")
-        loaded = tr.load_checkpoint(path)
-        assert loaded.config == cfg and loaded.step == 2
+    def test_config_with_retired_key_is_data_error(self, tmp_path, key,
+                                                   value):
+        # the keys of values that are now fixed are unknown keys
+        path, _ = self._with_config_line(tmp_path, f"{key} = {value}")
+        with pytest.raises(tr.DataError,
+                           match=f"checkpoint .*unknown key '{key}'"):
+            tr.load_checkpoint(path)
 
     def test_config_breaking_model_rules_is_data_error(self, tmp_path):
         path, _ = self._with_config_line(tmp_path, "heads = 7")

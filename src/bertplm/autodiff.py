@@ -14,13 +14,14 @@ The primitive set is deliberately small: exactly what a relative-position
 Transformer encoder and its losses need (``matmul``, ``add``, ``mul``,
 ``scale``, ``softmax``, ``log_softmax``, ``gelu``, ``layer_norm``,
 ``transpose``, ``reshape``, ``gather_rows``, ``fill_rows``,
-``rel_position_gather``, ``split_heads``, ``merge_heads``, ``sum_all``,
-``segment_sum``, ``dropout``), with no general broadcasting: ``add`` takes
-identical shapes or a (..., d) + (d,) bias, ``matmul`` 2-D @ 2-D or 3-D @
-3-D stacks, and every other op matching shapes. ``softmax`` takes a boolean
-mask of the entries it must not read. ``split_heads(x, h, n)`` maps (R, h*e)
-features to (h*R/n, n, e) stacks, head-major, and ``merge_heads`` maps them
-back, so every parameter is a matrix or a vector.
+``rel_position_gather``, ``rel_query_gather``, ``split_heads``,
+``merge_heads``, ``sum_all``, ``segment_sum``, ``dropout``), with no general
+broadcasting: ``add`` takes identical shapes or a (..., d) + (d,) bias,
+``matmul`` 2-D @ 2-D or 3-D @ 3-D stacks, and every other op matching
+shapes. ``softmax`` takes a boolean mask of the entries it must not read.
+``split_heads(x, h, n)`` maps (R, h*e) features to (h*R/n, n, e) stacks,
+head-major, and ``merge_heads`` maps them back, so every parameter is a
+matrix or a vector.
 
 Batches add no axis. The encoder folds a group of padded utterances into
 the ranks a single utterance already uses: position-wise ops see (B*T, d)
@@ -28,8 +29,10 @@ rows, attention sees (heads*B, T, .) stacks, and ``segment_sum`` turns
 per-row loss terms into one loss per utterance. So every VJP handles
 exactly the shapes it did for one utterance. The relative shift
 (``rel_position_gather``) is a strided view of its input, with no index
-arrays. ``dropout`` multiplies by a boolean mask the caller draws with
-``keep_mask``, so that each utterance of a group can draw its own.
+arrays; ``rel_query_gather`` does the same shift by index, for query rows
+at given positions. ``dropout`` multiplies by a boolean mask the caller
+draws with ``keep_mask``, so that each utterance of a group can draw its
+own.
 
 Each primitive checks its operands' shapes and its contract, then calls its
 one forward kernel: a numpy function (``np.matmul``, ``np.add``, ...) or a
@@ -312,9 +315,11 @@ def scale(a, s: float) -> Tensor:
 
 
 def _fwd_softmax(a: Array, blocked: Array) -> Array:
-    a = np.where(blocked, -np.inf, a)
-    e = np.exp(a - a.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.where(blocked, -np.inf, a)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax(a, blocked) -> Tensor:
@@ -328,7 +333,11 @@ def softmax(a, blocked) -> Tensor:
     y = _fwd_softmax(a.data, m)
 
     def vjp(g: Array) -> Array:
-        return np.where(m, 0.0, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        out = g * y
+        np.subtract(g, out.sum(axis=-1, keepdims=True), out=out)
+        out *= y
+        np.copyto(out, 0.0, where=m)
+        return out
 
     return _apply(_fwd_softmax, (a, m), y, [(a, vjp)])
 
@@ -353,21 +362,41 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _fwd_gelu(x: Array) -> tuple[Array, Array]:
-    """The output and the tanh term its VJP reuses."""
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    """The output 0.5 x (1 + t), and the term t = tanh(c (x + 0.044715 x^3))
+    its VJP reuses."""
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = np.multiply(x, 0.5)
+    y *= 1.0 + t
+    return y, t
 
 
 def gelu(a) -> Tensor:
-    """Smooth tanh-form GELU (exact derivative of the tanh form)."""
+    """Smooth tanh-form GELU (exact derivative of the tanh form). The tape
+    holds the input and the forward's tanh term."""
     a = _lift(a)
     x = a.data
-    y, _ = _fwd_gelu(x)
+    y, t = _fwd_gelu(x)
 
     def vjp(g: Array) -> Array:
-        t = _fwd_gelu(x)[1]     # recomputed, so the tape holds x alone
-        d_inner = _GELU_C * (1.0 + (3 * 0.044715) * x * x)
-        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+        d_inner = np.multiply(x, 3 * 0.044715)
+        d_inner *= x
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        out = np.multiply(x, 0.5)
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        out *= slope
+        out *= d_inner
+        slope = np.add(t, 1.0, out=slope)
+        slope *= 0.5
+        out += slope
+        out *= g
+        return out
 
     return _apply(_fwd_gelu, (a,), y, [(a, vjp)])
 
@@ -538,6 +567,44 @@ def rel_position_gather(x) -> Tensor:
 
     return _apply(_fwd_rel_position_gather, (x,),
                   _fwd_rel_position_gather(x.data), [(x, vjp)])
+
+
+def _fwd_rel_query_gather(x: Array, index: Array) -> Array:
+    return np.take_along_axis(
+        x, index.reshape((1,) * (x.ndim - index.ndim) + index.shape), axis=-1)
+
+
+def rel_query_gather(x, positions) -> Tensor:
+    """Map per-offset scores (..., K, 2T-1) of K query rows to their scores
+    (..., K, T) against the T columns, for queries at the integer
+    ``positions`` (..., K) in [0, T).
+
+    As in ``rel_position_gather``, column o of the input holds the score for
+    relative offset o - (T-1), so out[..., i, j] = x[..., i, p_i - j + T - 1]
+    for the query at p_i; with positions 0 .. T-1 the two agree. Each output
+    reads its own input entry, so the backward pass scatters the gradient
+    into a zero array without accumulating.
+    """
+    x = _lift(x)
+    if x.data.ndim not in (2, 3) or x.dims[-1] % 2 == 0:
+        raise ShapeError(f"expected (..., K, 2T-1) offset scores, got {x.dims}")
+    t_len = (x.dims[-1] + 1) // 2
+    positions = np.asarray(positions, dtype=np.intp)
+    if positions.shape != x.dims[:-1]:
+        raise ShapeError(f"query positions {positions.shape} do not match "
+                         f"offset scores {x.dims}")
+    if positions.size and (positions.min() < 0 or positions.max() >= t_len):
+        raise ContractError("rel_query_gather position out of range")
+    index = positions[..., None] + np.arange(t_len - 1, -1, -1)
+    shape = x.dims
+
+    def vjp(g: Array) -> Array:
+        out = np.zeros(shape, g.dtype)
+        np.put_along_axis(out, index, g, axis=-1)
+        return out
+
+    return _apply(_fwd_rel_query_gather, (x, index),
+                  _fwd_rel_query_gather(x.data, index), [(x, vjp)])
 
 
 def _fwd_split_heads(x: Array, heads: int, length: int) -> Array:

@@ -16,7 +16,10 @@ form, the (B, T) boolean ``context`` mask, and builds its padded frames and
 its (B, T, T) ``blocked`` mask from them once; ``encode`` tiles ``blocked``
 across heads once per pass and hands that one stack to every block, and
 ``attentive_pool`` pools over ``context``. Every softmax takes its mask as
-an operand.
+an operand. A pass that reads only the target rows (pre-training) asks
+``encode`` for them, and the last block then runs at those rows only: no
+row attends to a target column but the target itself, so that block's
+context rows feed nothing.
 
 A pass computes in the dtype of the parameter arrays it is given
 (``bind_params`` binds them as they are): the frames and the offset table it
@@ -100,7 +103,8 @@ def init_params(config: EncoderConfig, rng: np.random.Generator,
                 init_std: float = 0.02) -> dict[str, np.ndarray]:
     """N(0, init_std^2) draws in ``param_shapes`` order, but ones for
     layer-norm scales and zeros for shifts and FFN biases. A projection is
-    drawn as (heads, d, dh) and draw h laid into head h's columns."""
+    drawn as (heads, d, dh) and draw h laid into head h's columns. Every
+    array is C-contiguous."""
     params = {}
     for name, shape in param_shapes(config, classes).items():
         if name.endswith((".gamma",)):
@@ -108,9 +112,10 @@ def init_params(config: EncoderConfig, rng: np.random.Generator,
         elif name.endswith((".beta", ".b1", ".b2")):
             params[name] = np.zeros(shape)
         elif name.endswith((".wq", ".wk", ".wv", ".wr")):
-            params[name] = rng.normal(scale=init_std, size=(
-                config.heads, shape[0], config.head_dim)
-            ).transpose(1, 0, 2).reshape(shape)
+            # at head width 1 the reshape is a strided view, not a copy
+            params[name] = np.ascontiguousarray(rng.normal(
+                scale=init_std, size=(config.heads, shape[0], config.head_dim)
+            ).transpose(1, 0, 2).reshape(shape))
         else:
             params[name] = rng.normal(scale=init_std, size=shape)
     return params
@@ -129,6 +134,13 @@ class Group:
     included) sees itself, and no real row sees padding, so every
     utterance's rows compute what they would alone. A single utterance is
     a group of one, with no padding.
+
+    For a pass that computes its last block at the target rows only, the
+    group also lays its targets out as query slots: K per utterance, K the
+    largest k of its plans, utterance-major, slot j of utterance b at frame
+    ``query_positions[b, j]``. Utterance b's first k slots hold its targets
+    in ``target_rows`` order; the rest pad it to K and sit at frame 0, a
+    real row, so they compute finite values that nothing reads.
     """
 
     def __init__(self, sequences, plans):
@@ -153,6 +165,15 @@ class Group:
         #: ``target_rows``
         self.target_bounds = np.concatenate(
             ([0], np.cumsum([plan.k for plan in self.plans])))
+        slots = max(plan.k for plan in self.plans)
+        #: (size, K) query positions, targets first, then padding at 0
+        self.query_positions = np.zeros((self.size, slots), dtype=np.intp)
+        for b, plan in enumerate(self.plans):
+            self.query_positions[b, :plan.k] = plan.target_idx
+        #: the query slots of ``target_rows``, in its order
+        self.target_slots = np.concatenate(
+            [b * slots + np.arange(plan.k, dtype=np.intp)
+             for b, plan in enumerate(self.plans)])
         #: (size * length, V) posterior rows, zero on padding
         frames = np.zeros((self.size, self.length, self.vocab_size))
         for b, seq in enumerate(self.sequences):
@@ -167,7 +188,8 @@ class Group:
         real_row = np.arange(self.length) < np.asarray(self.lengths)[:, None]
         allowed = real_row[:, :, None] & self.context[:, None, :]
         self.blocked = ~(allowed | np.eye(self.length, dtype=bool))
-        for array in (self.target_rows, self.target_bounds, self.frames,
+        for array in (self.target_rows, self.target_bounds,
+                      self.query_positions, self.target_slots, self.frames,
                       self.context, self.blocked):
             array.flags.writeable = False
 
@@ -178,7 +200,9 @@ class GroupDropout:
     Utterance b's masks come from ``rngs[b]``, one draw per site at the
     utterance's unpadded shape, in the order a pass over the utterance alone
     draws them, so its masks do not depend on the group it is in. Padding
-    entries are kept.
+    entries are kept. At the group's query rows (``queries=True``) each
+    site still draws the utterance's full mask and keeps the rows at its
+    query positions, so every generator is consumed as in a full pass.
     """
 
     def __init__(self, rate: float, rngs, group: Group):
@@ -186,20 +210,29 @@ class GroupDropout:
             raise ad.ContractError("dropout needs one generator per utterance")
         self.rate, self.rngs, self.group = rate, tuple(rngs), group
 
-    def rows(self, x: Tensor) -> Tensor:
-        """(B*T, d) rows."""
+    def rows(self, x: Tensor, queries: bool = False) -> Tensor:
+        """(B*T, d) rows, or (B*K, d) query rows."""
         g, width = self.group, x.dims[-1]
-        kept = np.ones((g.size, g.length, width), dtype=bool)
+        kept = np.ones((g.size, x.dims[0] // g.size, width), dtype=bool)
         for b, (rng, n) in enumerate(zip(self.rngs, g.lengths)):
-            kept[b, :n] = ad.keep_mask(self.rate, rng, (n, width))
+            mask = ad.keep_mask(self.rate, rng, (n, width))
+            if queries:
+                kept[b] = mask[g.query_positions[b]]
+            else:
+                kept[b, :n] = mask
         return ad.dropout(x, self.rate, kept.reshape(x.dims))
 
-    def weights(self, x: Tensor, heads: int) -> Tensor:
-        """(heads*B, T, T) attention weights, head-major."""
+    def weights(self, x: Tensor, heads: int, queries: bool = False) -> Tensor:
+        """(heads*B, T, T) attention weights, head-major, or
+        (heads*B, K, T) at the query rows."""
         g = self.group
-        kept = np.ones((heads, g.size, g.length, g.length), dtype=bool)
+        kept = np.ones((heads, g.size) + x.dims[1:], dtype=bool)
         for b, (rng, n) in enumerate(zip(self.rngs, g.lengths)):
-            kept[:, b, :n, :n] = ad.keep_mask(self.rate, rng, (heads, n, n))
+            mask = ad.keep_mask(self.rate, rng, (heads, n, n))
+            if queries:
+                kept[:, b, :, :n] = mask[:, g.query_positions[b]]
+            else:
+                kept[:, b, :n, :n] = mask
         return ad.dropout(x, self.rate, kept.reshape(x.dims))
 
 
@@ -238,7 +271,8 @@ def relative_sinusoids(t_len: int, width: int, max_seq_len: int,
 
 def rel_attention_block(x: Tensor, blocked: np.ndarray,
                         layer_params: dict[str, Tensor], config: EncoderConfig,
-                        dropout: GroupDropout | None = None) -> Tensor:
+                        dropout: GroupDropout | None = None,
+                        queries: np.ndarray | None = None) -> Tensor:
     """One encoder block: relative-position attention, then feed-forward.
 
     Per head: score(i,j) = ((q_i + u) . k_j + (q_i + v) . r(i-j)) / sqrt(dh)
@@ -252,37 +286,55 @@ def rel_attention_block(x: Tensor, blocked: np.ndarray,
     stacks, so every head of every utterance is one stacked computation,
     and ``merge_heads`` takes them back. Dropout runs exactly when
     ``dropout`` is given.
+
+    Given ``queries``, a group's (B, K) ``query_positions``, the block
+    computes only those rows and returns them as (B*K, d), utterance-major:
+    keys, values and offsets still come from every row, but queries, scores,
+    weights, ``wo``, both layer norms and the FFN run on the K query rows of
+    each utterance, as (heads*B, K, T) stacks. Each query row equals the row
+    at its position in the full block, up to rounding: no row's output
+    depends on another's beyond its keys and values.
     """
     stacks, t_len = blocked.shape[0], blocked.shape[-1]
     heads, dh = config.heads, config.head_dim
-    rows = x.dims[0]
+    picked = queries is not None
+    if picked:
+        size, q_len = queries.shape
+        x_q = ad.gather_rows(
+            x, (np.arange(size)[:, None] * t_len + queries).reshape(-1))
+        positions = np.tile(queries, (heads, 1))
+        blocked = blocked[np.arange(stacks)[:, None], positions]
+    else:
+        x_q, q_len = x, t_len
+    rows = x_q.dims[0]
     rel_table = ad.constant(
         relative_sinusoids(t_len, config.d_model, config.max_seq_len,
                            x.data.dtype))
 
-    q = ad.matmul(x, layer_params["wq"])            # (B*T, d)
+    q = ad.matmul(x_q, layer_params["wq"])          # (B*q_len, d)
     k = ad.split_heads(ad.matmul(x, layer_params["wk"]), heads, t_len)
     v = ad.split_heads(ad.matmul(x, layer_params["wv"]), heads, t_len)
     r = ad.split_heads(ad.matmul(rel_table, layer_params["wr"]), heads,
                        2 * t_len - 1)
     content = ad.matmul(
-        ad.split_heads(ad.add(q, layer_params["u_bias"]), heads, t_len),
+        ad.split_heads(ad.add(q, layer_params["u_bias"]), heads, q_len),
         ad.transpose(k))
     by_offset = ad.reshape(
         ad.matmul(ad.split_heads(ad.add(q, layer_params["v_bias"]), heads,
                                  rows),
                   ad.transpose(r)),
-        (stacks, t_len, 2 * t_len - 1))
-    scores = ad.scale(ad.add(content, ad.rel_position_gather(by_offset)),
-                      1.0 / math.sqrt(dh))
+        (stacks, q_len, 2 * t_len - 1))
+    shifted = (ad.rel_query_gather(by_offset, positions) if picked
+               else ad.rel_position_gather(by_offset))
+    scores = ad.scale(ad.add(content, shifted), 1.0 / math.sqrt(dh))
     weights = ad.softmax(scores, blocked)
     if dropout is not None:
-        weights = dropout.weights(weights, heads)
+        weights = dropout.weights(weights, heads, queries=picked)
     attn = ad.matmul(ad.merge_heads(ad.matmul(weights, v), heads),
                      layer_params["wo"])
     if dropout is not None:
-        attn = dropout.rows(attn)
-    x = ad.layer_norm(ad.add(x, attn),
+        attn = dropout.rows(attn, queries=picked)
+    x = ad.layer_norm(ad.add(x_q, attn),
                       layer_params["ln1.gamma"], layer_params["ln1.beta"])
 
     hidden = ad.gelu(ad.add(ad.matmul(x, layer_params["ffn.w1"]),
@@ -290,7 +342,7 @@ def rel_attention_block(x: Tensor, blocked: np.ndarray,
     hidden = ad.add(ad.matmul(hidden, layer_params["ffn.w2"]),
                     layer_params["ffn.b2"])
     if dropout is not None:
-        hidden = dropout.rows(hidden)
+        hidden = dropout.rows(hidden, queries=picked)
     return ad.layer_norm(ad.add(x, hidden),
                          layer_params["ln2.gamma"], layer_params["ln2.beta"])
 
@@ -307,10 +359,12 @@ def bind_params(params: dict[str, np.ndarray],
 
 
 def encode(bound: dict[str, Tensor], config: EncoderConfig, group: Group,
-           drop_rngs=None) -> Tensor:
+           drop_rngs=None, targets_only: bool = False) -> Tensor:
     """Full forward pass over a group; row b*T + t of the result is the
     hidden state of utterance b at frame t (T = ``group.length``; rows
-    past an utterance's end are padding).
+    past an utterance's end are padding). With ``targets_only`` the result
+    is instead the hidden states at ``group.target_rows``, in that order,
+    and the last block runs at the group's query rows only.
 
     Input row t is sum_v frames[t, v] * embed[v], the group's frames cast
     to the embedding's dtype; a vocabulary that differs from the
@@ -339,8 +393,11 @@ def encode(bound: dict[str, Tensor], config: EncoderConfig, group: Group,
         prefix = f"layer{i}."
         layer = {name[len(prefix):]: tensor for name, tensor in bound.items()
                  if name.startswith(prefix)}
-        x = rel_attention_block(x, blocked, layer, config, dropout=dropout)
-    return x
+        last = targets_only and i == config.layers - 1
+        x = rel_attention_block(
+            x, blocked, layer, config, dropout=dropout,
+            queries=group.query_positions if last else None)
+    return ad.gather_rows(x, group.target_slots) if targets_only else x
 
 
 def predict_phonemes(hidden_at_targets: Tensor, embedding: Tensor) -> Tensor:

@@ -133,32 +133,35 @@ def soft_cross_entropy(logits: Tensor, target_dists: np.ndarray,
     return ad.mul(per_run_sum, ad.constant(inverse))
 
 
-def _masked_regression(hidden: Tensor, embed: Tensor, group: Group,
+def _masked_regression(at_targets: Tensor, embed: Tensor, group: Group,
                        weighting: str) -> Tensor:
-    """Per utterance, soft cross entropy of the predictions at its targets
-    against their original posterior rows: averaged over its targets, or
-    summed for "sum". An utterance without targets scores 0; (B,)."""
+    """Per utterance, soft cross entropy of the predictions from the hidden
+    states ``at_targets`` at ``group.target_rows`` against their original
+    posterior rows: averaged over its targets, or summed for "sum". The
+    group has at least one target; an utterance without targets scores 0;
+    (B,)."""
     rows = group.target_rows
-    if not rows.size:
-        return ad.constant(np.zeros(group.size, hidden.data.dtype))
-    logits = predict_phonemes(ad.gather_rows(hidden, rows), embed)
+    logits = predict_phonemes(at_targets, embed)
     loss = soft_cross_entropy(logits, group.frames[rows], group.target_bounds)
     if weighting == "sum":
         ks = np.array([float(plan.k) for plan in group.plans],
-                      dtype=hidden.data.dtype)
+                      dtype=at_targets.data.dtype)
         loss = ad.mul(loss, ad.constant(ks))
     return loss
 
 
 def _plm_losses(bound: dict[str, Tensor], config: EncoderConfig,
                 group: Group, weighting: str, drop_rngs) -> Tensor:
-    """(B,) masked-regression losses of a group's utterances."""
+    """(B,) masked-regression losses of a group's utterances. The loss reads
+    the target rows alone, so the encoder runs its last block at them
+    only."""
     if weighting not in ("mean", "sum"):
         raise ValueError(f"unknown weighting {weighting!r}")
     if min(plan.k for plan in group.plans) < 1:
         raise ad.ContractError("pre-training loss needs at least one target")
-    hidden = encode(bound, config, group, drop_rngs=drop_rngs)
-    return _masked_regression(hidden, bound["embed"], group, weighting)
+    at_targets = encode(bound, config, group, drop_rngs=drop_rngs,
+                        targets_only=True)
+    return _masked_regression(at_targets, bound["embed"], group, weighting)
 
 
 def _plm_term(bound: dict[str, Tensor], config: EncoderConfig,
@@ -221,7 +224,11 @@ def _finetune_losses(bound: dict[str, Tensor], config: EncoderConfig,
     one_hot[np.arange(group.size), list(labels)] = 1.0
     cls = soft_cross_entropy(logits, one_hot, np.arange(group.size + 1))
 
-    plm = _masked_regression(hidden, bound["embed"], group, weighting)
+    if group.target_rows.size:
+        plm = _masked_regression(ad.gather_rows(hidden, group.target_rows),
+                                 bound["embed"], group, weighting)
+    else:
+        plm = ad.constant(np.zeros(group.size, hidden.data.dtype))
     return cls, plm, ad.add(cls, ad.scale(plm, lam))
 
 

@@ -403,6 +403,36 @@ class TestPrimitives:
         np.add.at(expected, (np.arange(heads)[:, None, None], rows, cols), g)
         assert grad.tobytes() == expected.tobytes()
 
+    def test_rel_query_gather_picks_offsets_by_position(self):
+        rng = stream(11, "rel")
+        heads, t_len = 2, 5
+        x = rng.normal(size=(heads, t_len, 2 * t_len - 1))
+        full = ad.rel_position_gather(x).data
+        at_rows = np.tile(np.arange(t_len), (heads, 1))
+        assert ad.rel_query_gather(x, at_rows).data.tobytes() == full.tobytes()
+        positions = np.array([[4, 0, 2], [1, 1, 3]])
+        picked = ad.rel_query_gather(x[:, :3], positions).data
+        for h in range(heads):
+            for i, p in enumerate(positions[h]):
+                np.testing.assert_array_equal(
+                    picked[h, i], [x[h, i, p - j + t_len - 1]
+                                   for j in range(t_len)])
+        with pytest.raises(ad.ContractError):
+            ad.rel_query_gather(x[:, :3], positions + 1)
+        with pytest.raises(ad.ShapeError):
+            ad.rel_query_gather(x, positions)
+
+    def test_rel_query_gather_gradient(self):
+        rng = stream(12, "rel")
+        positions = np.array([[3, 0], [2, 2], [1, 3]])
+
+        def build(p):
+            return ad.sum_all(ad.gelu(ad.rel_query_gather(p["x"], positions)))
+
+        err = ad.finite_diff_check(build, {"x": rng.normal(size=(3, 2, 7))},
+                                   eps=1e-5)
+        assert err <= 1e-8
+
     def test_segment_sum_forward_and_backward(self):
         tape = ad.Tape()
         x = tape.leaf(np.arange(12.0).reshape(4, 3))
@@ -522,6 +552,13 @@ def _softmax(x):
     return ad.softmax(x, blocked)
 
 
+def _query_gather(x):
+    """Queries at positions that repeat and skip, as padded query slots do."""
+    t_len = (x.dims[-1] + 1) // 2
+    positions = np.arange(math.prod(x.dims[:-1])).reshape(x.dims[:-1]) * 2
+    return ad.rel_query_gather(x, positions % t_len)
+
+
 def _segments(x):
     rows = x.dims[0]
     return ad.segment_sum(x, [0, 1, 1, rows - 1, rows])
@@ -551,6 +588,8 @@ KERNEL_CASES = {
     "fill_rows": (_fill, lambda h, r, d: [(r + 4, d), (d,)], (0, 1)),
     "rel_position_gather": (ad.rel_position_gather,
                             lambda h, r, d: [(h, r, 2 * r - 1)], (0,)),
+    "rel_query_gather": (_query_gather,
+                         lambda h, r, d: [(h, r, 2 * d + 1)], (0,)),
     "merge_heads": (lambda a: ad.merge_heads(a, 3),
                     lambda h, r, d: [(3 * h, r, d)], (0,)),
     "split_heads": (lambda a: ad.split_heads(a, 3, a.dims[0] // 2),
@@ -613,6 +652,16 @@ class TestStackedKernels:
             expected = op(*[ad.constant(o) for o in one]).data
             assert_same_values(got[i].reshape(expected.shape), expected)
 
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_plm_builder_runs_its_last_block_at_the_targets(self, quick):
+        params, builds = grad_check_problem(3, quick=quick)
+        tape = ad.Tape(record=True)
+        builds["bert_plm_loss"]({key: tape.leaf(value)
+                                 for key, value in params.items()})
+        kernels = [kernel for kernel, *_ in tape.calls if kernel]
+        assert kernels.count(ad._fwd_rel_query_gather) == 1
+        assert kernels.count(ad._fwd_rel_position_gather) == (0 if quick
+                                                              else 1)
 
     @pytest.mark.parametrize("quick", [True, False])
     def test_cases_cover_every_kernel_of_both_losses(self, quick):

@@ -542,6 +542,20 @@ class TestInputValidation:
         assert fallbacks and min(fallbacks) >= 1
         assert "classifier" in tr.load_checkpoint(out).arrays
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_one_column_heads_train(self, small_corpus, tmp_path, capsys,
+                                    command):
+        # d == heads makes each head one column wide
+        labels = ["--manifest", small_corpus["c.tsv"]] * (command == "finetune")
+        code = cli.main([command, "--data", small_corpus["c.pps"],
+                         "--vocab", small_corpus["v.txt"],
+                         "--out", str(tmp_path / "out.ckpt")] + labels
+                        + ["--set", "profile=tiny", "--set", "d=8",
+                           "--set", "heads=8", "--set", "epochs=1",
+                           "--set", "finetune_epochs=1"])
+        assert code == cli.EXIT_OK, capsys.readouterr().err
+        assert (tmp_path / "out.ckpt").exists()
+
     def test_empty_training_corpus_is_data_error(self, small_corpus, tmp_path,
                                                  capsys):
         empty = tmp_path / "empty.pps"

@@ -126,6 +126,13 @@ class TestInitParams:
         assert shapes["layer1.wr"] == (16, 16)
         assert shapes["layer1.v_bias"] == (16,)
 
+    @pytest.mark.parametrize("heads", [1, 4, 8])
+    def test_every_array_is_c_contiguous(self, heads):
+        config = enc.EncoderConfig(vocab_size=6, layers=1, d_model=8, d_ff=12,
+                                   heads=heads, max_seq_len=16, dropout=0.0)
+        params = enc.init_params(config, stream(5, "init"), classes=3)
+        assert all(a.flags["C_CONTIGUOUS"] for a in params.values())
+
     def test_head_blocks_equal_a_per_head_draw(self):
         # the projections were once stored as (heads, d, dh) stacks: the
         # same seed lays the same draws into head h's columns
@@ -622,3 +629,83 @@ class TestGroups:
             np.testing.assert_array_equal(weights[:, b, :n, :n], kept / 0.7)
         np.testing.assert_array_equal(rows[0, 3:], 1.0 / 0.7)  # padding kept
         np.testing.assert_array_equal(weights[:, 0, 3:], 1.0 / 0.7)
+
+
+class TestQueryRows:
+    """``encode(..., targets_only=True)`` runs the last block at the target
+    rows only; its rows, loss and gradients equal the full pass's at those
+    rows."""
+
+    CONFIG = enc.EncoderConfig(vocab_size=6, layers=2, d_model=16, d_ff=24,
+                               heads=2, max_seq_len=16, dropout=0.2)
+
+    def padded_group(self):
+        # unequal lengths and unequal k, so query slots and frames are padded
+        rng = stream(28, "s")
+        seqs = [random_sequence(n, 6, rng, f"q{n}") for n in (7, 4, 9)]
+        plans = [MaskPlan.from_context_set((0, 2, 5, 6), 7),
+                 MaskPlan.from_context_set((0, 1, 2), 4),
+                 MaskPlan.from_context_set((1, 3, 4, 8), 9)]
+        return enc.Group(seqs, plans)
+
+    def test_group_lays_targets_out_as_query_slots(self):
+        group = self.padded_group()
+        np.testing.assert_array_equal(group.query_positions,
+                                      [[1, 3, 4, 0, 0], [3, 0, 0, 0, 0],
+                                       [0, 2, 5, 6, 7]])
+        np.testing.assert_array_equal(group.target_slots,
+                                      [0, 1, 2, 5, 10, 11, 12, 13, 14])
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_loss_and_gradients_equal_the_full_block(self, dropout):
+        from bertplm import objective as obj
+
+        group = self.padded_group()
+        params = enc.init_params(self.CONFIG, stream(28, "init"),
+                                 init_std=0.3)
+
+        def run(targets_only):
+            tape = ad.Tape()
+            bound = enc.bind_params(params, tape)
+            rngs = ([stream(28, "drop", b) for b in range(group.size)]
+                    if dropout else None)
+            hidden = enc.encode(bound, self.CONFIG, group, drop_rngs=rngs,
+                                targets_only=targets_only)
+            if not targets_only:
+                hidden = ad.gather_rows(hidden, group.target_rows)
+            loss = ad.sum_all(obj._masked_regression(hidden, bound["embed"],
+                                                     group, "mean"))
+            grads = ad.backward(tape, loss)
+            return hidden.data, loss.item(), {
+                name: grads[t.node_id].data for name, t in bound.items()
+                if t.node_id in grads}
+
+        rows, loss, grads = run(True)
+        full_rows, full_loss, full_grads = run(False)
+        assert rows.shape == (9, 16) and rows.dtype == np.float64
+        assert np.abs(rows - full_rows).max() <= 1e-12
+        assert abs(loss - full_loss) <= 1e-12 * abs(full_loss)
+        assert grads.keys() == full_grads.keys()
+        for name, grad in grads.items():
+            assert (np.abs(grad - full_grads[name]).max()
+                    <= 1e-12 * np.abs(full_grads[name]).max()), name
+
+    def test_pretraining_loss_takes_the_query_path(self, monkeypatch):
+        from bertplm import objective as obj
+
+        block = enc.rel_attention_block
+        outputs = []
+
+        def spy(*args, queries=None, **kwargs):
+            out = block(*args, queries=queries, **kwargs)
+            outputs.append(None if queries is None else out.dims)
+            return out
+
+        monkeypatch.setattr(enc, "rel_attention_block", spy)
+        group = self.padded_group()
+        params = enc.init_params(self.CONFIG, stream(29, "init"), classes=3)
+        obj.bert_plm_loss(params, self.CONFIG, group)
+        assert outputs == [None, (3 * 5, 16)]
+        outputs.clear()
+        obj.finetune_loss(params, self.CONFIG, group, [0, 1, 2])
+        assert outputs == [None, None]

@@ -61,8 +61,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 #: entries of one parameter that ``adam_step`` averages, checks and steps
 #: together: the chunk's six float32 rows (parameter, moments, gradient sum,
-#: two scratch rows) take 0.75 MB, inside a 2 MB L2 cache; with float64 rows
-#: on such a core 2^14 and 2^15 ran fastest, 2^12 and 2^17 slower
+#: two scratch rows) take 0.75 MB, inside a 2 MB L2 cache; a full-width
+#: float32 step took 60-75 ms chunked against 115-124 ms unchunked
 ADAM_CHUNK = 1 << 15
 
 #: the dtype of the parameters, gradient sums and Adam moments in training
@@ -107,7 +107,8 @@ def adam_step(params: dict[str, np.ndarray],
     chunk is averaged, checked and stepped while it is in cache; per entry
     the operations and their order are those of averaging the whole sum and
     then stepping, so the result is bitwise the same. The parameters and
-    moments must be C-contiguous, as ``OptimState`` makes them.
+    moments must be C-contiguous, as ``OptimState`` makes them; a sum may
+    have any layout and is cast to its parameter's dtype before dividing.
     """
     state.step += 1
     correction1 = 1.0 - ADAM_BETA1 ** state.step
@@ -123,7 +124,7 @@ def adam_step(params: dict[str, np.ndarray],
                 param, m, v = (a.reshape(-1) for a in arrays)
                 total = grads.get(name)
                 if total is not None:
-                    total = np.ascontiguousarray(total).reshape(-1)
+                    total = total.reshape(-1)
                 rows = min(param.size, ADAM_CHUNK)
                 mean = np.empty(rows, dtype=param.dtype)
                 scratch = np.empty(rows, dtype=param.dtype)
@@ -133,8 +134,7 @@ def adam_step(params: dict[str, np.ndarray],
                     if total is None:
                         g.fill(0.0)
                     else:
-                        np.copyto(g, total[lo:hi])
-                        g /= count
+                        np.divide(total[lo:hi], count, out=g, dtype=g.dtype)
                         if not np.isfinite(g).all():
                             raise TrainingError(
                                 f"non-finite gradient for parameter {name!r}")
@@ -171,10 +171,9 @@ class Checkpoint:
 def _write_entry(out, name: str, array: np.ndarray) -> None:
     encoded = name.encode("utf-8")
     dims = array.shape
-    payload = np.empty(dims, dtype="<f4")
     try:
         with np.errstate(over="raise"):
-            np.copyto(payload, array)
+            payload = np.asarray(array, dtype="<f4", order="C")
     except FloatingPointError:
         raise TrainingError(f"checkpoint entry {name!r} overflows float32"
                             ) from None
@@ -432,8 +431,6 @@ def _train_steps(params, optim: OptimState, order, batch_size: int,
 
 
 def _mean_plm_loss(params, enc_config, cfg, pairs) -> float:
-    if not pairs:
-        return float("nan")
     losses = [bert_plm_loss(params, enc_config, group,
                             weighting=cfg.plm_weighting).plm_loss
               for _, group in _groups(pairs, enc_config.max_seq_len)]
@@ -463,8 +460,6 @@ def pretrain(sequences: list[PhonemePosteriorSequence], cfg: Config,
     n_held = int(len(sequences) * cfg.heldout_fraction)
     held = [sequences[i] for i in order[:n_held]]
     train = [sequences[i] for i in order[n_held:]]
-    if not train:
-        raise TrainingError("held-out split consumed the whole corpus")
 
     held_pairs = []
     for i, seq in enumerate(held):
@@ -631,9 +626,8 @@ def finetune(init: Checkpoint | None, train_utts: list[LabeledUtterance],
                                           plan_for, group_grads):
             epoch_losses += losses
             epoch_count += count
-        if epoch_count:
-            log.log(optim.step, "train", "total_loss",
-                    float(np.sum(epoch_losses)) / epoch_count)
+        log.log(optim.step, "train", "total_loss",
+                float(np.sum(epoch_losses)) / epoch_count)
         log.log(optim.step, "epoch", "fallback_full_context", len(fallbacks))
         if val:
             val_error = evaluate(params, enc_config, val).error_rate

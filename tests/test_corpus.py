@@ -370,6 +370,29 @@ SMALL = ["--set", "profile=tiny", "--set", "d=16", "--set", "d_ff=24",
          "--set", "finetune_epochs=1", "--set", "dropout=0.0"]
 
 
+def _exits_cleanly(argv, root) -> int:
+    """``cli.main(argv)``'s exit code, once the run printed no numpy warning,
+    left no temp file in ``root`` and exited 0, or 1 or 2 with one stderr
+    line (plus the usage for 1). An exception other than those the CLI
+    turns into exit codes escapes, and fails the caller's test."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert not [w for w in caught if w.category is RuntimeWarning]
+    assert not list(root.glob("*.tmp"))
+    err = stderr.getvalue()
+    first = err.split("\n", 1)[0] + "\n"
+    if code == cli.EXIT_DATA:
+        assert err == first and first.startswith("data error: ")
+    elif code == cli.EXIT_USAGE:
+        assert err in (first, first + cli.build_parser().format_usage())
+    else:
+        assert code == cli.EXIT_OK
+    return code
+
+
 def _command_argv(command, paths, out):
     inputs = ["--data", paths["corpus"], "--vocab", paths["vocabulary"]]
     if command == "pretrain":
@@ -420,25 +443,11 @@ class TestMutatedFiles:
         mutated = root / kind
         mutated.write_bytes(bytes(raw if cut is None
                                   else raw[:cut % (len(raw) + 1)]))
-        stderr = io.StringIO()
         try:
-            with warnings.catch_warnings(record=True) as caught, \
-                    redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-                warnings.simplefilter("always")
-                code = cli.main(_command_argv(commands[pick % len(commands)],
-                                              paths, str(out)))
+            _exits_cleanly(_command_argv(commands[pick % len(commands)],
+                                         paths, str(out)), root)
         finally:
             mutated.write_bytes(files[kind])
-        assert not [w for w in caught if w.category is RuntimeWarning]
-        assert not list(root.glob("*.tmp"))
-        err = stderr.getvalue()
-        first = err.split("\n", 1)[0] + "\n"
-        if code == cli.EXIT_DATA:
-            assert err == first and first.startswith("data error: ")
-        elif code == cli.EXIT_USAGE:
-            assert err in (first, first + cli.build_parser().format_usage())
-        else:
-            assert code == cli.EXIT_OK
 
     @settings(max_examples=400, deadline=None)
     @given(edits=EDITS, cut=CUTS)
@@ -472,3 +481,133 @@ class TestMutatedFiles:
     def test_checkpoint(self, valid_files, edits, cut):
         _loads_or_raises(valid_files, "checkpoint", tr.load_checkpoint,
                          tr.DataError, edits, cut)
+
+
+def _powers_of_ten(low, high):
+    return st.integers(low, high).map(lambda e: f"1e{e}")
+
+
+def _unit_floats(**exclude):
+    return st.floats(0.0, 1.0, **exclude).map(repr)
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+#: --set values inside the rules ``Config`` documents, at d <= 16; ``d``
+#: and ``heads`` are drawn apart, so they break the divisibility rule too
+INSIDE = {
+    "profile": st.sampled_from(["tiny", "full"]),
+    "layers": _ints(1, 2),
+    "d": st.sampled_from(["2", "4", "8", "12", "16"]),
+    "heads": st.sampled_from(["1", "2", "4", "8", "16"]),
+    "d_ff": _ints(1, 24),
+    "dropout": _unit_floats(exclude_max=True),
+    "lr": _powers_of_ten(-300, 300),
+    "max_seq_len": _ints(1, 64),
+    "mask_ratio_max": _unit_floats(exclude_min=True),
+    "plm_weighting": st.sampled_from(["mean", "sum"]),
+    "finetune_lambda": st.just("0") | _powers_of_ten(-300, 300),
+    "batch_size": _ints(1, 16),
+    "epochs": _ints(1, 2),
+    "finetune_epochs": _ints(1, 3),
+    "patience": _ints(1, 2),
+    "val_fraction": _unit_floats(exclude_max=True),
+    "heldout_fraction": _unit_floats(exclude_max=True),
+}
+
+#: --set values outside those rules, or not of the key's type
+OUTSIDE = {
+    "profile": st.sampled_from(["huge", ""]),
+    "layers": st.sampled_from(["0", "-1", "1.5"]),
+    "d": st.sampled_from(["0", "-2", "3", "x"]),
+    "heads": st.sampled_from(["0", "-1", "5"]),
+    "d_ff": st.sampled_from(["0", "-1"]),
+    "dropout": st.sampled_from(["1", "1.5", "-0.1", "nan"]),
+    "lr": st.sampled_from(["0", "-1e-3", "inf", "nan", "1e400", "fast"]),
+    "max_seq_len": st.sampled_from(["0", "-1"]),
+    "mask_ratio_max": st.sampled_from(["0", "1.5", "nan"]),
+    "plm_weighting": st.just("max"),
+    "finetune_lambda": st.sampled_from(["-1", "inf", "nan", "1e400"]),
+    "batch_size": st.sampled_from(["0", "-1"]),
+    "epochs": st.just("0"),
+    "finetune_epochs": st.just("0"),
+    "patience": st.sampled_from(["0", "-1"]),
+    "val_fraction": st.sampled_from(["1", "-0.25", "1.25"]),
+    "heldout_fraction": st.sampled_from(["1", "-0.25", "nan"]),
+}
+
+
+@st.composite
+def config_sets(draw):
+    """Some keys' values inside their rules, then, one time in three, one
+    key's value outside its rule."""
+    values = draw(st.fixed_dictionaries({}, optional=INSIDE))
+    if draw(st.integers(0, 2)) == 0:
+        key = draw(st.sampled_from(sorted(OUTSIDE)))
+        values[key] = draw(OUTSIDE[key])
+    return values
+
+
+@pytest.fixture(scope="module")
+def config_files(tmp_path_factory):
+    """A 10-utterance corpus (T 14-28) with its manifest and vocabulary, a
+    checkpoint pre-trained and one fine-tuned at ``SMALL``, and a scratch
+    directory for the runs' outputs."""
+    root = tmp_path_factory.mktemp("config")
+    paths = {name: str(root / name) for name in
+             ("corpus", "manifest", "vocabulary", "pretrained", "finetuned")}
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["gen-data", "--utterances", "10", "--seed", "5",
+                         "--out", paths["corpus"],
+                         "--manifest", paths["manifest"],
+                         "--vocab", paths["vocabulary"]]) == cli.EXIT_OK
+        assert cli.main(_command_argv("pretrain", paths, paths["pretrained"])
+                        ) == cli.EXIT_OK
+        assert cli.main(_command_argv("finetune", paths, paths["finetuned"])
+                        ) == cli.EXIT_OK
+    lengths = [seq.length for seq in cp.read_corpus(paths["corpus"])]
+    assert (min(lengths), max(lengths)) == (14, 28)
+    out = root / "out"
+    out.mkdir()
+    return paths, out
+
+
+class TestFuzzedConfig:
+    """Every command that trains or evaluates, run with drawn ``--set``
+    values on top of ``SMALL``: ``pretrain``, ``finetune`` from that
+    checkpoint (or from one made at ``SMALL`` when ``pretrain`` failed) and
+    from scratch, then ``evaluate`` on the last checkpoint made. Each run
+    exits as ``_exits_cleanly`` requires."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=config_sets())
+    @example(values={"d": "8", "heads": "8", "d_ff": "1"})
+    @example(values={"max_seq_len": "20", "batch_size": "16"})
+    @example(values={"lr": "1e-300", "finetune_lambda": "1e300"})
+    @example(values={"lr": "1e300"})
+    @example(values={"lr": "1e38", "heldout_fraction": "0"})
+    def test_commands(self, config_files, values):
+        paths, out = config_files
+        for ckpt in out.iterdir():
+            ckpt.unlink()
+        sets = [arg for key, value in values.items()
+                for arg in ("--set", f"{key}={value}")]
+        data = ["--data", paths["corpus"], "--vocab", paths["vocabulary"]]
+        labeled = [*data, "--manifest", paths["manifest"]]
+        pre, tuned, fresh = (out / f"{name}.ckpt"
+                             for name in ("pre", "tuned", "fresh"))
+        if _exits_cleanly(["pretrain", *data, "--out", str(pre), *SMALL,
+                           *sets], out) != cli.EXIT_OK:
+            pre = paths["pretrained"]
+        _exits_cleanly(["finetune", *labeled, "--ckpt", str(pre),
+                        "--test-data", paths["corpus"],
+                        "--test-manifest", paths["manifest"],
+                        "--out", str(tuned), *SMALL, *sets], out)
+        _exits_cleanly(["finetune", *labeled, "--out", str(fresh), *SMALL,
+                        *sets], out)
+        made = [ckpt for ckpt in (fresh, tuned) if ckpt.exists()]
+        _exits_cleanly(["evaluate", *labeled, "--ckpt",
+                        str(made[0]) if made else paths["finetuned"], *sets],
+                       out)

@@ -135,6 +135,30 @@ class TestAdam:
                 assert new[name].dtype == np.float32
                 assert new[name].tobytes() == ref[name].tobytes(), name
 
+    @pytest.mark.parametrize("layout", [
+        lambda total: np.asfortranarray(total.astype(np.float32)),
+        lambda total: total.astype(np.float32).T.copy().T,
+        lambda total: np.repeat(total.astype(np.float32), 2, axis=1)[:, ::2],
+        lambda total: total],
+        ids=["fortran", "transposed-twice", "strided", "float64"])
+    def test_sum_steps_as_its_c_contiguous_float32_copy(self, monkeypatch,
+                                                        layout):
+        """A sum of any layout, or in float64, steps float32 parameters
+        bitwise as its C-contiguous float32 copy does."""
+        monkeypatch.setattr(tr, "ADAM_CHUNK", 7)
+        start = stream(4, "layout").normal(size=(6, 5)).astype(np.float32)
+        runs = []
+        for as_sum in (lambda total: total.astype(np.float32), layout):
+            params = {"w": start.copy()}
+            state = tr.OptimState.for_params(params, lr=3e-2)
+            for i in range(3):
+                total = stream(4, "layout", i).normal(size=(6, 5))
+                tr.adam_step(params, {"w": as_sum(total)}, state, 2 + i)
+            runs.append((params["w"], state.m["w"], state.v["w"]))
+        for ref, new in zip(*runs):
+            assert new.dtype == np.float32
+            assert new.tobytes() == ref.tobytes()
+
     def test_fused_step_leaves_the_sums_alone(self):
         params = {"w": np.ones(5)}
         sums = {"w": np.arange(5.0)}
@@ -204,6 +228,19 @@ class TestCheckpoint:
         tr.save_checkpoint(paths[0], params, cfg, step=1)
         tr.save_checkpoint(paths[1], tr.load_checkpoint(paths[0]).arrays, cfg,
                            step=1)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("view", [
+        lambda w: w.T, lambda w: w[:, ::2], lambda w: w.astype(">f4")],
+        ids=["transposed", "strided", "big-endian"])
+    def test_float32_views_save_as_their_c_contiguous_copies(self, tmp_path,
+                                                             view):
+        cfg = small_config()
+        w = view(stream(68, "ck").normal(size=(5, 7)).astype(np.float32))
+        paths = [tmp_path / "view.ckpt", tmp_path / "copy.ckpt"]
+        tr.save_checkpoint(paths[0], {"w": w}, cfg, step=1)
+        tr.save_checkpoint(paths[1], {"w": np.ascontiguousarray(w, "<f4")},
+                           cfg, step=1)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_writes_the_documented_layout(self, tmp_path):
